@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import SystemParams, DerivedConstants, derive
+from .model import DerivedConstants, derive, scenario_rate
 from .specfun import QuadratureTable, gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "sop_internal",
     "sop_system_external",
 ]
-
-SCENARIOS = ("external_n", "external_f", "internal")
 
 DEFAULT_ORDER = 64
 
@@ -314,7 +312,7 @@ def sop(params, scenario: str, sic: str, **tables) -> SopEstimate:
         return sop_external_f(params)
     if scenario == "internal":
         return sop_internal(params, sic, **tables)
-    raise ValueError(f"scenario must be one of {SCENARIOS}")
+    raise ValueError(f"no closed form for scenario {scenario!r}")
 
 
 def sop_system_external(params, sic: str) -> SopEstimate:
@@ -396,7 +394,7 @@ def sop_asymptotic(
             "internal + ipsic has no closed-form asymptote (the residual floor "
             "couples both quadratures); evaluate sop_internal directly"
         )
-    raise ValueError(f"scenario must be one of {SCENARIOS}")
+    raise ValueError(f"no closed-form asymptote for scenario {scenario!r}")
 
 
 def sop_curve_fixed_eavesdropper(params, scenario: str, sic: str, p_bs_values) -> np.ndarray:
@@ -459,21 +457,6 @@ def diversity_order(curve) -> float:
     if s1 <= 0.0 or s2 <= 0.0:
         raise DegenerateCurveError("SOP reached zero; slope undefined")
     return -(math.log(s2) - math.log(s1)) / (math.log(r2) - math.log(r1))
-
-
-def scenario_rate(params: SystemParams, scenario: str) -> float:
-    """Target rate protected in the given scenario (r_n except for external_f).
-
-    The system-level external event protects both streams at once, so its
-    secured rate is the sum r_n + r_f.
-    """
-    if scenario in ("external_n", "internal"):
-        return params.r_n
-    if scenario == "external_f":
-        return params.r_f
-    if scenario == "system_external":
-        return params.r_n + params.r_f
-    raise ValueError(f"scenario must be one of {SCENARIOS + ('system_external',)}")
 
 
 def secrecy_throughput(sop_value: float, rate: float) -> float:

@@ -9,12 +9,11 @@ station keep whatever the surface does not consume.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-__all__ = ["BudgetInfeasibleError", "PowerBudget", "solve_bs_power"]
+from .model import SURFACE_MODES
 
-MODES = ("aris", "pris")
+__all__ = ["BudgetInfeasibleError", "PowerBudget", "solve_bs_power"]
 
 
 class BudgetInfeasibleError(ValueError):
@@ -43,8 +42,11 @@ class PowerBudget:
     mode: str
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        if self.mode not in SURFACE_MODES:
+            raise ValueError(f"mode must be one of {SURFACE_MODES}")
+        for name in ("p_tot", "p_ris", "p_ps", "p_dc"):
+            if getattr(self, name) != getattr(self, name):
+                raise ValueError(f"{name} must not be NaN")
         if self.p_tot <= 0.0:
             raise ValueError("p_tot must be positive")
         for name in ("p_ris", "p_ps", "p_dc"):
@@ -56,7 +58,6 @@ def solve_bs_power(
     budget: PowerBudget,
     n_elements: int,
     n_active: int,
-    kappa: float | None = None,
 ) -> float:
     """Base-station power left after the surface's hardware terms.
 
@@ -65,16 +66,10 @@ def solve_bs_power(
 
     Raises BudgetInfeasibleError when nothing (or less) is left, reporting
     the shortfall.  Amplification and supply power are independent knobs in
-    this model; pass kappa to get a consistency warning when kappa > 1 is
-    requested with no amplifier supply at all.
+    this model.
     """
     if budget.mode == "aris":
         hardware = budget.p_ris + n_active * (budget.p_ps + budget.p_dc)
-        if kappa is not None and kappa > 1.0 and budget.p_ris == 0.0:
-            warnings.warn(
-                "kappa > 1 with p_ris = 0: amplification without amplifier supply",
-                stacklevel=2,
-            )
     else:
         hardware = n_elements * budget.p_ps
     p_bs = budget.p_tot - hardware

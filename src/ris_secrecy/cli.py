@@ -5,7 +5,7 @@ Subcommands
     simulate         Monte Carlo metrics at the base operating point
     sweep            full curve table over the configured sweep
     validate         closed-form vs Monte Carlo agreement report (exit 3 on failure)
-    quadrature-dump  Gauss-Laguerre nodes and weights as JSON
+    quadrature-dump  Gauss-Laguerre nodes and weights as JSON (order 1..256)
 
 Curve tables use a fixed CSV schema
 
@@ -39,9 +39,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.integrate import simpson
 
-from . import __version__
+from . import __version__, model
 from .analytic import (
     UnsupportedScenarioError,
     cdf_user_f,
@@ -58,7 +57,7 @@ from .analytic import (
 )
 from .budget import BudgetInfeasibleError
 from .config import ConfigError, ScenarioConfig, load_config, load_preset, list_presets, realize_point
-from .montecarlo import empirical_sinr_cdfs, estimate_sop_grid, sinr_samples
+from .montecarlo import DRAW_FIELDS, empirical_sinr_cdfs, estimate_sop_grid, sinr_samples
 from .specfun import gauss_laguerre
 
 __all__ = ["main", "run_sweep", "validate_point"]
@@ -177,11 +176,7 @@ def _write_json(path, cfg: ScenarioConfig, rows: list[dict], point: str):
 
 
 def _shape_key(params) -> tuple:
-    return tuple(
-        getattr(params, f)
-        for f in ("d_br", "d_rn", "d_rf", "d_re", "alpha_p", "beta0",
-                  "n_elements", "n_groups", "n_active", "omega_ipu", "omega_ipe")
-    )
+    return tuple(getattr(params, f) for f in DRAW_FIELDS)
 
 
 def _closed_form_estimate(params, scenario, sic, engine):
@@ -212,74 +207,65 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
     """Evaluate the configured sweep; returns rows in deterministic order.
 
     Row order is value-major, then scenario order, then engine order, all
-    exactly as configured.  Monte Carlo cells sharing draw-shaping fields
-    are batched over one stream per shape, so estimates match individual
-    estimate_sop calls bit for bit regardless of batching or workers.
+    exactly as configured.  Monte Carlo cells sharing a draw law (the
+    montecarlo.DRAW_FIELDS) are batched over one stream per law, so
+    estimates match individual estimate_sop calls bit for bit regardless of
+    batching or workers.
     """
+    return _run_cells(cfg, cfg.sweep.values, cfg.sweep.variable, workers)
+
+
+def _run_cells(cfg: ScenarioConfig, values, sweep_var: str, workers: int) -> list[dict]:
+    """Rows for every (value, scenario row, engine) cell; value None is the base point."""
     sweep = cfg.sweep
-    tasks = []
-    for value in sweep.values:
+    cells = []
+    for value in values:
         for scenario, sic, mode in sweep.scenarios:
             try:
                 params = realize_point(cfg, value, mode)
-                problem = None
             except BudgetInfeasibleError:
-                params, problem = None, "infeasible"
+                params = None
             for engine in sweep.engines:
-                tasks.append({
-                    "value": float(value), "scenario": scenario, "sic": sic,
-                    "mode": mode, "engine": engine, "params": params,
-                    "problem": problem,
-                })
+                row = {
+                    "sweep_var": sweep_var, "value": None if value is None else float(value),
+                    "scenario": scenario, "sic": sic, "mode": mode,
+                    "engine": engine, "metric": cfg.metric,
+                    "estimate": None, "stderr": None, "trials": None, "seed": None,
+                    "flags": "" if params is not None else "infeasible",
+                }
+                cells.append((row, params))
 
-    mc_groups: dict[tuple, list[int]] = {}
-    for i, task in enumerate(tasks):
-        if task["engine"] == "montecarlo" and task["problem"] is None:
-            mc_groups.setdefault(_shape_key(task["params"]), []).append(i)
+    mc_groups: dict[tuple, list] = {}
+    for row, params in cells:
+        if row["engine"] == "montecarlo" and params is not None:
+            mc_groups.setdefault(_shape_key(params), []).append((row, params))
     payloads = [
-        ([(tasks[i]["params"], tasks[i]["scenario"], tasks[i]["sic"]) for i in idxs],
+        ([(params, row["scenario"], row["sic"]) for row, params in group],
          sweep.trials, sweep.seed)
-        for idxs in mc_groups.values()
+        for group in mc_groups.values()
     ]
-    if payloads:
-        if workers > 1 and len(payloads) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                group_results = list(pool.map(_grid_group, payloads))
-        else:
-            group_results = [_grid_group(p) for p in payloads]
-        for idxs, results in zip(mc_groups.values(), group_results):
-            for i, res in zip(idxs, results):
-                tasks[i]["mc"] = res
-
-    rows = []
-    for task in tasks:
-        row = {
-            "sweep_var": sweep.variable, "value": task["value"],
-            "scenario": task["scenario"], "sic": task["sic"], "mode": task["mode"],
-            "engine": task["engine"], "metric": cfg.metric,
-            "estimate": None, "stderr": None, "trials": None, "seed": None,
-            "flags": "",
-        }
-        if task["problem"] is not None:
-            row["flags"] = task["problem"]
-        elif task["engine"] == "montecarlo":
-            res = task["mc"]
-            est, err = _metric_fields(cfg, task["params"], task["scenario"],
-                                      res.sop.value, res.stderr)
+    if workers > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            group_results = list(pool.map(_grid_group, payloads))
+    else:
+        group_results = [_grid_group(p) for p in payloads]
+    for group, results in zip(mc_groups.values(), group_results):
+        for (row, params), res in zip(group, results):
+            est, err = _metric_fields(cfg, params, row["scenario"], res.sop.value, res.stderr)
             row.update(estimate=est, stderr=err, trials=res.trials, seed=res.seed,
                        flags="|".join(res.sop.flags))
+
+    for row, params in cells:
+        if params is None or row["engine"] == "montecarlo":
+            continue
+        try:
+            est = _closed_form_estimate(params, row["scenario"], row["sic"], row["engine"])
+        except UnsupportedScenarioError:
+            row["flags"] = "unsupported"
         else:
-            try:
-                est = _closed_form_estimate(task["params"], task["scenario"],
-                                            task["sic"], task["engine"])
-            except UnsupportedScenarioError:
-                row["flags"] = "unsupported"
-            else:
-                value, _ = _metric_fields(cfg, task["params"], task["scenario"],
-                                          est.value, None)
-                row.update(estimate=value, flags="|".join(est.flags))
-        rows.append(row)
-    return rows
+            value, _ = _metric_fields(cfg, params, row["scenario"], est.value, None)
+            row.update(estimate=value, flags="|".join(est.flags))
+    return [row for row, _ in cells]
 
 
 def _all_infeasible(rows: list[dict]) -> bool:
@@ -306,52 +292,9 @@ def _print_table(rows: list[dict]):
 def _cmd_point(args, engines_default) -> int:
     cfg = _load(args)
     engines = cfg.sweep.engines if getattr(args, "engines", None) else engines_default
+    cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, engines=engines))
     # bypass the sweep variable entirely: realize the base point as-is
-    sweep = dataclasses.replace(cfg.sweep, engines=engines)
-    cfg = dataclasses.replace(cfg, sweep=sweep)
-
-    rows = []
-    mc_cases, mc_rows = [], []
-    for scenario, sic, mode in sweep.scenarios:
-        try:
-            params = realize_point(cfg, None, mode)
-            problem = None
-        except BudgetInfeasibleError:
-            params, problem = None, "infeasible"
-        for engine in sweep.engines:
-            row = {
-                "sweep_var": "", "value": None, "scenario": scenario, "sic": sic,
-                "mode": mode, "engine": engine, "metric": cfg.metric,
-                "estimate": None, "stderr": None, "trials": None, "seed": None,
-                "flags": "",
-            }
-            if problem is not None:
-                row["flags"] = problem
-            elif engine == "montecarlo":
-                mc_cases.append((params, scenario, sic))
-                mc_rows.append(row)
-            else:
-                try:
-                    est = _closed_form_estimate(params, scenario, sic, engine)
-                except UnsupportedScenarioError:
-                    row["flags"] = "unsupported"
-                else:
-                    value, _ = _metric_fields(cfg, params, scenario, est.value, None)
-                    row.update(estimate=value, flags="|".join(est.flags))
-            rows.append(row)
-    if mc_cases:
-        shape_groups: dict[tuple, list[int]] = {}
-        for j, (params, _, _) in enumerate(mc_cases):
-            shape_groups.setdefault(_shape_key(params), []).append(j)
-        for idxs in shape_groups.values():
-            results = estimate_sop_grid([mc_cases[j] for j in idxs],
-                                        sweep.trials, sweep.seed)
-            for j, res in zip(idxs, results):
-                params = mc_cases[j][0]
-                est, err = _metric_fields(cfg, params, mc_cases[j][1],
-                                          res.sop.value, res.stderr)
-                mc_rows[j].update(estimate=est, stderr=err, trials=res.trials,
-                                  seed=res.seed, flags="|".join(res.sop.flags))
+    rows = _run_cells(cfg, (None,), "", workers=1)
 
     if args.out:
         _write_text(args.out, _rows_to_csv(cfg, rows, point="base"))
@@ -399,10 +342,10 @@ _PDF_FORMS = {
     ("internal_f_to_n", "psic"): pdf_internal_f_to_n,
 }
 
-_LEGIT_FAMILY = {"external_n": "user_n", "external_f": "user_f", "internal": "user_n"}
-_EVE_FAMILY = {"external_n": "eve_n", "external_f": "eve_f", "internal": "internal_f_to_n"}
-# mean gain of the receiver behind each wiretap family; zero disables the check
-_EVE_DISTANCE = {"eve_n": "d_re", "eve_f": "d_re", "internal_f_to_n": "d_rf"}
+
+def _family_sic(family: str, sic: str) -> str:
+    # families the SIC mode does not enter are checked once, under psic
+    return sic if model.SINR_FAMILIES[family][1] else "psic"
 
 
 def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
@@ -420,7 +363,8 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     checks = []
     seen_cdf, seen_pdf = set(), set()
     for scenario, sic, mode in cfg.sweep.scenarios:
-        if scenario == "system_external":
+        events = model.SCENARIOS[scenario]
+        if len(events) > 1:
             checks.append({"check": "sop", "scenario": scenario, "sic": sic,
                            "mode": mode, "status": "skip",
                            "detail": "composed quantity; per-user rows cover it"})
@@ -452,13 +396,12 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
         })
 
         pilot = min(trials, 1 << 16)
-        legit = _LEGIT_FAMILY[scenario]
-        legit_sic = sic if legit == "user_n" else "psic"
+        legit, eve, _ = events[0]
+        legit_sic = _family_sic(legit, sic)
         if (legit, legit_sic, mode) not in seen_cdf:
             seen_cdf.add((legit, legit_sic, mode))
             checks.append(_cdf_check(params, legit, legit_sic, mode, trials, seed, pilot))
-        eve = _EVE_FAMILY[scenario]
-        eve_sic = sic if eve == "eve_n" else "psic"
+        eve_sic = _family_sic(eve, sic)
         if (eve, eve_sic, mode) not in seen_pdf:
             seen_pdf.add((eve, eve_sic, mode))
             checks.append(_pdf_check(params, eve, eve_sic, mode, trials, seed, pilot))
@@ -488,9 +431,15 @@ def _cdf_check(params, family, sic, mode, trials, seed, pilot) -> dict:
     }
 
 
+def _simpson(y, h: float) -> float:
+    """Composite Simpson rule over samples y of odd length on a uniform grid of step h."""
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+
+
 def _pdf_check(params, family, sic, mode, trials, seed, pilot) -> dict:
     base = {"check": "pdf", "scenario": family, "sic": sic, "mode": mode}
-    dist = getattr(params, _EVE_DISTANCE[family])
+    # an infinitely distant wiretap receiver has zero mean gain
+    dist = getattr(params, model.SINR_FAMILIES[family][2])
     if not math.isfinite(dist):
         return {**base, "status": "skip", "detail": "zero mean gain at the wiretap"}
     gamma = sinr_samples(params, family, pilot, seed, sic=sic)
@@ -499,7 +448,7 @@ def _pdf_check(params, family, sic, mode, trials, seed, pilot) -> dict:
         return {**base, "status": "skip", "detail": "degenerate pilot interval"}
     grid = np.linspace(lo, hi, 513)
     pdf = np.asarray(_PDF_FORMS[(family, sic)](grid, params), dtype=float)
-    mass = float(simpson(pdf, x=grid))
+    mass = _simpson(pdf, grid[1] - grid[0])
     emp = empirical_sinr_cdfs(params, [(family, sic, np.array([lo, hi]))], trials, seed)[0]
     emp_mass = float(emp[1] - emp[0])
     tol = 3.0 * math.sqrt(max(emp_mass * (1.0 - emp_mass), 1e-12) / trials) + 0.025 * max(emp_mass, mass)
@@ -531,7 +480,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_quadrature_dump(args) -> int:
-    table = gauss_laguerre(args.order)
+    try:
+        table = gauss_laguerre(args.order)
+    except ValueError as exc:
+        raise ConfigError("order", str(exc)) from exc
     doc = {
         "order": args.order,
         "nodes": [float(x) for x in table.nodes],
@@ -579,7 +531,8 @@ def _build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_validate)
 
     sub = subs.add_parser("quadrature-dump", help="Gauss-Laguerre nodes and weights")
-    sub.add_argument("--order", type=int, default=64)
+    sub.add_argument("--order", type=int, default=64,
+                     help="quadrature order, 1..256 (default 64)")
     sub.add_argument("--out", help="write JSON here (default stdout)")
     sub.set_defaults(func=_cmd_quadrature_dump)
     return parser

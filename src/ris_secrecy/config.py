@@ -38,13 +38,11 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .budget import PowerBudget, solve_bs_power
-from .model import SIC_MODES, SystemParams
+from .model import SCENARIOS, SIC_MODES, SURFACE_MODES, SystemParams
 
 __all__ = [
     "ConfigError",
     "ENGINES",
-    "MODES",
-    "ROW_SCENARIOS",
     "SWEEP_VARIABLES",
     "ScenarioConfig",
     "SweepSpec",
@@ -59,9 +57,6 @@ __all__ = [
 
 SWEEP_VARIABLES = ("p_tot_dbm", "kappa", "n_elements", "alpha_p", "sigma2_t_dbm", "rate")
 ENGINES = ("analytic", "asymptotic", "montecarlo")
-MODES = ("aris", "pris")
-# scenarios a sweep row may name; system_external composes both external users
-ROW_SCENARIOS = ("external_n", "external_f", "internal", "system_external")
 
 _DBM_FIELDS = ("sigma2", "sigma2_e", "sigma2_t")
 _DB_FIELDS = ("beta0", "omega_ipu", "omega_ipe")
@@ -125,11 +120,11 @@ class SweepSpec:
             raise ConfigError("sweep.scenarios", "must be nonempty")
         for row in self.scenarios:
             scenario, sic, mode = row
-            if scenario not in ROW_SCENARIOS:
+            if scenario not in SCENARIOS:
                 raise ConfigError("sweep.scenarios", f"unknown scenario {scenario!r}")
             if sic not in SIC_MODES:
                 raise ConfigError("sweep.scenarios", f"unknown sic {sic!r}")
-            if mode not in MODES:
+            if mode not in SURFACE_MODES:
                 raise ConfigError("sweep.scenarios", f"unknown mode {mode!r}")
         if not self.engines:
             raise ConfigError("sweep.engines", "must be nonempty")
@@ -169,10 +164,18 @@ def _pick(block: dict, field: str, *, dbm: bool = False, db: bool = False):
     raw = block[present[0]]
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ConfigError(present[0], "must be a number")
+    if math.isnan(raw):
+        raise ConfigError(present[0], "must not be NaN")
     if present[0].endswith("_dbm"):
         return dbm_to_watts(float(raw))
     if present[0].endswith("_db"):
         return db_to_linear(float(raw))
+    return float(raw)
+
+
+def _finite(field: str, raw) -> float:
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not math.isfinite(raw):
+        raise ConfigError(field, "finite numbers only")
     return float(raw)
 
 
@@ -266,8 +269,8 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
     p_ps = _pick(bblock, "p_ps", dbm=True) or 0.0
     p_dc = _pick(bblock, "p_dc", dbm=True) or 0.0
     mode = bblock.get("mode", "aris")
-    if mode not in MODES:
-        raise ConfigError("budget.mode", f"must be one of {MODES}")
+    if mode not in SURFACE_MODES:
+        raise ConfigError("budget.mode", f"must be one of {SURFACE_MODES}")
     budget = PowerBudget(p_tot=p_tot, p_ris=p_ris, p_ps=p_ps, p_dc=p_dc, mode=mode)
 
     metric = doc.get("metric", "sop")
@@ -286,12 +289,12 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
         raw_values = sblock["values"]
         if not isinstance(raw_values, list):
             raise ConfigError("sweep.values", "must be a list")
-        sweep_values = tuple(float(v) for v in raw_values)
+        sweep_values = tuple(_finite("sweep.values", v) for v in raw_values)
     elif "range" in sblock:
         r = sblock["range"]
         if not isinstance(r, dict) or not all(k in r for k in ("start", "stop", "step")):
             raise ConfigError("sweep.range", "needs start/stop/step")
-        start, stop, step = float(r["start"]), float(r["stop"]), float(r["step"])
+        start, stop, step = (_finite(f"sweep.range.{k}", r[k]) for k in ("start", "stop", "step"))
         if step == 0.0:
             raise ConfigError("sweep.range", "step must be nonzero")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -424,8 +427,8 @@ def realize_point(cfg: ScenarioConfig, value: float | None, mode: str) -> System
         params, budget = cfg.params, cfg.budget
     else:
         params, budget = _with_sweep_value(cfg, value)
-    if mode not in MODES:
-        raise ConfigError("mode", f"must be one of {MODES}")
+    if mode not in SURFACE_MODES:
+        raise ConfigError("mode", f"must be one of {SURFACE_MODES}")
     budget = dataclasses.replace(budget, mode=mode, p_ris=budget.p_ris if mode == "aris" else 0.0)
     if mode == "pris":
         params = dataclasses.replace(params, kappa=1.0, sigma2_t=0.0)

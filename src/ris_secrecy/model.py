@@ -10,19 +10,26 @@ The SINR functions here take exact per-draw channel quantities (cascaded
 gains and on-group norms) and are the single source of truth for the Monte
 Carlo engine; the closed-form engine replaces the norms by their means, and
 keeping the two routes separate is what makes the cross-validation
-meaningful.
+meaningful.  SCENARIOS and SINR_FAMILIES are the one registry mapping each
+secrecy event onto these SINRs and its protected rate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "DerivedConstants",
+    "SCENARIOS",
+    "SIC_MODES",
+    "SINR_FAMILIES",
+    "SURFACE_MODES",
     "SystemParams",
     "derive",
     "mean_channel_gain",
+    "scenario_rate",
+    "sinr",
     "sinr_eve_f",
     "sinr_eve_n",
     "sinr_internal_f_to_n",
@@ -31,6 +38,29 @@ __all__ = [
 ]
 
 SIC_MODES = ("ipsic", "psic")
+# active (amplifying) and passive surface
+SURFACE_MODES = ("aris", "pris")
+
+# SINR family -> (model function, whether the SIC mode enters, distance
+# field of the receiver); functions are looked up by name at call time
+SINR_FAMILIES = {
+    "user_n": ("sinr_user_n", True, "d_rn"),
+    "user_f": ("sinr_user_f", False, "d_rf"),
+    "eve_n": ("sinr_eve_n", True, "d_re"),
+    "eve_f": ("sinr_eve_f", False, "d_re"),
+    "internal_f_to_n": ("sinr_internal_f_to_n", False, "d_rf"),
+}
+
+# scenario -> outage events (legitimate family, wiretap family, rate field).
+# A trial is in outage when any event fires, and the protected rate is the
+# sum of the event rates: system_external is the union of external_n and
+# external_f and secures r_n + r_f.
+SCENARIOS = {
+    "external_n": (("user_n", "eve_n", "r_n"),),
+    "external_f": (("user_f", "eve_f", "r_f"),),
+    "internal": (("user_n", "internal_f_to_n", "r_n"),),
+    "system_external": (("user_n", "eve_n", "r_n"), ("user_f", "eve_f", "r_f")),
+}
 
 
 def mean_channel_gain(distance_m: float, alpha_p: float, beta0: float) -> float:
@@ -86,6 +116,9 @@ class SystemParams:
     p_bs: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) != getattr(self, f.name):
+                raise ValueError(f"{f.name} must not be NaN")
         for name in ("d_br", "d_rn", "d_rf", "d_re", "beta0", "sigma2", "sigma2_e", "p_bs"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -309,3 +342,23 @@ def sinr_internal_f_to_n(params: SystemParams, draw):
     num = params.a_n * params.p_bs * k2 * draw.cascaded_gain_f
     den = k2 * params.sigma2_t * draw.norm_f + params.sigma2_e
     return num / den
+
+
+def sinr(family: str, params: SystemParams, draw, sic: str):
+    """Exact SINR of one family (a key of SINR_FAMILIES) over a batch of draws."""
+    if family not in SINR_FAMILIES:
+        raise ValueError(f"unknown SINR family {family!r}")
+    name, takes_sic, _ = SINR_FAMILIES[family]
+    fn = globals()[name]
+    return fn(params, draw, sic) if takes_sic else fn(params, draw)
+
+
+def scenario_rate(params: SystemParams, scenario: str) -> float:
+    """Target rate protected in the given scenario (r_n except for external_f).
+
+    The system-level external event protects both streams at once, so its
+    secured rate is the sum r_n + r_f.
+    """
+    if scenario not in SCENARIOS:
+        raise ValueError(f"scenario must be one of {tuple(SCENARIOS)}")
+    return sum(getattr(params, rate) for _, _, rate in SCENARIOS[scenario])

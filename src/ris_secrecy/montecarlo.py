@@ -28,34 +28,22 @@ from .model import SystemParams
 __all__ = [
     "BLOCK",
     "ChannelDraw",
+    "DRAW_FIELDS",
     "McResult",
     "empirical_sinr_cdf",
     "empirical_sinr_cdfs",
     "estimate_sop",
     "estimate_sop_grid",
-    "estimate_throughput",
     "sample_draw",
     "sinr_samples",
 ]
 
 BLOCK = 1 << 15
 
-_SINR_FUNCS = {
-    "user_n": lambda p, d, sic: model.sinr_user_n(p, d, sic),
-    "user_f": lambda p, d, sic: model.sinr_user_f(p, d),
-    "eve_n": lambda p, d, sic: model.sinr_eve_n(p, d, sic),
-    "eve_f": lambda p, d, sic: model.sinr_eve_f(p, d),
-    "internal_f_to_n": lambda p, d, sic: model.sinr_internal_f_to_n(p, d),
-}
-
-# (legitimate, eavesdropper) SINR pair whose gap defines secrecy outage;
-# system_external is the per-trial union of the two external events
-_SCENARIO_PAIR = {
-    "external_n": ("user_n", "eve_n"),
-    "external_f": ("user_f", "eve_f"),
-    "internal": ("user_n", "internal_f_to_n"),
-}
-SCENARIOS = tuple(_SCENARIO_PAIR) + ("system_external",)
+# SystemParams fields _draw_block reads: together with the seed and
+# shared_hbr they fix the law of every (seed, block) draw
+DRAW_FIELDS = ("n_active", "d_br", "d_rn", "d_rf", "d_re", "alpha_p", "beta0",
+               "omega_ipu", "omega_ipe")
 
 
 @dataclass(frozen=True)
@@ -208,31 +196,13 @@ def sample_draw(
     return ChannelDraw(seed=int(seed), first_trial=0, **cat)
 
 
-def _outage_mask(params, scenario, sic, draw: ChannelDraw) -> np.ndarray:
-    if scenario == "system_external":
-        return _outage_mask(params, "external_n", sic, draw) | _outage_mask(
-            params, "external_f", sic, draw
-        )
-    legit_name, eve_name = _SCENARIO_PAIR[scenario]
-    gamma_legit = _SINR_FUNCS[legit_name](params, draw, sic)
-    gamma_eve = _SINR_FUNCS[eve_name](params, draw, sic)
-    rate = params.r_n if scenario in ("external_n", "internal") else params.r_f
-    threshold = 2.0**rate * (1.0 + gamma_eve) - 1.0
-    return gamma_legit < threshold
-
-
 def _outage_count(params, scenario, sic, draw: ChannelDraw) -> int:
-    return int(np.count_nonzero(_outage_mask(params, scenario, sic, draw)))
-
-
-def _protected_rate(params, scenario) -> float:
-    # rate secured when the scenario's outage event does not fire; the
-    # system event protects both streams at once
-    if scenario == "external_f":
-        return params.r_f
-    if scenario == "system_external":
-        return params.r_n + params.r_f
-    return params.r_n
+    outage = False
+    for legit, eve, rate in model.SCENARIOS[scenario]:
+        gamma_legit = model.sinr(legit, params, draw, sic)
+        gamma_eve = model.sinr(eve, params, draw, sic)
+        outage = outage | (gamma_legit < 2.0 ** getattr(params, rate) * (1.0 + gamma_eve) - 1.0)
+    return int(np.count_nonzero(outage))
 
 
 def estimate_sop_grid(
@@ -244,11 +214,12 @@ def estimate_sop_grid(
 ) -> list[McResult]:
     """Estimate many (params, scenario, sic) cells over one shared draw stream.
 
-    All cases must share the fields that shape the raw channel draws
-    (geometry, element counts, residual gains); power, amplification, noise,
-    split, rates and varpi may differ per cell.  Each returned estimate is
-    bit-identical to an individual estimate_sop call with the same seed,
-    because both consume the same (seed, block)-keyed streams.
+    All cases must share the DRAW_FIELDS that shape the raw channel draws
+    (geometry, active elements, residual gains); power, amplification,
+    noise, split, rates, varpi and the group count may differ per cell.
+    Each returned estimate is bit-identical to an individual estimate_sop
+    call with the same seed, because both consume the same
+    (seed, block)-keyed streams.
     """
     if not cases:
         return []
@@ -256,14 +227,11 @@ def estimate_sop_grid(
         raise ValueError("trials must be >= 1")
     ref = cases[0][0]
     for p, scenario, sic in cases:
-        if scenario not in SCENARIOS:
+        if scenario not in model.SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
-        if sic not in ("ipsic", "psic"):
-            raise ValueError("sic must be 'ipsic' or 'psic'")
-        for name in (
-            "d_br", "d_rn", "d_rf", "d_re", "alpha_p", "beta0",
-            "n_elements", "n_groups", "n_active", "omega_ipu", "omega_ipe",
-        ):
+        if sic not in model.SIC_MODES:
+            raise ValueError(f"sic must be one of {model.SIC_MODES}")
+        for name in DRAW_FIELDS:
             if getattr(p, name) != getattr(ref, name):
                 raise ValueError(f"cases disagree on draw-shaping field {name}")
     t0 = time.perf_counter()
@@ -277,7 +245,7 @@ def estimate_sop_grid(
     for (p, scenario, sic), count in zip(cases, counts):
         p_hat = count / trials
         stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
-        rate = _protected_rate(p, scenario)
+        rate = model.scenario_rate(p, scenario)
         results.append(
             McResult(
                 sop=SopEstimate(
@@ -316,19 +284,6 @@ def estimate_sop(
     return estimate_sop_grid([(params, scenario, sic)], trials, seed, shared_hbr=shared_hbr)[0]
 
 
-def estimate_throughput(
-    params: SystemParams,
-    scenario: str,
-    sic: str,
-    trials: int,
-    seed: int,
-    *,
-    shared_hbr: bool = False,
-) -> McResult:
-    """Monte Carlo secrecy throughput; same estimator, throughput-first view."""
-    return estimate_sop(params, scenario, sic, trials, seed, shared_hbr=shared_hbr)
-
-
 def empirical_sinr_cdfs(
     params: SystemParams,
     requests,
@@ -339,22 +294,22 @@ def empirical_sinr_cdfs(
 ) -> list[np.ndarray]:
     """Empirical CDFs of several SINR families over one shared draw stream.
 
-    requests: list of (which, sic, thresholds) with which in
-    {'user_n','user_f','eve_n','eve_f','internal_f_to_n'}.  Returns, per
+    requests: list of (which, sic, thresholds) with which a key of
+    model.SINR_FAMILIES.  Returns, per
     request, P[SINR <= x] for each threshold x.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     prepared = []
     for which, sic, thresholds in requests:
-        if which not in _SINR_FUNCS:
+        if which not in model.SINR_FAMILIES:
             raise ValueError(f"unknown SINR family {which!r}")
         prepared.append((which, sic, np.asarray(thresholds, dtype=float)))
     counts = [np.zeros(len(t), dtype=np.int64) for _, _, t in prepared]
     for draw, take in _iter_blocks(params, trials, seed, shared_hbr):
         sliced = _slice_draw(draw, take)
         for j, (which, sic, thresholds) in enumerate(prepared):
-            gamma = np.sort(_SINR_FUNCS[which](params, sliced, sic))
+            gamma = np.sort(model.sinr(which, params, sliced, sic))
             counts[j] += np.searchsorted(gamma, thresholds, side="right")
     return [c / trials for c in counts]
 
@@ -384,7 +339,7 @@ def sinr_samples(
     shared_hbr: bool = False,
 ) -> np.ndarray:
     """Exact SINR samples of one family (names as in empirical_sinr_cdfs)."""
-    if which not in _SINR_FUNCS:
+    if which not in model.SINR_FAMILIES:
         raise ValueError(f"unknown SINR family {which!r}")
     draw = sample_draw(params, trials, seed, shared_hbr=shared_hbr)
-    return np.asarray(_SINR_FUNCS[which](params, draw, sic), dtype=float)
+    return np.asarray(model.sinr(which, params, draw, sic), dtype=float)

@@ -1,10 +1,10 @@
 """Special-function kernel used by the closed-form secrecy engine.
 
-Everything downstream reduces to three primitives: the integer-order
-modified Bessel function of the second kind, log-gamma, and Gauss-Laguerre
-quadrature tables.  On top of those this module provides the survival
-function, CDF and density of the normalized cascaded-channel power (the
-squared magnitude of a coherent sum of products of independent complex
+Everything downstream reduces to two primitives: the log of the
+integer-order modified Bessel function of the second kind and
+Gauss-Laguerre quadrature tables.  On top of those this module provides the
+survival function, CDF and density of the normalized cascaded-channel power
+(the squared magnitude of a coherent sum of products of independent complex
 Gaussians), evaluated in log space so that large quadrature arguments
 underflow gracefully instead of turning into inf*0.
 """
@@ -12,46 +12,22 @@ underflow gracefully instead of turning into inf*0.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp_special
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "QuadratureTable",
-    "UnderflowWarning",
-    "bessel_k",
     "log_bessel_k",
     "gauss_laguerre",
     "kdist_cdf",
     "kdist_logsf",
     "kdist_pdf",
     "kdist_sf",
-    "ln_gamma",
 ]
 
 _EULER_GAMMA = 0.5772156649015329
-# exp() underflows to 0 below this; used to spot lost Bessel tails
-_LOG_TINY = math.log(5e-324)
-
-
-class UnderflowWarning(RuntimeWarning):
-    """Result decayed below the smallest representable float and was returned as 0."""
-
-
-def ln_gamma(n):
-    """Natural log of the gamma function; ln_gamma(n) = ln((n-1)!) for integer n.
-
-    Thin wrapper kept in the module surface so callers never mix up
-    gamma-vs-factorial offsets.  Accepts scalars or arrays, requires n > 0.
-    """
-    arr = np.asarray(n, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("ln_gamma requires finite n > 0")
-    out = sp_special.gammaln(arr)
-    return float(out) if np.isscalar(n) or arr.ndim == 0 else out
 
 
 def _check_bessel_domain(x):
@@ -118,42 +94,6 @@ def log_bessel_k(q: int, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def bessel_k(q: int, x) -> np.ndarray | float:
-    """Modified Bessel function of the second kind K_q(x), integer q >= 0.
-
-    Parameters
-    ----------
-    q : int
-        Order, q >= 0.
-    x : float or array_like
-        Argument(s), finite and > 0.
-
-    Returns
-    -------
-    float or ndarray
-        K_q(x).  For x deep in the exponential tail (beyond roughly 745)
-        the true value is below the smallest double; 0.0 is returned and an
-        ``UnderflowWarning`` is emitted rather than an error.
-
-    Notes
-    -----
-    Evaluated as kve(q, x) * exp(-x); the scaled kernel keeps full relative
-    accuracy (measured <= 1e-14 against an arbitrary-precision oracle on
-    q <= 30, x in [1e-8, 700]) all the way to the underflow edge, where the
-    unscaled routine loses the last few orders of magnitude.
-    """
-    logk = log_bessel_k(q, x)
-    arr = np.atleast_1d(np.asarray(logk, dtype=float))
-    with np.errstate(over="ignore"):
-        out = np.where(arr > 709.0, np.inf, np.exp(np.minimum(arr, 709.78)))
-    if np.any((out == 0.0)):
-        warnings.warn(
-            "bessel_k underflowed to 0 for some arguments", UnderflowWarning, stacklevel=2
-        )
-    scalar = np.isscalar(logk)
-    return float(out[0]) if scalar else out.reshape(np.shape(logk))
-
-
 @dataclass(frozen=True)
 class QuadratureTable:
     """Gauss-Laguerre abscissas and weights for integrals against exp(-x).
@@ -184,58 +124,18 @@ class QuadratureTable:
         object.__setattr__(self, "weights", weights)
 
 
-def _laguerre_scaled(order: int, x: np.ndarray):
-    """Evaluate (L_order, L'_order) at x with a shared log-scale exponent.
-
-    Returns (l, dl, ex) such that L_order(x) = l * exp(ex) elementwise; the
-    rescaling keeps the three-term recurrence finite for order up to 512
-    where raw values overflow around order 200.
-    """
-    lm = np.ones_like(x)
-    l = 1.0 - x
-    ex = np.zeros_like(x)
-    for k in range(1, order):
-        lp = ((2.0 * k + 1.0 - x) * l - k * lm) / (k + 1.0)
-        lm, l = l, lp
-        big = np.abs(l) > 1e140
-        if np.any(big):
-            scale = np.where(big, np.abs(l), 1.0)
-            ex += np.log(scale)
-            l = l / scale
-            lm = lm / scale
-    dl = order * (l - lm) / x
-    return l, dl, ex
-
-
 def gauss_laguerre(order: int) -> QuadratureTable:
-    """Build the Gauss-Laguerre table of the given order (1 <= order <= 512).
+    """Build the Gauss-Laguerre table of the given order (1 <= order <= 256).
 
-    Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix,
-    polished by Newton iteration on the rescaled recurrence (tolerance 1e-14,
-    at most 100 sweeps); weights come from w = 1 / (x * L'(x)^2) evaluated in
-    log space so the 1e-100-scale tail weights at order 64+ survive.  Beyond
-    order ~190 the extreme tail weights drop below the smallest double and
-    are returned as exact zeros.
+    Nodes and weights come from scipy.special.roots_laguerre.  Beyond order
+    ~190 the extreme tail weights drop below the smallest double and are
+    returned as exact zeros; the cap sits below order 512, where that
+    routine returns NaN.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1 or order > 512:
-        raise ValueError("order must be an integer in [1, 512]")
-    order = int(order)
-    if order == 1:
-        return QuadratureTable(1, np.array([1.0]), np.array([1.0]))
-
-    k = np.arange(order)
-    nodes = eigh_tridiagonal(2.0 * k + 1.0, k[1:].astype(float), eigvals_only=True)
-    for _ in range(100):
-        l, dl, _ = _laguerre_scaled(order, nodes)
-        step = l / dl
-        nodes = nodes - step
-        if np.max(np.abs(step) / nodes) < 1e-14:
-            break
-    _, dl, ex = _laguerre_scaled(order, nodes)
-    log_w = -np.log(nodes) - 2.0 * (np.log(np.abs(dl)) + ex)
-    with np.errstate(under="ignore"):
-        weights = np.exp(log_w)
-    return QuadratureTable(order, nodes, weights)
+    if not isinstance(order, (int, np.integer)) or order < 1 or order > 256:
+        raise ValueError("order must be an integer in [1, 256]")
+    nodes, weights = sp_special.roots_laguerre(int(order))
+    return QuadratureTable(int(order), nodes, weights)
 
 
 def _as_float_array(z):

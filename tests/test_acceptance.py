@@ -44,9 +44,9 @@ from scipy.optimize import brentq
 from ris_secrecy import analytic as an
 from ris_secrecy import cli
 from ris_secrecy.analytic import default_table, diversity_order, secrecy_throughput
-from ris_secrecy.config import load_preset, realize_point
+from ris_secrecy.config import load_preset, parse_config, realize_point
 from ris_secrecy.model import SystemParams, derive
-from ris_secrecy.montecarlo import empirical_sinr_cdfs, estimate_sop_grid
+from ris_secrecy.montecarlo import DRAW_FIELDS, empirical_sinr_cdfs, estimate_sop_grid
 from ris_secrecy.specfun import gauss_laguerre, kdist_cdf, log_bessel_k
 
 from conftest import dbm, make_params, make_passive
@@ -324,7 +324,7 @@ def test_criterion_6_byte_determinism(tmp_path, monkeypatch):
                    "p_ps_dbm": -40.0, "p_dc_dbm": -40.0, "mode": "aris"},
         "metric": "sop",
         "sweep": {
-            "variable": "n_elements", "values": [20.0, 40.0],
+            "variable": "n_elements", "values": [20.0, 40.0], "hold": "n_groups",
             "scenarios": [["external_n", "psic", "aris"], ["internal", "ipsic", "pris"]],
             "engines": ["analytic", "montecarlo"], "trials": 5000, "seed": 99,
         },
@@ -332,6 +332,16 @@ def test_criterion_6_byte_determinism(tmp_path, monkeypatch):
     path = tmp_path / "determinism.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     lines, failures = [], []
+
+    # holding n_groups moves n_active, so the Monte Carlo cells fall into
+    # two draw laws and the worker counts below really start a pool
+    cfg = parse_config(doc)
+    laws = {tuple(getattr(realize_point(cfg, v, mode), f) for f in DRAW_FIELDS)
+            for v in cfg.sweep.values for _, _, mode in cfg.sweep.scenarios}
+    ok = len(laws) >= 2
+    if not ok:
+        failures.append(f"determinism sweep has {len(laws)} draw law(s), pool never starts")
+    lines.append(f"  {'PASS' if ok else 'FAIL'} c6 sweep spans {len(laws)} draw laws")
 
     def run(cmd, extra, name):
         out = tmp_path / name

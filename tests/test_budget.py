@@ -2,11 +2,8 @@
 
 Groups: hand-worked active and passive splits; infeasibility detection
 with the reported shortfall; a seeded randomized sweep against
-independent arithmetic; the amplification-without-supply warning; and
-constructor validation.
+independent arithmetic; and constructor validation.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +13,7 @@ from ris_secrecy.budget import BudgetInfeasibleError, PowerBudget, solve_bs_powe
 
 def test_active_split_hand_value():
     budget = PowerBudget(p_tot=1e-4, p_ris=2e-5, p_ps=1e-7, p_dc=1e-7, mode="aris")
-    got = solve_bs_power(budget, n_elements=40, n_active=20, kappa=10.0)
+    got = solve_bs_power(budget, n_elements=40, n_active=20)
     assert got == pytest.approx(1e-4 - 2e-5 - 20 * 2e-7, rel=1e-15)
 
 
@@ -65,18 +62,6 @@ def test_randomized_budgets_match_arithmetic():
                 assert got == pytest.approx(want, rel=1e-15)
 
 
-def test_amplification_without_supply_warns():
-    budget = PowerBudget(p_tot=1e-4, p_ris=0.0, p_ps=0.0, p_dc=0.0, mode="aris")
-    with pytest.warns(UserWarning, match="amplifier supply"):
-        solve_bs_power(budget, n_elements=40, n_active=20, kappa=10.0)
-    # kappa = 1 or an actual supply is quiet
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        solve_bs_power(budget, n_elements=40, n_active=20, kappa=1.0)
-        funded = PowerBudget(p_tot=1e-4, p_ris=1e-5, p_ps=0.0, p_dc=0.0, mode="aris")
-        solve_bs_power(funded, n_elements=40, n_active=20, kappa=10.0)
-
-
 def test_budget_validation():
     with pytest.raises(ValueError):
         PowerBudget(p_tot=1e-4, p_ris=0.0, p_ps=0.0, p_dc=0.0, mode="hybrid")
@@ -84,3 +69,10 @@ def test_budget_validation():
         PowerBudget(p_tot=0.0, p_ris=0.0, p_ps=0.0, p_dc=0.0, mode="aris")
     with pytest.raises(ValueError):
         PowerBudget(p_tot=1e-4, p_ris=-1e-6, p_ps=0.0, p_dc=0.0, mode="aris")
+
+
+@pytest.mark.parametrize("name", ["p_tot", "p_ris", "p_ps", "p_dc"])
+def test_budget_rejects_nan(name):
+    fields = dict(p_tot=1e-4, p_ris=0.0, p_ps=0.0, p_dc=0.0, mode="aris")
+    with pytest.raises(ValueError, match=name):
+        PowerBudget(**{**fields, name: float("nan")})

@@ -7,7 +7,7 @@ and every sweep variable; CSV byte-determinism across repeat runs,
 worker counts and the worker environment variable; row agreement with
 direct engine calls; infeasible and unsupported row marking; the
 validation report and its exit code; quadrature dump; JSON mirrors;
-command line error handling.
+command line error handling; NaN input rejected at the config boundary.
 """
 
 import copy
@@ -30,7 +30,7 @@ from ris_secrecy.config import (
     parse_config,
     realize_point,
 )
-from ris_secrecy.montecarlo import estimate_sop
+from ris_secrecy.montecarlo import DRAW_FIELDS, estimate_sop
 from ris_secrecy.specfun import gauss_laguerre
 
 from conftest import dbm
@@ -270,11 +270,18 @@ def run_to_file(tmp_path, argv, name):
     return code, out.read_bytes()
 
 
+def draw_laws(cfg) -> set:
+    return {tuple(getattr(realize_point(cfg, v, mode), f) for f in DRAW_FIELDS)
+            for v in cfg.sweep.values for _, _, mode in cfg.sweep.scenarios}
+
+
 def test_sweep_csv_deterministic(tmp_path, monkeypatch):
-    # two element-count points produce two draw-shape groups, so worker
-    # pools actually engage; output must not depend on any of it
+    # holding n_groups, two element-count points change n_active and so
+    # give two draw laws: worker pools actually engage, and output must
+    # not depend on any of it
     d = doc(**{"sweep.variable": "n_elements", "sweep.values": [20.0, 40.0],
-               "sweep.trials": 2000})
+               "sweep.hold": "n_groups", "sweep.trials": 2000})
+    assert len(draw_laws(parse_config(d))) >= 2
     path = write_doc(tmp_path, d)
     argv = ["sweep", "--config", str(path)]
     code1, bytes1 = run_to_file(tmp_path, argv, "a.csv")
@@ -286,6 +293,27 @@ def test_sweep_csv_deterministic(tmp_path, monkeypatch):
     monkeypatch.setenv("RIS_SECRECY_WORKERS", "2")
     code4, bytes4 = run_to_file(tmp_path, argv, "d.csv")
     assert code4 == cli.EXIT_OK and bytes4 == bytes1
+
+
+def test_element_sweep_holding_active_is_one_draw_group(monkeypatch):
+    # n_elements and n_groups do not shape the draws, so holding n_active
+    # scores every value from one stream; each row still equals its own
+    # estimate_sop call
+    cfg = parse_config(doc(**{"sweep.variable": "n_elements",
+                              "sweep.values": [20.0, 40.0, 60.0],
+                              "sweep.engines": ["montecarlo"], "sweep.trials": 2000}))
+    assert len(draw_laws(cfg)) == 1
+    calls = []
+    real = cli.estimate_sop_grid
+    monkeypatch.setattr(cli, "estimate_sop_grid",
+                        lambda cases, *a, **k: calls.append(len(cases)) or real(cases, *a, **k))
+    rows = cli.run_sweep(cfg, workers=2)
+    assert calls == [len(rows)] == [3 * 2]
+    for row in rows:
+        params = realize_point(cfg, row["value"], row["mode"])
+        res = estimate_sop(params, row["scenario"], row["sic"],
+                           cfg.sweep.trials, cfg.sweep.seed)
+        assert row["estimate"] == res.sop.value and row["stderr"] == res.stderr, row
 
 
 def parse_csv(data: bytes):
@@ -414,6 +442,14 @@ def test_validate_detects_disagreement(tmp_path, monkeypatch, capsys):
     assert any(c["status"] == "fail" for c in report["checks"])
 
 
+def test_simpson_matches_scipy():
+    from scipy.integrate import simpson
+
+    grid = np.linspace(0.3, 2.7, 513)
+    for y in (np.exp(-grid), grid**3, np.log1p(grid) / grid):
+        assert cli._simpson(y, grid[1] - grid[0]) == pytest.approx(simpson(y, x=grid), rel=1e-13)
+
+
 def test_quadrature_dump_matches_table(tmp_path):
     out = tmp_path / "table.json"
     code = cli.main(["quadrature-dump", "--order", "4", "--out", str(out)])
@@ -424,6 +460,7 @@ def test_quadrature_dump_matches_table(tmp_path):
     assert dumped["nodes"] == [float(x) for x in table.nodes]
     assert dumped["weights"] == [float(w) for w in table.weights]
     assert np.sum(dumped["weights"]) == pytest.approx(1.0, rel=1e-12)
+    assert cli.main(["quadrature-dump", "--order", "257"]) == cli.EXIT_CONFIG
 
 
 def test_json_mirror_matches_csv(tmp_path):
@@ -454,3 +491,44 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(path),
                      "--preset", "fig2"]) == cli.EXIT_CONFIG  # mutually exclusive
     capsys.readouterr()  # drain usage noise
+
+
+NAN = float("nan")
+# every float field a scenario file carries, under the key BASE_DOC uses
+FLOAT_KEYS = [f"params.{k}" for k, v in BASE_DOC["params"].items() if isinstance(v, float)]
+FLOAT_KEYS += [f"budget.{k}" for k, v in BASE_DOC["budget"].items() if isinstance(v, float)]
+
+
+def assert_config_error(tmp_path, capsys, d, field):
+    path = write_doc(tmp_path, d)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) \
+        == cli.EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS + ["params.a_n", "budget.p_ris_dbm"])
+def test_nan_field_fails_at_the_boundary(tmp_path, capsys, key):
+    edits = {key: NAN}
+    if key == "params.a_n":
+        edits["params.a_f"] = ...
+    if key == "budget.p_ris_dbm":
+        edits["budget.ris_fraction"] = ...
+    field = key.split(".", 1)[1]
+    with pytest.raises(ConfigError, match=field):
+        parse_config(doc(**edits))
+    assert_config_error(tmp_path, capsys, doc(**edits), field)
+
+
+@pytest.mark.parametrize("variable, good", [
+    ("p_tot_dbm", 10.0), ("kappa", 4.0), ("n_elements", 40.0),
+    ("alpha_p", 0.7), ("sigma2_t_dbm", -40.0), ("rate", 0.1),
+])
+def test_nan_sweep_value_fails_at_the_boundary(tmp_path, capsys, variable, good):
+    for values in ([NAN], [good, NAN]):
+        d = doc(**{"sweep.variable": variable, "sweep.values": values})
+        with pytest.raises(ConfigError, match="sweep.values"):
+            parse_config(d)
+        assert_config_error(tmp_path, capsys, d, "sweep.values")
+    d = doc(**{"sweep.variable": variable, "sweep.values": ...,
+               "sweep.range": {"start": NAN, "stop": good, "step": 1.0}})
+    assert_config_error(tmp_path, capsys, d, "sweep.range.start")

@@ -4,20 +4,26 @@ Groups: mean path gain arithmetic and domain handling; derived-constant
 hand values (signal coefficients, mean-field noise, argument scales);
 threshold algebra including the perfect-SIC collapse at varpi = 0;
 straight-line SINR oracles on synthetic draws; structural SINR facts
-(far-user ceiling, SIC ordering, power monotonicity); dataclass
-invariant enforcement.
+(far-user ceiling, SIC ordering, power monotonicity); the scenario
+registry; dataclass invariant enforcement, NaN in every float field
+included.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ris_secrecy import model
 from ris_secrecy.model import (
+    SCENARIOS,
+    SINR_FAMILIES,
     SystemParams,
     derive,
     mean_channel_gain,
+    sinr,
     sinr_eve_f,
     sinr_eve_n,
     sinr_internal_f_to_n,
@@ -170,6 +176,25 @@ def test_sinr_straight_line_oracles():
     assert got == pytest.approx(want, rel=1e-14)
 
 
+def test_registry_dispatches_to_the_sinr_functions():
+    p = make_params()
+    d = _draw(cascaded_gain_n=2e-9, cascaded_gain_f=3e-10, cascaded_gain_e=5e-10,
+              norm_n=3e-6, norm_f=4e-6, norm_e=6e-6, ip_user=1e-7, ip_eve=2e-7)
+    for family, (name, takes_sic, distance) in SINR_FAMILIES.items():
+        fn = getattr(model, name)
+        for sic in ("ipsic", "psic"):
+            want = fn(p, d, sic) if takes_sic else fn(p, d)
+            assert sinr(family, p, d, sic) == want, (family, sic)
+        assert math.isfinite(getattr(p, distance))
+    # every outage event pairs known families with a SystemParams rate field
+    for events in SCENARIOS.values():
+        for legit, eve, rate in events:
+            assert legit in SINR_FAMILIES and eve in SINR_FAMILIES
+            assert getattr(p, rate) >= 0.0
+    with pytest.raises(ValueError):
+        sinr("nobody", p, d, "psic")
+
+
 def test_far_user_sinr_ceiling():
     p = make_params()
     ceiling = p.a_f / p.a_n
@@ -241,3 +266,12 @@ def test_params_allow_infinite_distances():
     assert dc.omega_rf == 0.0
     assert dc.omega_re == 0.0
     assert isinstance(p, SystemParams)
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(SystemParams) if f.type in (float, "float")]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_params_reject_nan(name):
+    with pytest.raises(ValueError, match=name):
+        make_params(**{name: float("nan")})

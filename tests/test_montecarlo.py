@@ -20,7 +20,6 @@ from ris_secrecy.montecarlo import (
     empirical_sinr_cdfs,
     estimate_sop,
     estimate_sop_grid,
-    estimate_throughput,
     sample_draw,
     sinr_samples,
 )
@@ -191,10 +190,6 @@ def test_throughput_accounting():
     ):
         res = estimate_sop(p, scenario, "psic", 10_000, SEED)
         assert res.throughput == pytest.approx((1.0 - res.sop.value) * rate, rel=1e-12)
-    via_alias = estimate_throughput(p, "external_n", "psic", 10_000, SEED)
-    assert via_alias.throughput == pytest.approx(
-        (1.0 - via_alias.sop.value) * 0.05, rel=1e-12
-    )
 
 
 def test_system_event_is_union_of_external_events():

@@ -1,12 +1,12 @@
 """Special-function kernel against arbitrary-precision oracles.
 
 Groups:
- 1. Bessel K: mpmath oracle over a (q, x) grid, pinned single values,
-    underflow signalling, domain errors
- 2. log-gamma wrapper
- 3. Gauss-Laguerre: closed forms at order 1 and 2, moment exactness
+ 1. Bessel K, evaluated in log form by log_bessel_k: mpmath oracle over
+    a (q, x) grid, pinned single values, vectorized vs scalar calls, domain
+    errors
+ 2. Gauss-Laguerre: closed forms at order 1 and 2, moment exactness
     through degree 2D-1, table invariants, input validation
- 4. Cascade-power distribution: mpmath oracle, complementarity,
+ 3. Cascade-power distribution: mpmath oracle, complementarity,
     small-argument closure, density vs finite differences, normalization,
     saturated (+inf) arguments
 """
@@ -22,14 +22,11 @@ from scipy.integrate import quad
 
 from ris_secrecy.specfun import (
     QuadratureTable,
-    UnderflowWarning,
-    bessel_k,
     gauss_laguerre,
     kdist_cdf,
     kdist_logsf,
     kdist_pdf,
     kdist_sf,
-    ln_gamma,
     log_bessel_k,
 )
 
@@ -42,14 +39,18 @@ EULER_GAMMA = 0.5772156649015329
 # Bessel K
 
 
+def _log_k(q, x) -> float:
+    return float(mpmath.log(mpmath.besselk(q, mpmath.mpf(x))))
+
+
 def test_bessel_k_matches_mpmath_on_grid():
+    # an absolute error of 1e-12 in ln K is a relative error of 1e-12 in K
     rng = np.random.default_rng(20260813)
     orders = rng.integers(0, 31, size=60)
     xs = 10.0 ** rng.uniform(-8, math.log10(700.0), size=60)
     for q, x in zip(orders, xs):
-        want = float(mpmath.besselk(int(q), mpmath.mpf(float(x))))
-        got = bessel_k(int(q), float(x))
-        assert got == pytest.approx(want, rel=1e-12), (q, x)
+        got = log_bessel_k(int(q), float(x))
+        assert got == pytest.approx(_log_k(int(q), float(x)), abs=1e-12), (q, x)
 
 
 def test_log_bessel_k_matches_mpmath_in_log_space():
@@ -84,20 +85,13 @@ def test_cascade_distribution_survives_huge_arguments():
 
 
 def test_bessel_k_pinned_values():
-    assert bessel_k(1, 2.0) == pytest.approx(0.13986588181652243, rel=1e-13)
+    # absolute tolerances in ln K are relative tolerances in K
+    assert log_bessel_k(1, 2.0) == pytest.approx(math.log(0.13986588181652243), abs=1e-13)
     # K_1(x) ~ 1/x as x -> 0
-    assert bessel_k(1, 1e-8) == pytest.approx(1e8, rel=1e-8)
-    assert bessel_k(20, 5.0) == pytest.approx(float(mpmath.besselk(20, 5)), rel=1e-12)
-
-
-def test_bessel_k_underflow_warns_and_returns_zero():
-    with pytest.warns(UnderflowWarning):
-        out = bessel_k(0, 800.0)
-    assert out == 0.0
-    # log form stays informative where the linear form is gone
-    assert log_bessel_k(0, 800.0) == pytest.approx(
-        float(mpmath.log(mpmath.besselk(0, 800))), rel=1e-12
-    )
+    assert log_bessel_k(1, 1e-8) == pytest.approx(math.log(1e8), abs=1e-8)
+    assert log_bessel_k(20, 5.0) == pytest.approx(_log_k(20, 5), abs=1e-12)
+    # K_0(800) is below the smallest double; its log is not
+    assert log_bessel_k(0, 800.0) == pytest.approx(_log_k(0, 800), rel=1e-12)
 
 
 def test_bessel_domain_errors():
@@ -112,32 +106,10 @@ def test_bessel_domain_errors():
 
 def test_bessel_k_vectorized_matches_scalar():
     xs = np.array([0.5, 2.0, 40.0])
-    vec = bessel_k(3, xs)
+    vec = log_bessel_k(3, xs)
     assert vec.shape == xs.shape
     for x, v in zip(xs, vec):
-        assert v == bessel_k(3, float(x))
-
-
-# ---------------------------------------------------------------------------
-# log-gamma
-
-
-def test_ln_gamma_matches_lgamma():
-    xs = np.concatenate([np.linspace(0.1, 20.0, 40), [171.0, 300.0]])
-    for x in xs:
-        assert ln_gamma(float(x)) == pytest.approx(math.lgamma(float(x)), rel=1e-13)
-    assert math.isfinite(ln_gamma(171.0))
-
-
-def test_ln_gamma_integer_factorial_identity():
-    for n in (1, 2, 5, 10):
-        assert ln_gamma(n) == pytest.approx(math.log(math.factorial(n - 1)), abs=1e-12)
-
-
-def test_ln_gamma_domain_errors():
-    for bad in (0.0, -3.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            ln_gamma(bad)
+        assert v == log_bessel_k(3, float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +157,14 @@ def test_table_invariants_rejected():
 
 
 def test_gauss_laguerre_input_validation():
-    for bad in (0, -1, 513, 2.5):
+    for bad in (0, -1, 257, 513, 2.5):
         with pytest.raises(ValueError):
             gauss_laguerre(bad)
 
 
 def test_high_order_tail_weights_survive():
-    # order 64 tail weights sit around 1e-90; eigenvector-based weights lose
-    # them, the log-space route must not
+    # order 64 tail weights sit around 1e-100; eigenvector-based weights
+    # lose them, the table must not
     table = gauss_laguerre(64)
     assert table.weights[-1] > 0.0
     assert table.weights[-1] < 1e-80
