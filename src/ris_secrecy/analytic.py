@@ -1,11 +1,12 @@
 """Closed-form secrecy outage probabilities, asymptotes and throughput.
 
 The cascaded BS-RIS-receiver power is K-distributed; every CDF/PDF below is
-that law evaluated at an SINR-dependent argument, with exponentially
-distributed residual-interference power integrated out by Gauss-Laguerre
-quadrature.  Outage thresholds replace the eavesdropper's SINR by its
-mean-field value; the Monte Carlo engine deliberately does not share that
-step, which is what the cross-engine tolerances in the tests measure.
+that law at an SINR-dependent argument, with exponential residual-interference
+power integrated out by Gauss-Laguerre quadrature.  Every SOP is one kernel:
+the legitimate SINR CDF averaged over outage thresholds 2^R (1 + gamma_E) - 1,
+where gamma_E is the eavesdropper's mean-field SINR.  The Monte Carlo engine
+deliberately does not share that step, which is what the cross-engine
+tolerances in the tests measure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import DerivedConstants, derive, scenario_rate
+from .model import SIC_MODES, DerivedConstants, derive, scenario_rate
 from .specfun import QuadratureTable, gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
 
 __all__ = [
@@ -36,9 +37,6 @@ __all__ = [
     "sop",
     "sop_asymptotic",
     "sop_curve_fixed_eavesdropper",
-    "sop_external_f",
-    "sop_external_n",
-    "sop_internal",
     "sop_system_external",
 ]
 
@@ -114,7 +112,54 @@ def _scaled_arg(x, scale):
 
 
 # ---------------------------------------------------------------------------
-# legitimate-user CDFs
+# the NOMA ceiling and the legitimate-user CDFs
+
+
+def _far_stream(x, scale, dc: DerivedConstants):
+    """Far-stream argument x * scale / (c_f - x c_n), its safe denominator and the
+    mask of points at the NOMA ceiling a_f/a_n (argument 0, denominator 1 there).
+    """
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    denom = dc.c_f - x_arr * dc.c_n
+    capped = denom <= _CEILING_GUARD * dc.c_f
+    safe = np.where(capped, 1.0, denom)
+    return np.where(capped, 0.0, _scaled_arg(x_arr, scale) / safe), safe, capped
+
+
+def _legit_arg(dc: DerivedConstants, scenario: str, sic: str, tau, inner: QuadratureTable,
+               scale=None):
+    """Legitimate cascade argument at the 1-D thresholds tau, and the NOMA-capped mask.
+
+    Under ipSIC the argument gains an axis over the inner table (the user's
+    residual interference), scaled by xi_e5 for internal as the cited closed
+    form does.  scale overrides the near-user scale.
+    """
+    if scenario == "external_f":
+        z, _, capped = _far_stream(tau, dc.xi_f, dc)
+        return z, capped
+    if scale is None and sic == "psic":
+        scale = dc.xi_n(0.0)
+    elif scale is None:
+        scale = (dc.xi_n if scenario == "external_n" else dc.xi_e5)(inner.nodes)
+    return _scaled_arg(tau[:, None] if np.ndim(scale) else tau, scale), np.zeros(tau.shape, bool)
+
+
+def _legit_cdf(dc: DerivedConstants, z, capped, inner: QuadratureTable):
+    """Unclipped legitimate SINR CDF at the arguments of _legit_arg."""
+    if z.ndim == 2:
+        # accumulate outage mass, not survival: a zero argument stays exactly 0
+        return kdist_cdf(dc.params.n_active, z) @ inner.weights
+    out = 1.0 - kdist_sf(dc.params.n_active, z)
+    out[capped] = 1.0
+    return out
+
+
+def _user_cdf(x, params, scenario: str, sic: str, table: QuadratureTable | None):
+    dc = _dc(params)
+    table = table or default_table()
+    z, capped = _legit_arg(dc, scenario, sic, np.asarray(x, dtype=float).ravel(), table)
+    out = np.clip(_legit_cdf(dc, z, capped, table), 0.0, 1.0)
+    return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
 
 
 def cdf_user_n_ipsic(x, params, *, table: QuadratureTable | None = None):
@@ -124,23 +169,12 @@ def cdf_user_n_ipsic(x, params, *, table: QuadratureTable | None = None):
     cascade CDF is averaged over a Gauss-Laguerre table (default order 64).
     Accepts scalar or array x >= 0.
     """
-    dc = _dc(params)
-    table = table or default_table()
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    scales = dc.xi_n(table.nodes)  # (D,)
-    z = _scaled_arg(x_arr[..., None], scales)  # (..., D)
-    # accumulate outage mass, not survival: a zero argument stays exactly 0
-    out = kdist_cdf(dc.params.n_active, z) @ table.weights
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
+    return _user_cdf(x, params, "external_n", "ipsic", table)
 
 
 def cdf_user_n_psic(x, params):
     """CDF of the near user's SINR under perfect SIC."""
-    dc = _dc(params)
-    z = _scaled_arg(x, dc.xi_n(0.0))
-    out = np.clip(1.0 - kdist_sf(dc.params.n_active, z), 0.0, 1.0)
-    return float(out) if np.isscalar(x) else out
+    return _user_cdf(x, params, "external_n", "psic", None)
 
 
 def cdf_user_f(x, params):
@@ -149,15 +183,7 @@ def cdf_user_f(x, params):
     Below the ceiling the argument x * xi_f / (c_f - x c_n) blows up as x
     approaches a_f/a_n; the guard hands those points the exact limit 1.
     """
-    dc = _dc(params)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    denom = dc.c_f - x_arr * dc.c_n
-    capped = denom <= _CEILING_GUARD * dc.c_f
-    z = np.where(capped, 1.0, _scaled_arg(x_arr, dc.xi_f) / np.where(capped, 1.0, denom))
-    out = 1.0 - kdist_sf(dc.params.n_active, z)
-    out[capped] = 1.0
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
+    return _user_cdf(x, params, "external_f", "psic", None)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +201,7 @@ def _cdf_eve_n_psic(x, dc: DerivedConstants):
 
 
 def _cdf_eve_f(x, dc: DerivedConstants):
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    denom = dc.c_f - x_arr * dc.c_n
-    capped = denom <= _CEILING_GUARD * dc.c_f
-    z = np.where(capped, 1.0, _scaled_arg(x_arr, dc.xi_e3) / np.where(capped, 1.0, denom))
+    z, _, capped = _far_stream(x, dc.xi_e3, dc)
     out = kdist_cdf(dc.params.n_active, z)
     out[capped] = 1.0
     return out
@@ -214,13 +237,9 @@ def pdf_eve_f(x, params):
     already saturated.
     """
     dc = _dc(params)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    denom = dc.c_f - x_arr * dc.c_n
-    inside = denom > _CEILING_GUARD * dc.c_f
-    safe = np.where(inside, denom, 1.0)
-    z = x_arr * dc.xi_e3 / safe
+    z, safe, capped = _far_stream(x, dc.xi_e3, dc)
     dz = dc.xi_e3 * dc.c_f / (safe * safe)  # d/dx of the argument map
-    out = np.where(inside, dz * kdist_pdf(dc.params.n_active, np.where(inside, z, 0.0)), 0.0)
+    out = np.where(capped, 0.0, dz * kdist_pdf(dc.params.n_active, z))
     return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
 
 
@@ -233,86 +252,50 @@ def pdf_internal_f_to_n(x, params):
 
 
 # ---------------------------------------------------------------------------
-# secrecy outage probabilities
+# secrecy outage probabilities: SOP = sum_k w_k F_legit(tau_k)
+
+# scenario -> DerivedConstants method giving its mean-field outage threshold
+_THRESHOLD = {"external_n": "eps_n2", "external_f": "eps_f", "internal": "eps_fn"}
 
 
-def _sop_external_n_ipsic_value(
-    dc: DerivedConstants, outer: QuadratureTable, inner: QuadratureTable, eps_dc: DerivedConstants
-) -> float:
-    # outer nodes: eavesdropper residual; inner nodes: user residual
-    eps = eps_dc.eps_n1(outer.nodes)  # (S,)
-    scales = dc.xi_n(inner.nodes)  # (D,)
-    z = _scaled_arg(eps[:, None], scales)  # (S, D)
-    outage = kdist_cdf(dc.params.n_active, z) @ inner.weights
-    return float(outer.weights @ outage)
+def _thresholds(dc: DerivedConstants, scenario: str, sic: str, outer: QuadratureTable):
+    """Outage thresholds tau_k = 2^R (1 + gamma_E) - 1 and their weights w_k.
+
+    gamma_E is the eavesdropper's mean-field SINR: averaged over its residual
+    interference (outer table) for external_n/ipSIC, a point mass otherwise.
+    """
+    if scenario not in _THRESHOLD:
+        raise ValueError(f"no closed form for scenario {scenario!r}")
+    if sic not in SIC_MODES:
+        raise ValueError(f"sic must be one of {SIC_MODES}")
+    if scenario == "external_n" and sic == "ipsic":
+        return dc.eps_n1(outer.nodes), outer.weights
+    return np.array([getattr(dc, _THRESHOLD[scenario])()]), np.ones(1)
 
 
-def sop_external_n(
-    params,
-    sic: str,
-    *,
-    outer_table: QuadratureTable | None = None,
-    inner_table: QuadratureTable | None = None,
-) -> SopEstimate:
-    """Secrecy outage of the near user against the external eavesdropper.
+def _outage(dc: DerivedConstants, scenario: str, sic: str, thresholds, inner, scale=None):
+    """The outage kernel: the legitimate CDF averaged over the thresholds.
 
-    ipSIC couples two independent residual-interference integrals (one at
-    the user, one at the eavesdropper), hence the double quadrature; pSIC
-    collapses to a single cascade-CDF evaluation.
+    Also returns whether every threshold sits at the NOMA ceiling (a certain event).
+    """
+    tau, w = thresholds
+    z, capped = _legit_arg(dc, scenario, sic, tau, inner, scale)
+    return float(w @ _legit_cdf(dc, z, capped, inner)), bool(np.all(capped))
+
+
+def sop(params, scenario: str, sic: str, *, outer_table: QuadratureTable | None = None,
+        inner_table: QuadratureTable | None = None) -> SopEstimate:
+    """Closed-form secrecy outage of one scenario: the kernel value, clamped to [0, 1].
+
+    external_n and external_f pit the near and far user against the external
+    eavesdropper, internal the near user against the far user's wiretap.
+    ipSIC couples two residual-interference integrals (outer: eavesdropper,
+    inner: user); a far-user threshold at the NOMA ceiling gives 1, 'saturated'.
     """
     dc = _dc(params)
-    if sic == "ipsic":
-        outer = outer_table or default_table()
-        inner = inner_table or default_table()
-        return _clamped(_sop_external_n_ipsic_value(dc, outer, inner, dc), "analytic")
-    if sic == "psic":
-        z = float(_scaled_arg(dc.eps_n2(), dc.xi_n(0.0)))
-        return _clamped(1.0 - kdist_sf(dc.params.n_active, z), "analytic")
-    raise ValueError("sic must be 'ipsic' or 'psic'")
-
-
-def sop_external_f(params) -> SopEstimate:
-    """Secrecy outage of the far user against the external eavesdropper.
-
-    Residual interference never enters (neither side runs SIC for this
-    stream).  When the outage threshold reaches the NOMA ceiling the event
-    is certain and the value 1 is returned with a 'saturated' flag.
-    """
-    dc = _dc(params)
-    eps = dc.eps_f()
-    denom = dc.c_f - eps * dc.c_n
-    if denom <= _CEILING_GUARD * dc.c_f:
-        return SopEstimate(1.0, "analytic", flags=("saturated",))
-    z = float(_scaled_arg(eps, dc.xi_f)) / denom
-    return _clamped(1.0 - kdist_sf(dc.params.n_active, z), "analytic")
-
-
-def sop_internal(
-    params, sic: str, *, table: QuadratureTable | None = None
-) -> SopEstimate:
-    """Secrecy outage of the near user against the far user's wiretap."""
-    dc = _dc(params)
-    eps = dc.eps_fn()
-    if sic == "ipsic":
-        table = table or default_table()
-        z = _scaled_arg(eps, dc.xi_e5(table.nodes))
-        outage = kdist_cdf(dc.params.n_active, z) @ table.weights
-        return _clamped(float(outage), "analytic")
-    if sic == "psic":
-        z = float(_scaled_arg(eps, dc.xi_n(0.0)))
-        return _clamped(1.0 - kdist_sf(dc.params.n_active, z), "analytic")
-    raise ValueError("sic must be 'ipsic' or 'psic'")
-
-
-def sop(params, scenario: str, sic: str, **tables) -> SopEstimate:
-    """Dispatch to the scenario-specific closed form."""
-    if scenario == "external_n":
-        return sop_external_n(params, sic, **tables)
-    if scenario == "external_f":
-        return sop_external_f(params)
-    if scenario == "internal":
-        return sop_internal(params, sic, **tables)
-    raise ValueError(f"no closed form for scenario {scenario!r}")
+    thresholds = _thresholds(dc, scenario, sic, outer_table or default_table())
+    value, saturated = _outage(dc, scenario, sic, thresholds, inner_table or default_table())
+    return _clamped(value, "analytic", ("saturated",) if saturated else ())
 
 
 def sop_system_external(params, sic: str) -> SopEstimate:
@@ -323,8 +306,8 @@ def sop_system_external(params, sic: str) -> SopEstimate:
     the per-user closed forms already assume between the cascades).  This
     is the quantity whose power-split ordering the sweep checks exercise.
     """
-    est_n = sop_external_n(params, sic)
-    est_f = sop_external_f(params)
+    est_n = sop(params, "external_n", sic)
+    est_f = sop(params, "external_f", sic)
     value = 1.0 - (1.0 - est_n.value) * (1.0 - est_f.value)
     return _clamped(value, "analytic", extra_flags=tuple(set(est_n.flags) | set(est_f.flags)))
 
@@ -341,18 +324,14 @@ def _small_arg_asymptote(u: float, n_active: int) -> tuple[float, tuple[str, ...
     return u / (n_active - 1.0), flags
 
 
-def sop_asymptotic(
-    params,
-    scenario: str,
-    sic: str | None = None,
-    *,
-    outer_table: QuadratureTable | None = None,
-    inner_table: QuadratureTable | None = None,
-) -> SopEstimate:
-    """High-budget SOP asymptote for the supported scenario/SIC combinations.
+def sop_asymptotic(params, scenario: str, sic: str, *, outer_table: QuadratureTable | None = None,
+                   inner_table: QuadratureTable | None = None) -> SopEstimate:
+    """High-budget SOP asymptote on the kernel's thresholds and arguments.
 
-    external_n + ipsic:  residual-interference error floor (double quadrature)
-    external_n + psic:   -u ln u (single active element) or u/(Q-1)
+    external_n + ipsic:  residual-interference error floor (the kernel with
+                         the user-side scale cut to its residual term)
+    external_n + psic:   -u ln u (single active element) or u/(Q-1) at the
+                         legitimate argument u of the threshold
     external_f:          same small-argument forms on the far-user argument
     internal + psic:     same forms on the wiretap argument
     internal + ipsic:    no closed-form asymptote exists; raises
@@ -360,41 +339,24 @@ def sop_asymptotic(
     asymptotic regime, so estimates carry a validity flag requiring the
     argument to sit below 0.1.
     """
-    dc = _dc(params)
-    q = dc.params.n_active
-    if scenario == "external_n":
-        if sic == "ipsic":
-            outer = outer_table or default_table()
-            inner = inner_table or default_table()
-            eps = dc.eps_n1(outer.nodes)
-            p = dc.params
-            floor_scale = p.omega_ipu / (p.a_n * p.kappa**2 * dc.omega_br * dc.omega_rn)
-            z = _scaled_arg(eps[:, None], floor_scale * inner.nodes)
-            outage = kdist_cdf(q, z) @ inner.weights
-            return _clamped(float(outer.weights @ outage), "asymptotic")
-        if sic == "psic":
-            u = float(_scaled_arg(dc.eps_n2(), dc.xi_n(0.0)))
-            value, flags = _small_arg_asymptote(u, q)
-            return SopEstimate(float(value), "asymptotic", flags=flags)
-        raise ValueError("sic must be 'ipsic' or 'psic' for external_n")
-    if scenario == "external_f":
-        eps = dc.eps_f()
-        denom = dc.c_f - dc.c_n * eps
-        if denom <= _CEILING_GUARD * dc.c_f:
-            return SopEstimate(1.0, "asymptotic", flags=("saturated",))
-        w = dc.xi_f * eps / denom
-        value, flags = _small_arg_asymptote(w, q)
-        return SopEstimate(float(value), "asymptotic", flags=flags)
-    if scenario == "internal":
-        if sic == "psic":
-            u = float(_scaled_arg(dc.eps_fn(), dc.xi_n(0.0)))
-            value, flags = _small_arg_asymptote(u, q)
-            return SopEstimate(float(value), "asymptotic", flags=flags)
+    if scenario == "internal" and sic == "ipsic":
         raise UnsupportedScenarioError(
             "internal + ipsic has no closed-form asymptote (the residual floor "
-            "couples both quadratures); evaluate sop_internal directly"
+            "couples both quadratures); evaluate sop directly"
         )
-    raise ValueError(f"no closed-form asymptote for scenario {scenario!r}")
+    dc = _dc(params)
+    inner = inner_table or default_table()
+    thresholds = _thresholds(dc, scenario, sic, outer_table or default_table())
+    if scenario == "external_n" and sic == "ipsic":
+        p = dc.params
+        floor_scale = p.omega_ipu / (p.a_n * p.kappa**2 * dc.omega_br * dc.omega_rn)
+        value, _ = _outage(dc, scenario, sic, thresholds, inner, floor_scale * inner.nodes)
+        return _clamped(value, "asymptotic")
+    u, capped = _legit_arg(dc, scenario, sic, thresholds[0], inner)
+    if capped[0]:
+        return SopEstimate(1.0, "asymptotic", flags=("saturated",))
+    value, flags = _small_arg_asymptote(float(u[0]), dc.params.n_active)
+    return SopEstimate(float(value), "asymptotic", flags=flags)
 
 
 def sop_curve_fixed_eavesdropper(params, scenario: str, sic: str, p_bs_values) -> np.ndarray:
@@ -403,36 +365,15 @@ def sop_curve_fixed_eavesdropper(params, scenario: str, sic: str, p_bs_values) -
     Diversity analysis scales the legitimate link while holding the
     eavesdropper's receive SNR at the operating point given by params;
     otherwise both links improve together and the outage event saturates
-    instead of decaying.  Returns one SOP per p_bs value.
+    instead of decaying.  The kernel takes its thresholds from params and
+    its legitimate CDF from each p_bs; returns one SOP per p_bs value.
     """
-    base = _dc(params)
-    outer = default_table()
-    inner = default_table()
+    table = default_table()
+    thresholds = _thresholds(_dc(params), scenario, sic, table)
     out = np.empty(len(p_bs_values), dtype=float)
     for i, p_bs in enumerate(p_bs_values):
         dc = derive(replace(params, p_bs=float(p_bs)))
-        q = dc.params.n_active
-        if scenario == "external_n" and sic == "ipsic":
-            out[i] = _sop_external_n_ipsic_value(dc, outer, inner, base)
-        elif scenario == "external_n" and sic == "psic":
-            z = base.eps_n2() * dc.v_n / (dc.c_n * dc.omega_br * dc.omega_rn)
-            out[i] = 1.0 - kdist_sf(q, z)
-        elif scenario == "external_f":
-            eps = base.eps_f()
-            denom = dc.c_f - eps * dc.c_n
-            if denom <= _CEILING_GUARD * dc.c_f:
-                out[i] = 1.0
-            else:
-                out[i] = 1.0 - kdist_sf(q, eps * dc.xi_f / denom)
-        elif scenario == "internal" and sic == "psic":
-            z = base.eps_fn() * dc.v_n / (dc.c_n * dc.omega_br * dc.omega_rn)
-            out[i] = 1.0 - kdist_sf(q, z)
-        elif scenario == "internal" and sic == "ipsic":
-            eps = base.eps_fn()
-            z = _scaled_arg(eps, dc.xi_e5(inner.nodes))
-            out[i] = float(kdist_cdf(q, z) @ inner.weights)
-        else:
-            raise ValueError(f"unsupported scenario/sic: {scenario}/{sic}")
+        out[i], _ = _outage(dc, scenario, sic, thresholds, table)
     return np.clip(out, 0.0, 1.0)
 
 

@@ -317,7 +317,10 @@ def _cmd_sweep(args) -> int:
     cfg = _load(args)
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get("RIS_SECRECY_WORKERS", "1"))
+        try:
+            workers = int(os.environ.get("RIS_SECRECY_WORKERS", "1"))
+        except ValueError as exc:
+            raise ConfigError("workers", f"RIS_SECRECY_WORKERS: {exc}") from None
     rows = run_sweep(cfg, workers=max(1, workers))
     text = _rows_to_csv(cfg, rows, point="sweep")
     if args.json:
@@ -358,10 +361,12 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     branch (no mean-field step survives there), max(3 sigma, 15 percent)
     otherwise; CDFs get 3 sigma + 0.005 absolute, densities 3 sigma + 2.5
     percent of the interval mass.  Wiretap checks whose receiver has zero
-    mean gain are reported as skipped.
+    mean gain are reported as skipped.  All SOP rows share one draw stream,
+    and the CDF and density checks of each surface mode share another.
     """
-    checks = []
-    seen_cdf, seen_pdf = set(), set()
+    checks, sop_rows, pending = [], [], {}
+    seen = set()
+    pilot = min(trials, 1 << 16)
     for scenario, sic, mode in cfg.sweep.scenarios:
         events = model.SCENARIOS[scenario]
         if len(events) > 1:
@@ -376,9 +381,28 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
                            "mode": mode, "status": "skip",
                            "detail": f"infeasible: {exc}"})
             continue
+        sop_rows.append((len(checks), params, scenario, sic, mode))
+        checks.append(None)
 
+        legit, eve, _ = events[0]
+        for kind, family, plan, finish in (("cdf", legit, _cdf_plan, _cdf_result),
+                                           ("pdf", eve, _pdf_plan, _pdf_result)):
+            family_sic = _family_sic(family, sic)
+            if (family, family_sic, mode) in seen:
+                continue
+            seen.add((family, family_sic, mode))
+            base = {"check": kind, "scenario": family, "sic": family_sic, "mode": mode}
+            points, why = plan(params, family, family_sic, seed, pilot)
+            if points is None:
+                checks.append({**base, "status": "skip", "detail": why})
+                continue
+            pending.setdefault(mode, (params, []))[1].append((len(checks), points, finish))
+            checks.append(base)
+
+    # surface modes differ in no draw-shaping field, so one stream serves all
+    results = estimate_sop_grid([row[1:4] for row in sop_rows], trials, seed)
+    for (i, params, scenario, sic, mode), mres in zip(sop_rows, results):
         a = sop(params, scenario, sic)
-        mres = estimate_sop_grid([(params, scenario, sic)], trials, seed)[0]
         m = mres.sop.value
         if scenario_rate(params, scenario) == 0.0 and a.value == 0.0:
             tol, gap = 0.0, abs(a.value - m)
@@ -388,36 +412,34 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
         else:
             tol = max(3.0 * mres.stderr, 0.15 * max(a.value, m))
             gap = abs(a.value - m)
-        checks.append({
+        checks[i] = {
             "check": "sop", "scenario": scenario, "sic": sic, "mode": mode,
             "status": "pass" if gap <= tol else "fail",
             "analytic": a.value, "montecarlo": m, "gap": gap, "tolerance": tol,
             "detail": f"analytic={a.value:.6g} mc={m:.6g} tol={tol:.3g}",
-        })
-
-        pilot = min(trials, 1 << 16)
-        legit, eve, _ = events[0]
-        legit_sic = _family_sic(legit, sic)
-        if (legit, legit_sic, mode) not in seen_cdf:
-            seen_cdf.add((legit, legit_sic, mode))
-            checks.append(_cdf_check(params, legit, legit_sic, mode, trials, seed, pilot))
-        eve_sic = _family_sic(eve, sic)
-        if (eve, eve_sic, mode) not in seen_pdf:
-            seen_pdf.add((eve, eve_sic, mode))
-            checks.append(_pdf_check(params, eve, eve_sic, mode, trials, seed, pilot))
+        }
+    for params, rows in pending.values():
+        requests = [(checks[i]["scenario"], checks[i]["sic"], points) for i, points, _ in rows]
+        emps = empirical_sinr_cdfs(params, requests, trials, seed)
+        for (i, points, finish), emp in zip(rows, emps):
+            checks[i] = finish(checks[i], params, points, emp, trials)
     return checks
 
 
-def _cdf_check(params, family, sic, mode, trials, seed, pilot) -> dict:
-    base = {"check": "cdf", "scenario": family, "sic": sic, "mode": mode}
+def _cdf_plan(params, family, sic, seed, pilot):
+    """Pilot-quantile thresholds of a CDF check, or None and the reason to skip it."""
     gamma = sinr_samples(params, family, pilot, seed, sic=sic)
     if not np.all(np.isfinite(gamma)) or float(np.max(gamma)) <= 0.0:
-        return {**base, "status": "skip", "detail": "degenerate SINR (zero mean gain)"}
+        return None, "degenerate SINR (zero mean gain)"
     thresholds = np.quantile(gamma, np.linspace(0.1, 0.9, 9))
     if np.min(thresholds) <= 0.0:
-        return {**base, "status": "skip", "detail": "pilot quantiles hit zero"}
-    emp = empirical_sinr_cdfs(params, [(family, sic, thresholds)], trials, seed)[0]
-    closed = np.asarray(_CDF_FORMS[(family, sic)](thresholds, params), dtype=float)
+        return None, "pilot quantiles hit zero"
+    return thresholds, ""
+
+
+def _cdf_result(base, params, thresholds, emp, trials) -> dict:
+    form = _CDF_FORMS[(base["scenario"], base["sic"])]
+    closed = np.asarray(form(thresholds, params), dtype=float)
     tol = 3.0 * np.sqrt(np.maximum(closed * (1.0 - closed), 1e-12) / trials) + 0.005
     gap = np.abs(emp - closed)
     worst = int(np.argmax(gap - tol))
@@ -436,20 +458,24 @@ def _simpson(y, h: float) -> float:
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
-def _pdf_check(params, family, sic, mode, trials, seed, pilot) -> dict:
-    base = {"check": "pdf", "scenario": family, "sic": sic, "mode": mode}
+def _pdf_plan(params, family, sic, seed, pilot):
+    """Pilot interquartile interval of a density check, or None and the reason to skip it."""
     # an infinitely distant wiretap receiver has zero mean gain
     dist = getattr(params, model.SINR_FAMILIES[family][2])
     if not math.isfinite(dist):
-        return {**base, "status": "skip", "detail": "zero mean gain at the wiretap"}
+        return None, "zero mean gain at the wiretap"
     gamma = sinr_samples(params, family, pilot, seed, sic=sic)
     lo, hi = (float(q) for q in np.quantile(gamma, [0.25, 0.75]))
     if not 0.0 < lo < hi:
-        return {**base, "status": "skip", "detail": "degenerate pilot interval"}
+        return None, "degenerate pilot interval"
+    return np.array([lo, hi]), ""
+
+
+def _pdf_result(base, params, interval, emp, trials) -> dict:
+    lo, hi = (float(x) for x in interval)
     grid = np.linspace(lo, hi, 513)
-    pdf = np.asarray(_PDF_FORMS[(family, sic)](grid, params), dtype=float)
+    pdf = np.asarray(_PDF_FORMS[(base["scenario"], base["sic"])](grid, params), dtype=float)
     mass = _simpson(pdf, grid[1] - grid[0])
-    emp = empirical_sinr_cdfs(params, [(family, sic, np.array([lo, hi]))], trials, seed)[0]
     emp_mass = float(emp[1] - emp[0])
     tol = 3.0 * math.sqrt(max(emp_mass * (1.0 - emp_mass), 1e-12) / trials) + 0.025 * max(emp_mass, mass)
     gap = abs(mass - emp_mass)

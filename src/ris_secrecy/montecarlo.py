@@ -16,7 +16,6 @@ trial count, scheduling or worker layout.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "ChannelDraw",
     "DRAW_FIELDS",
     "McResult",
-    "empirical_sinr_cdf",
     "empirical_sinr_cdfs",
     "estimate_sop",
     "estimate_sop_grid",
@@ -81,7 +79,6 @@ class McResult:
     trials: int
     seed: int
     stderr: float
-    wall_time_s: float
     scenario: str
     sic: str
 
@@ -234,13 +231,11 @@ def estimate_sop_grid(
         for name in DRAW_FIELDS:
             if getattr(p, name) != getattr(ref, name):
                 raise ValueError(f"cases disagree on draw-shaping field {name}")
-    t0 = time.perf_counter()
     counts = np.zeros(len(cases), dtype=np.int64)
     for draw, take in _iter_blocks(ref, trials, seed, shared_hbr):
         sliced = _slice_draw(draw, take)
         for j, (p, scenario, sic) in enumerate(cases):
             counts[j] += _outage_count(p, scenario, sic, sliced)
-    wall = time.perf_counter() - t0
     results = []
     for (p, scenario, sic), count in zip(cases, counts):
         p_hat = count / trials
@@ -258,7 +253,6 @@ def estimate_sop_grid(
                 trials=int(trials),
                 seed=int(seed),
                 stderr=stderr,
-                wall_time_s=wall,
                 scenario=scenario,
                 sic=sic,
             )
@@ -312,21 +306,6 @@ def empirical_sinr_cdfs(
             gamma = np.sort(model.sinr(which, params, sliced, sic))
             counts[j] += np.searchsorted(gamma, thresholds, side="right")
     return [c / trials for c in counts]
-
-
-def empirical_sinr_cdf(
-    params: SystemParams,
-    which: str,
-    thresholds,
-    trials: int,
-    seed: int,
-    *,
-    sic: str = "psic",
-    shared_hbr: bool = False,
-) -> np.ndarray:
-    """Empirical CDF of one SINR family; see empirical_sinr_cdfs."""
-    return empirical_sinr_cdfs(params, [(which, sic, thresholds)], trials, seed,
-                               shared_hbr=shared_hbr)[0]
 
 
 def sinr_samples(

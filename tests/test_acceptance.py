@@ -251,7 +251,7 @@ def test_criterion_4_figure_orderings():
 
     fig9 = load_preset("fig9")
     for sic in ("ipsic", "psic"):
-        sops = [an.sop_internal(realize_point(fig9, v, "aris"), sic).value
+        sops = [an.sop(realize_point(fig9, v, "aris"), "internal", sic).value
                 for v in fig9.sweep.values]
         ok = all(x < y for x, y in zip(sops, sops[1:]))
         if not ok:
@@ -299,8 +299,8 @@ def test_criterion_5_special_function_kernel():
     t128 = gauss_laguerre(128)
     for label, params in (("baseline", make_params()),
                           ("fig9-base", realize_point(load_preset("fig9"), None, "aris"))):
-        coarse = an.sop_external_n(params, "ipsic").value
-        fine = an.sop_external_n(params, "ipsic", outer_table=t128, inner_table=t128).value
+        coarse = an.sop(params, "external_n", "ipsic").value
+        fine = an.sop(params, "external_n", "ipsic", outer_table=t128, inner_table=t128).value
         gap = abs(fine - coarse)
         ok = gap < 1e-8
         if not ok:
@@ -385,8 +385,9 @@ def test_criterion_7_consistency_identities():
     pdf_p = an.pdf_eve_n_psic(xs, p0)
     scale = np.maximum(np.abs(pdf_p), 1.0)
     worst = max(worst, float(np.max(np.abs(pdf_i - pdf_p) / scale)))
-    worst = max(worst, abs(an.sop_external_n(p0, "ipsic").value - an.sop_external_n(p0, "psic").value))
-    worst = max(worst, abs(an.sop_internal(p0, "ipsic").value - an.sop_internal(p0, "psic").value))
+    for scenario in ("external_n", "internal"):
+        gap = abs(an.sop(p0, scenario, "ipsic").value - an.sop(p0, scenario, "psic").value)
+        worst = max(worst, gap)
     ok = worst <= 1e-9
     if not ok:
         failures.append(f"zero-residual collapse gap {worst:.3g} > 1e-9")

@@ -36,9 +36,6 @@ from ris_secrecy.analytic import (
     sop,
     sop_asymptotic,
     sop_curve_fixed_eavesdropper,
-    sop_external_f,
-    sop_external_n,
-    sop_internal,
     sop_system_external,
 )
 from ris_secrecy.model import derive
@@ -154,7 +151,7 @@ def test_external_n_psic_rederived():
     p = make_params()
     dc = derive(p)
     want = 1.0 - kdist_sf(p.n_active, dc.eps_n2() * dc.xi_n(0.0))
-    assert sop_external_n(p, "psic").value == pytest.approx(want, rel=1e-14)
+    assert sop(p, "external_n", "psic").value == pytest.approx(want, rel=1e-14)
 
 
 def test_external_n_ipsic_rederived_by_double_loop():
@@ -166,7 +163,7 @@ def test_external_n_ipsic_rederived_by_double_loop():
         eps = dc.eps_n1(zs)
         for wd, zd in zip(t.weights, t.nodes):
             total += ws * wd * float(kdist_cdf(p.n_active, eps * dc.xi_n(zd)))
-    assert sop_external_n(p, "ipsic").value == pytest.approx(total, rel=1e-12)
+    assert sop(p, "external_n", "ipsic").value == pytest.approx(total, rel=1e-12)
 
 
 def test_external_f_rederived():
@@ -174,7 +171,7 @@ def test_external_f_rederived():
     dc = derive(p)
     eps = dc.eps_f()
     want = 1.0 - kdist_sf(p.n_active, eps * dc.xi_f / (dc.c_f - eps * dc.c_n))
-    assert sop_external_f(p).value == pytest.approx(want, rel=1e-14)
+    assert sop(p, "external_f", "psic").value == pytest.approx(want, rel=1e-14)
 
 
 def test_internal_rederived():
@@ -182,17 +179,17 @@ def test_internal_rederived():
     dc = derive(p)
     eps = dc.eps_fn()
     want_psic = 1.0 - kdist_sf(p.n_active, eps * dc.xi_n(0.0))
-    assert sop_internal(p, "psic").value == pytest.approx(want_psic, rel=1e-14)
+    assert sop(p, "internal", "psic").value == pytest.approx(want_psic, rel=1e-14)
     t = gauss_laguerre(64)
     want_ipsic = float(kdist_cdf(p.n_active, eps * dc.xi_e5(t.nodes)) @ t.weights)
-    assert sop_internal(p, "ipsic").value == pytest.approx(want_ipsic, rel=1e-12)
+    assert sop(p, "internal", "ipsic").value == pytest.approx(want_ipsic, rel=1e-12)
 
 
 def test_system_external_is_union_of_per_user_events():
     p = make_params()
     for sic in ("ipsic", "psic"):
-        s_n = sop_external_n(p, sic).value
-        s_f = sop_external_f(p).value
+        s_n = sop(p, "external_n", sic).value
+        s_f = sop(p, "external_f", "psic").value
         want = 1.0 - (1.0 - s_n) * (1.0 - s_f)
         assert sop_system_external(p, sic).value == pytest.approx(want, rel=1e-15)
 
@@ -221,34 +218,34 @@ def test_residual_interference_raises_outage():
     # (internal) or lowered (external) while the user's own CDF shifts up
     for p_bs in (0.001, 0.01, 0.1):
         p = make_params(p_bs=p_bs)
-        assert sop_internal(p, "ipsic").value >= sop_internal(p, "psic").value
-        assert sop_external_n(p, "ipsic").value >= sop_external_n(p, "psic").value
+        assert sop(p, "internal", "ipsic").value >= sop(p, "internal", "psic").value
+        assert sop(p, "external_n", "ipsic").value >= sop(p, "external_n", "psic").value
 
 
 def test_sop_monotone_in_target_rate():
-    vals = [sop_external_n(make_params(r_n=r), "psic").value for r in (0.01, 0.05, 0.2, 1.0)]
+    vals = [sop(make_params(r_n=r), "external_n", "psic").value for r in (0.01, 0.05, 0.2, 1.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def test_sop_improves_with_closer_user():
-    near = sop_external_n(make_params(d_rn=5.0), "psic").value
-    far = sop_external_n(make_params(d_rn=15.0), "psic").value
+    near = sop(make_params(d_rn=5.0), "external_n", "psic").value
+    far = sop(make_params(d_rn=15.0), "external_n", "psic").value
     assert near < far
 
 
 def test_sop_improves_with_distant_eavesdropper():
-    close = sop_external_n(make_params(d_re=20.0), "psic").value
-    distant = sop_external_n(make_params(d_re=60.0), "psic").value
+    close = sop(make_params(d_re=20.0), "external_n", "psic").value
+    distant = sop(make_params(d_re=60.0), "external_n", "psic").value
     assert distant < close
 
 
 def test_perfect_sic_collapse():
     p = make_params(varpi=0.0)
-    assert sop_external_n(p, "ipsic").value == pytest.approx(
-        sop_external_n(p, "psic").value, abs=1e-9
+    assert sop(p, "external_n", "ipsic").value == pytest.approx(
+        sop(p, "external_n", "psic").value, abs=1e-9
     )
-    assert sop_internal(p, "ipsic").value == pytest.approx(
-        sop_internal(p, "psic").value, abs=1e-9
+    assert sop(p, "internal", "ipsic").value == pytest.approx(
+        sop(p, "internal", "psic").value, abs=1e-9
     )
     xs = np.logspace(-6, 1, 30)
     np.testing.assert_allclose(
@@ -257,16 +254,16 @@ def test_perfect_sic_collapse():
 
 
 def test_far_user_saturation_flag():
-    est = sop_external_f(make_params(r_f=5.0))
+    est = sop(make_params(r_f=5.0), "external_f", "psic")
     assert est.value == 1.0
     assert "saturated" in est.flags
 
 
 def test_quadrature_order_stability():
     p = make_params()
-    base = sop_external_n(p, "ipsic").value
+    base = sop(p, "external_n", "ipsic").value
     t128 = default_table(128)
-    refined = sop_external_n(p, "ipsic", outer_table=t128, inner_table=t128).value
+    refined = sop(p, "external_n", "ipsic", outer_table=t128, inner_table=t128).value
     assert abs(refined - base) < 1e-8
 
 
@@ -387,8 +384,10 @@ def test_dispatch_errors():
     with pytest.raises(ValueError):
         sop(p, "sidelink", "psic")
     with pytest.raises(ValueError):
-        sop_external_n(p, "genie")
+        sop(p, "external_n", "genie")
     with pytest.raises(ValueError):
-        sop_internal(p, "genie")
+        sop(p, "internal", "genie")
+    with pytest.raises(ValueError):
+        sop(p, "external_f", "genie")
     with pytest.raises(ValueError):
         sop_asymptotic(p, "sidelink", "psic")

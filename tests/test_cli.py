@@ -14,6 +14,7 @@ import copy
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -372,6 +373,18 @@ def test_sweep_marks_unsupported_asymptotes():
     assert rows[2]["estimate"] is not None
 
 
+def test_zerorate_asymptotes_are_finite_or_unsupported(tmp_path):
+    # unreachable receivers at zero rate: each asymptote is the exact 0 of
+    # the zero threshold, never inf * 0
+    argv = ["sweep", "--preset", "zerorate", "--engines", "asy"]
+    code, data = run_to_file(tmp_path, argv, "z.csv")
+    assert code == cli.EXIT_OK
+    _, rows = parse_csv(data)
+    assert rows
+    for row in rows:
+        assert row["flags"] == "unsupported" or math.isfinite(float(row["estimate"])), row
+
+
 def test_sweep_infeasible_everywhere(tmp_path):
     # 10 W per phase shifter dwarfs every swept total budget
     d = doc(**{"budget.p_ps_dbm": 40.0, "budget.p_dc_dbm": 40.0})
@@ -491,6 +504,13 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(path),
                      "--preset", "fig2"]) == cli.EXIT_CONFIG  # mutually exclusive
     capsys.readouterr()  # drain usage noise
+
+
+def test_non_integer_worker_variable_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RIS_SECRECY_WORKERS", "two")
+    code = cli.main(["sweep", "--preset", "zerorate", "--out", str(tmp_path / "z.csv")])
+    assert code == cli.EXIT_CONFIG
+    assert "workers" in capsys.readouterr().err
 
 
 NAN = float("nan")

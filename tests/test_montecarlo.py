@@ -16,7 +16,6 @@ from scipy.optimize import brentq
 from ris_secrecy import analytic as an
 from ris_secrecy.montecarlo import (
     BLOCK,
-    empirical_sinr_cdf,
     empirical_sinr_cdfs,
     estimate_sop,
     estimate_sop_grid,
@@ -88,7 +87,7 @@ def test_empirical_cdfs_match_closed_forms():
 def test_empirical_cdf_is_monotone_and_bounded():
     p = make_params()
     xs = np.logspace(-4, 2, 25)
-    cdf = empirical_sinr_cdf(p, "user_n", xs, 20_000, SEED)
+    cdf = empirical_sinr_cdfs(p, [("user_n", "psic", xs)], 20_000, SEED)[0]
     assert np.all(cdf >= 0.0) and np.all(cdf <= 1.0)
     assert np.all(np.diff(cdf) >= 0.0)
 
