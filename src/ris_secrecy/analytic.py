@@ -211,22 +211,29 @@ def _cdf_internal_f_to_n(x, dc: DerivedConstants):
     return kdist_cdf(dc.params.n_active, _scaled_arg(x, dc.xi_e4))
 
 
+def _density(q: int, z, slope):
+    # slope * kdist_pdf at z = x * scale; an infinite scale (unreachable
+    # receiver) sends x > 0 to z = inf, where the density is 0, not inf * 0
+    with np.errstate(invalid="ignore"):
+        out = slope * kdist_pdf(q, z)
+    return np.where(np.isinf(z), 0.0, out)
+
+
 def pdf_eve_n_ipsic(x, params, *, table: QuadratureTable | None = None):
     """Density of the external eavesdropper's SINR on the near stream, ipSIC."""
     dc = _dc(params)
     table = table or default_table()
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     scales = dc.xi_e1(table.nodes)
-    z = x_arr[..., None] * scales
-    out = (kdist_pdf(dc.params.n_active, z) * scales) @ table.weights
+    z = _scaled_arg(x_arr[..., None], scales)
+    out = _density(dc.params.n_active, z, scales) @ table.weights
     return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
 
 
 def pdf_eve_n_psic(x, params):
     """Density of the external eavesdropper's SINR on the near stream, pSIC."""
     dc = _dc(params)
-    x_arr = np.asarray(x, dtype=float)
-    out = dc.xi_e2 * kdist_pdf(dc.params.n_active, x_arr * dc.xi_e2)
+    out = _density(dc.params.n_active, _scaled_arg(x, dc.xi_e2), dc.xi_e2)
     return float(out) if np.isscalar(x) else out
 
 
@@ -239,15 +246,14 @@ def pdf_eve_f(x, params):
     dc = _dc(params)
     z, safe, capped = _far_stream(x, dc.xi_e3, dc)
     dz = dc.xi_e3 * dc.c_f / (safe * safe)  # d/dx of the argument map
-    out = np.where(capped, 0.0, dz * kdist_pdf(dc.params.n_active, z))
+    out = np.where(capped, 0.0, _density(dc.params.n_active, z, dz))
     return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
 
 
 def pdf_internal_f_to_n(x, params):
     """Density of the far user's wiretap SINR on the near stream."""
     dc = _dc(params)
-    x_arr = np.asarray(x, dtype=float)
-    out = dc.xi_e4 * kdist_pdf(dc.params.n_active, x_arr * dc.xi_e4)
+    out = _density(dc.params.n_active, _scaled_arg(x, dc.xi_e4), dc.xi_e4)
     return float(out) if np.isscalar(x) else out
 
 

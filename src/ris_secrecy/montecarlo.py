@@ -1,22 +1,34 @@
-"""First-principles Monte Carlo engine.
+"""Monte Carlo engine: exact channel draws scored by the exact per-trial SINRs.
 
-Channels are drawn as circularly symmetric complex Gaussians element by
-element, cascades are formed as coherent sums over the active RIS group,
-and outage is decided from the exact per-draw SINRs.  Nothing here reuses
-the closed-form route's distributional shortcuts (mean-field norms,
-mean-SINR thresholds, K-distribution identities) - that independence is the
-point of the engine.
+The hops are complex Gaussian per element, h_br ~ CN(0, omega_br I_Q) and
+h_r ~ CN(0, omega_r I_Q) over the Q active elements.  A trial needs only the
+cascade gain |h_r^H h_br|^2 and the thermal weight ||h_r||^2, and projecting
+h_r on the direction of h_br gives both exactly:
+
+    |h_r^H h_br|^2 = omega_br omega_r G E,    ||h_r||^2 = omega_r (E + G_perp)
+
+with G = ||h_br||^2 / omega_br ~ Gamma(Q), E ~ Exp(1) and G_perp ~ Gamma(Q-1)
+independent (G_perp = 0 at Q = 1): three variates per receiver instead of 4Q
+normals.  G E is the Gamma x Exp product behind the closed forms'
+K-distribution (Jakeman & Pusey, IEEE TAP 1976), so the engines share that
+identity; the tests keep them independent by checking this sampler against
+the element-wise draw (per-element hops, coherent sums) on every receiver's
+gain and norm marginals and on outage counts.  No other closed-form shortcut
+(mean-field norms, mean-SINR thresholds, quadrature) is used here.
 
 Reproducibility: trials are partitioned into fixed blocks of 2**15; block b
-draws from a Philox stream keyed by (seed, b), and the within-block
-generation order is fixed.  Trial i therefore regenerates bit-exactly from
-(seed, i) alone: block i // 2**15, row i % 2**15, independent of the total
-trial count, scheduling or worker layout.
+draws from a Philox stream keyed by (seed, b) in a fixed order: (1) with
+shared_hbr, one G for all receivers; (2) for each receiver n, f, e in turn,
+its own G (independent BS-RIS vectors only), then E, then G_perp (np.zeros at
+Q = 1, consuming no variates); (3) the residual-interference powers,
+standard_exponential((BLOCK, 2)).  Trial i therefore regenerates bit-exactly
+from (seed, i) alone: block i // 2**15, row i % 2**15, independent of the
+total trial count, scheduling or worker layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,6 +82,11 @@ class ChannelDraw:
         return self.cascaded_gain_n.shape[0]
 
 
+# the per-trial arrays of a ChannelDraw
+_ARRAYS = ("cascaded_gain_n", "cascaded_gain_f", "cascaded_gain_e", "norm_n", "norm_f",
+           "norm_e", "ip_user", "ip_eve")
+
+
 @dataclass(frozen=True)
 class McResult:
     """Monte Carlo secrecy estimate with enough metadata to re-run it."""
@@ -93,29 +110,20 @@ def _draw_block(params: SystemParams, seed: int, block_index: int, shared_hbr: b
     q = params.n_active
     rng = _block_rng(seed, block_index)
     omega_br = model.mean_channel_gain(params.d_br, params.alpha_p, params.beta0)
-    omega_rn = model.mean_channel_gain(params.d_rn, params.alpha_p, params.beta0)
-    omega_rf = model.mean_channel_gain(params.d_rf, params.alpha_p, params.beta0)
-    omega_re = model.mean_channel_gain(params.d_re, params.alpha_p, params.beta0)
 
-    def cn_matrix(omega):
-        # per-element CN(0, omega) entries
-        return np.sqrt(omega / 2.0) * (
-            rng.standard_normal((BLOCK, q)) + 1j * rng.standard_normal((BLOCK, q))
-        )
+    def projected(distance, g):
+        # h_r projected on h_br: gain omega_br omega_r G E, norm omega_r (E + G_perp)
+        omega_r = model.mean_channel_gain(distance, params.alpha_p, params.beta0)
+        if g is None:
+            g = rng.standard_gamma(q, BLOCK)
+        e = rng.standard_exponential(BLOCK)
+        g_perp = rng.standard_gamma(q - 1, BLOCK) if q > 1 else np.zeros(BLOCK)
+        return omega_br * omega_r * g * e, omega_r * (e + g_perp)
 
-    def cascade(omega_r, h_br):
-        if h_br is None:
-            h_br = cn_matrix(omega_br)
-        h_r = cn_matrix(omega_r)
-        s = np.sum(np.conj(h_r) * h_br, axis=1)  # coherent on-group sum
-        gain = (s.real * s.real + s.imag * s.imag).astype(float)
-        norm = np.sum(h_r.real * h_r.real + h_r.imag * h_r.imag, axis=1)
-        return gain, norm
-
-    shared = cn_matrix(omega_br) if shared_hbr else None
-    gain_n, norm_n = cascade(omega_rn, shared)
-    gain_f, norm_f = cascade(omega_rf, shared)
-    gain_e, norm_e = cascade(omega_re, shared)
+    shared = rng.standard_gamma(q, BLOCK) if shared_hbr else None
+    gain_n, norm_n = projected(params.d_rn, shared)
+    gain_f, norm_f = projected(params.d_rf, shared)
+    gain_e, norm_e = projected(params.d_re, shared)
     ip = rng.standard_exponential((BLOCK, 2))
     ip_user = params.omega_ipu * ip[:, 0]
     ip_eve = params.omega_ipe * ip[:, 1]
@@ -134,31 +142,13 @@ def _draw_block(params: SystemParams, seed: int, block_index: int, shared_hbr: b
 
 
 def _iter_blocks(params, trials, seed, shared_hbr):
-    done = 0
-    block_index = 0
-    while done < trials:
+    """The first `trials` trials, one block-keyed draw (the last one cut) at a time."""
+    for block_index in range(-(-trials // BLOCK)):
         draw = _draw_block(params, seed, block_index, shared_hbr)
-        take = min(BLOCK, trials - done)
-        yield draw, take
-        done += take
-        block_index += 1
-
-
-def _slice_draw(draw: ChannelDraw, take: int) -> ChannelDraw:
-    if take == BLOCK:
-        return draw
-    return ChannelDraw(
-        cascaded_gain_n=draw.cascaded_gain_n[:take],
-        cascaded_gain_f=draw.cascaded_gain_f[:take],
-        cascaded_gain_e=draw.cascaded_gain_e[:take],
-        norm_n=draw.norm_n[:take],
-        norm_f=draw.norm_f[:take],
-        norm_e=draw.norm_e[:take],
-        ip_user=draw.ip_user[:take],
-        ip_eve=draw.ip_eve[:take],
-        seed=draw.seed,
-        first_trial=draw.first_trial,
-    )
+        take = min(BLOCK, trials - block_index * BLOCK)
+        if take < BLOCK:
+            draw = replace(draw, **{name: getattr(draw, name)[:take] for name in _ARRAYS})
+        yield draw
 
 
 def sample_draw(
@@ -172,24 +162,10 @@ def sample_draw(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    parts = [
-        _slice_draw(draw, take) for draw, take in _iter_blocks(params, trials, seed, shared_hbr)
-    ]
+    parts = list(_iter_blocks(params, trials, seed, shared_hbr))
     if len(parts) == 1:
         return parts[0]
-    cat = {
-        name: np.concatenate([getattr(p, name) for p in parts])
-        for name in (
-            "cascaded_gain_n",
-            "cascaded_gain_f",
-            "cascaded_gain_e",
-            "norm_n",
-            "norm_f",
-            "norm_e",
-            "ip_user",
-            "ip_eve",
-        )
-    }
+    cat = {name: np.concatenate([getattr(p, name) for p in parts]) for name in _ARRAYS}
     return ChannelDraw(seed=int(seed), first_trial=0, **cat)
 
 
@@ -232,10 +208,9 @@ def estimate_sop_grid(
             if getattr(p, name) != getattr(ref, name):
                 raise ValueError(f"cases disagree on draw-shaping field {name}")
     counts = np.zeros(len(cases), dtype=np.int64)
-    for draw, take in _iter_blocks(ref, trials, seed, shared_hbr):
-        sliced = _slice_draw(draw, take)
+    for draw in _iter_blocks(ref, trials, seed, shared_hbr):
         for j, (p, scenario, sic) in enumerate(cases):
-            counts[j] += _outage_count(p, scenario, sic, sliced)
+            counts[j] += _outage_count(p, scenario, sic, draw)
     results = []
     for (p, scenario, sic), count in zip(cases, counts):
         p_hat = count / trials
@@ -300,10 +275,9 @@ def empirical_sinr_cdfs(
             raise ValueError(f"unknown SINR family {which!r}")
         prepared.append((which, sic, np.asarray(thresholds, dtype=float)))
     counts = [np.zeros(len(t), dtype=np.int64) for _, _, t in prepared]
-    for draw, take in _iter_blocks(params, trials, seed, shared_hbr):
-        sliced = _slice_draw(draw, take)
+    for draw in _iter_blocks(params, trials, seed, shared_hbr):
         for j, (which, sic, thresholds) in enumerate(prepared):
-            gamma = np.sort(model.sinr(which, params, sliced, sic))
+            gamma = np.sort(model.sinr(which, params, draw, sic))
             counts[j] += np.searchsorted(gamma, thresholds, side="right")
     return [c / trials for c in counts]
 

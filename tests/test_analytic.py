@@ -11,6 +11,7 @@ error paths.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from scipy.integrate import quad
 
 from ris_secrecy import analytic as an
+from ris_secrecy import config
 from ris_secrecy.analytic import (
     DegenerateCurveError,
     SopEstimate,
@@ -141,6 +143,21 @@ def test_pdf_matches_cdf_derivative(name):
             # resolution of values this close to 1
             continue
         assert got == pytest.approx(fd, rel=1e-4), (name, frac)
+
+
+@pytest.mark.parametrize("name", sorted(PDF_CDF_PAIRS))
+def test_pdf_of_unreachable_wiretap_receiver(name):
+    # zerorate: infinite d_rf and d_re make every wiretap scale infinite and
+    # the wiretap SINR surely 0, so the density is 0 for x > 0 and +inf at
+    # x = 0, never inf * 0
+    pdf, _ = PDF_CDF_PAIRS[name]
+    p = config.realize_point(config.load_preset("zerorate"), None, "aris")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dens = np.asarray(pdf(np.array([0.0, 0.5, 1.0]), p))
+        scalar = float(np.asarray(pdf(0.3, p)).reshape(()))
+    assert dens[0] == np.inf, name
+    assert np.all(dens[1:] == 0.0) and scalar == 0.0, name
 
 
 # ---------------------------------------------------------------------------

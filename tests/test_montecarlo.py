@@ -1,6 +1,8 @@
 """Checks for the Monte Carlo engine.
 
-Groups: first-moment agreement of the raw draws with the channel model;
+Groups: the projected draw against the element-wise reference sampler
+(two-sample tests on every receiver's gain and norm marginals and on outage
+counts); first-moment agreement of the raw draws with the channel model;
 empirical SINR CDFs against the closed forms at seeded grid points;
 bit-exact reproducibility (same-seed identity, trial-count prefix
 property, grid-versus-single equality, seed separation); structural
@@ -9,13 +11,19 @@ one-probability corners); the throughput and union-event accounting;
 input validation.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.stats import ks_2samp
 
 from ris_secrecy import analytic as an
+from ris_secrecy import config, model
 from ris_secrecy.montecarlo import (
     BLOCK,
+    ChannelDraw,
+    _outage_count,
     empirical_sinr_cdfs,
     estimate_sop,
     estimate_sop_grid,
@@ -27,6 +35,117 @@ from ris_secrecy.model import derive
 from conftest import make_params
 
 SEED = 20260813
+RECEIVERS = ("n", "f", "e")
+
+
+# ---------------------------------------------------------------------------
+# the projected draw against the element-wise reference sampler
+
+
+def _elementwise_draws(params, trials, seed, chunk=4096):
+    """Element-wise reference draws: {shared_hbr: ChannelDraw} for both laws.
+
+    Every hop is a vector of per-element CN(0, omega) entries and each
+    cascade the coherent on-group sum, with none of the engine's projection
+    identities.  One pass serves both laws: each receiver has its own BS-RIS
+    vector for the independent law, and the shared law reuses the near
+    user's vector for all three cascades.
+    """
+    q = params.n_active
+    rng = np.random.Generator(np.random.SFC64(seed))
+    omega_br = model.mean_channel_gain(params.d_br, params.alpha_p, params.beta0)
+
+    def cn_matrix(m, omega):
+        # per-element CN(0, omega) entries, real and imaginary parts interleaved
+        h = rng.standard_normal((m, 2 * q))
+        h *= np.sqrt(omega / 2.0)
+        return h.view(np.complex128)
+
+    def cascade(h_r_conj, h_br):
+        s = np.einsum("ij,ij->i", h_r_conj, h_br)  # coherent on-group sum
+        return s.real * s.real + s.imag * s.imag
+
+    out = {shared: {} for shared in (False, True)}
+    for start in range(0, trials, chunk):
+        m = min(chunk, trials - start)
+        h_br_n = None
+        for r in RECEIVERS:
+            h_br = cn_matrix(m, omega_br)
+            h_br_n = h_br if h_br_n is None else h_br_n
+            omega_r = model.mean_channel_gain(getattr(params, f"d_r{r}"), params.alpha_p,
+                                              params.beta0)
+            h_r = cn_matrix(m, omega_r)
+            norm = np.einsum("ij,ij->i", h_r.view(float), h_r.view(float))
+            h_r_conj = np.conj(h_r)
+            for shared, h in ((False, h_br), (True, h_br_n)):
+                out[shared].setdefault(f"cascaded_gain_{r}", []).append(cascade(h_r_conj, h))
+                out[shared].setdefault(f"norm_{r}", []).append(norm)
+        ip = rng.standard_exponential((m, 2))
+        for shared in (False, True):
+            out[shared].setdefault("ip_user", []).append(params.omega_ipu * ip[:, 0])
+            out[shared].setdefault("ip_eve", []).append(params.omega_ipe * ip[:, 1])
+    return {shared: ChannelDraw(seed=seed, **{k: np.concatenate(v) for k, v in cols.items()})
+            for shared, cols in out.items()}
+
+
+ORACLE_TRIALS = 10**6
+ORACLE_CELLS = (("system_external", "ipsic"), ("internal", "psic"))
+
+
+@pytest.mark.parametrize("q", [1, 2, 20, 64])
+def test_projected_draw_matches_elementwise_oracle(q):
+    # eavesdropper at 40 m and 1 W at the BS keep both outage events
+    # between 0.27 and 0.8 for every Q
+    p = make_params(n_active=q, n_elements=2 * q, p_bs=1.0, d_re=40.0)
+    oracle = _elementwise_draws(p, ORACLE_TRIALS, SEED + q)
+    counts = {}
+    for shared in (False, True):
+        draw = sample_draw(p, ORACLE_TRIALS, SEED, shared_hbr=shared)
+        ref = oracle[shared]
+        for r in RECEIVERS:
+            for field in (f"cascaded_gain_{r}", f"norm_{r}"):
+                # 48 fixed-seed tests in all: 1e-4 each keeps the family under 0.5%
+                pvalue = ks_2samp(getattr(draw, field), getattr(ref, field)).pvalue
+                assert pvalue > 1e-4, (shared, field, pvalue)
+        for scenario, sic in ORACLE_CELLS:
+            counts[shared, scenario] = (_outage_count(p, scenario, sic, draw),
+                                        _outage_count(p, scenario, sic, ref))
+
+    def z(a, b):
+        pooled = (a + b) / (2 * ORACLE_TRIALS)
+        return (a - b) / np.sqrt(2 * ORACLE_TRIALS * pooled * (1.0 - pooled))
+
+    for key, (engine, reference) in counts.items():
+        assert abs(z(engine, reference)) < 4.0, (key, engine, reference)
+    if q <= 2:
+        # the check has power: sharing h_br moves the union event by > 10 sigma
+        shared_ref = counts[True, "system_external"][1]
+        assert abs(z(counts[False, "system_external"][0], shared_ref)) > 10.0
+
+
+def test_q1_shared_draw_gives_one_gain_to_norm_ratio():
+    # at Q = 1 the projection leaves no orthogonal rest, so every receiver's
+    # gain/norm is omega_br * G with the one shared G
+    p = make_params(n_active=1, n_elements=2)
+    d = sample_draw(p, 5_000, SEED, shared_hbr=True)
+    ratio = d.cascaded_gain_n / d.norm_n
+    np.testing.assert_allclose(d.cascaded_gain_f / d.norm_f, ratio, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(d.cascaded_gain_e / d.norm_e, ratio, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_unreachable_receivers_draw_exact_zeros(shared):
+    p = config.realize_point(config.load_preset("zerorate"), None, "aris")
+    assert np.isinf(p.d_rf) and np.isinf(p.d_re)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d = sample_draw(p, 5_000, SEED, shared_hbr=shared)
+    for name in ("cascaded_gain_n", "cascaded_gain_f", "cascaded_gain_e", "norm_n", "norm_f",
+                 "norm_e", "ip_user", "ip_eve"):
+        assert np.all(np.isfinite(getattr(d, name))), name
+    for name in ("cascaded_gain_f", "cascaded_gain_e", "norm_f", "norm_e"):
+        assert not np.any(getattr(d, name)), name
+    assert np.all(d.cascaded_gain_n > 0.0) and np.all(d.norm_n > 0.0)
 
 
 def test_draw_first_moments():
