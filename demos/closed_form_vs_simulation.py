@@ -55,11 +55,11 @@ print(f"{'scenario':<42} {'P_bs':>7} {'closed form':>12} {'simulated':>12} "
 print("-" * 96)
 for (params, sc, sic), mc in zip(cells, results):
     closed = sop(params, sc, sic).value
-    top = max(closed, mc.sop.value)
-    rel = abs(closed - mc.sop.value) / top if top > 0 else 0.0
+    top = max(closed, mc.value)
+    rel = abs(closed - mc.value) / top if top > 0 else 0.0
     label = next(d for s, c, d in combos if (s, c) == (sc, sic))
     p_dbm = 10.0 * np.log10(params.p_bs * 1e3)
-    print(f"{label:<42} {p_dbm:>3.0f} dBm {closed:>12.6f} {mc.sop.value:>12.6f} "
+    print(f"{label:<42} {p_dbm:>3.0f} dBm {closed:>12.6f} {mc.value:>12.6f} "
           f"{mc.stderr:>9.2e} {rel:>8.2%}")
 print("-" * 96)
 print("low budgets saturate both engines at exactly 1, mid budgets agree to Monte")

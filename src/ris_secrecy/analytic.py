@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import SIC_MODES, DerivedConstants, derive, scenario_rate
+from .model import SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, derive
 from .specfun import QuadratureTable, gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "pdf_eve_n_ipsic",
     "pdf_eve_n_psic",
     "pdf_internal_f_to_n",
-    "scenario_rate",
     "secrecy_throughput",
     "sop",
     "sop_asymptotic",
@@ -112,7 +111,7 @@ def _scaled_arg(x, scale):
 
 
 # ---------------------------------------------------------------------------
-# the NOMA ceiling and the legitimate-user CDFs
+# the cascade law of every SINR family, and its CDF and density
 
 
 def _far_stream(x, scale, dc: DerivedConstants):
@@ -126,39 +125,57 @@ def _far_stream(x, scale, dc: DerivedConstants):
     return np.where(capped, 0.0, _scaled_arg(x_arr, scale) / safe), safe, capped
 
 
-def _legit_arg(dc: DerivedConstants, scenario: str, sic: str, tau, inner: QuadratureTable,
-               scale=None):
-    """Legitimate cascade argument at the 1-D thresholds tau, and the NOMA-capped mask.
+def _law(dc: DerivedConstants, family: str, sic: str, x, table: QuadratureTable, scale=None):
+    """Cascade argument z of one SINR family at the 1-D points x, the slope dz/dx
+    and the mask of points at the NOMA ceiling.
 
-    Under ipSIC the argument gains an axis over the inner table (the user's
-    residual interference), scaled by xi_e5 for internal as the cited closed
-    form does.  scale overrides the near-user scale.
+    scale (default: the family's registry scale) is a DerivedConstants name or
+    a value.  A residual-power scale is evaluated at the table nodes under
+    ipSIC, which gives z a trailing quadrature axis, and at 0.0 under pSIC.
     """
-    if scenario == "external_f":
-        z, _, capped = _far_stream(tau, dc.xi_f, dc)
-        return z, capped
-    if scale is None and sic == "psic":
-        scale = dc.xi_n(0.0)
-    elif scale is None:
-        scale = (dc.xi_n if scenario == "external_n" else dc.xi_e5)(inner.nodes)
-    return _scaled_arg(tau[:, None] if np.ndim(scale) else tau, scale), np.zeros(tau.shape, bool)
+    fam = SINR_FAMILIES[family]
+    if scale is None or isinstance(scale, str):
+        scale = getattr(dc, scale or fam.scale)
+        if callable(scale):
+            scale = scale(table.nodes if sic == "ipsic" else 0.0)
+    if fam.capped:
+        z, safe, capped = _far_stream(x, scale, dc)
+        return z, scale * dc.c_f / (safe * safe), capped
+    return _scaled_arg(x[:, None] if np.ndim(scale) else x, scale), scale, np.zeros(x.shape, bool)
 
 
-def _legit_cdf(dc: DerivedConstants, z, capped, inner: QuadratureTable):
-    """Unclipped legitimate SINR CDF at the arguments of _legit_arg."""
+def _cdf(dc: DerivedConstants, z, capped, table: QuadratureTable):
+    """Unclipped CDF at the arguments of _law, averaged over a quadrature axis."""
     if z.ndim == 2:
         # accumulate outage mass, not survival: a zero argument stays exactly 0
-        return kdist_cdf(dc.params.n_active, z) @ inner.weights
+        return kdist_cdf(dc.params.n_active, z) @ table.weights
     out = 1.0 - kdist_sf(dc.params.n_active, z)
     out[capped] = 1.0
     return out
 
 
-def _user_cdf(x, params, scenario: str, sic: str, table: QuadratureTable | None):
+def _pdf(dc: DerivedConstants, z, slope, capped, table: QuadratureTable):
+    """Density at the arguments and slopes of _law, averaged over a quadrature axis."""
+    # an infinite scale (unreachable receiver) sends x > 0 to z = inf, where
+    # the density is 0, not inf * 0
+    with np.errstate(invalid="ignore"):
+        out = slope * kdist_pdf(dc.params.n_active, z)
+    out = np.where(np.isinf(z), 0.0, out)
+    if z.ndim == 2:
+        out = out @ table.weights
+    return np.where(capped, 0.0, out)
+
+
+def _form(x, params, family: str, sic: str, table: QuadratureTable | None = None, *,
+          density: bool = False):
+    """CDF (clipped to [0, 1]) or density of one (family, SIC) law at scalar or array x."""
     dc = _dc(params)
     table = table or default_table()
-    z, capped = _legit_arg(dc, scenario, sic, np.asarray(x, dtype=float).ravel(), table)
-    out = np.clip(_legit_cdf(dc, z, capped, table), 0.0, 1.0)
+    z, slope, capped = _law(dc, family, sic, np.asarray(x, dtype=float).ravel(), table)
+    if density:
+        out = _pdf(dc, z, slope, capped, table)
+    else:
+        out = np.clip(_cdf(dc, z, capped, table), 0.0, 1.0)
     return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
 
 
@@ -169,12 +186,12 @@ def cdf_user_n_ipsic(x, params, *, table: QuadratureTable | None = None):
     cascade CDF is averaged over a Gauss-Laguerre table (default order 64).
     Accepts scalar or array x >= 0.
     """
-    return _user_cdf(x, params, "external_n", "ipsic", table)
+    return _form(x, params, "user_n", "ipsic", table)
 
 
 def cdf_user_n_psic(x, params):
     """CDF of the near user's SINR under perfect SIC."""
-    return _user_cdf(x, params, "external_n", "psic", None)
+    return _form(x, params, "user_n", "psic")
 
 
 def cdf_user_f(x, params):
@@ -183,58 +200,17 @@ def cdf_user_f(x, params):
     Below the ceiling the argument x * xi_f / (c_f - x c_n) blows up as x
     approaches a_f/a_n; the guard hands those points the exact limit 1.
     """
-    return _user_cdf(x, params, "external_f", "psic", None)
-
-
-# ---------------------------------------------------------------------------
-# eavesdropper PDFs (and the matching CDFs, used by the validator)
-
-
-def _cdf_eve_n_ipsic(x, dc: DerivedConstants, table: QuadratureTable):
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    z = _scaled_arg(x_arr[..., None], dc.xi_e1(table.nodes))
-    return np.clip(kdist_cdf(dc.params.n_active, z) @ table.weights, 0.0, 1.0)
-
-
-def _cdf_eve_n_psic(x, dc: DerivedConstants):
-    return kdist_cdf(dc.params.n_active, _scaled_arg(x, dc.xi_e2))
-
-
-def _cdf_eve_f(x, dc: DerivedConstants):
-    z, _, capped = _far_stream(x, dc.xi_e3, dc)
-    out = kdist_cdf(dc.params.n_active, z)
-    out[capped] = 1.0
-    return out
-
-
-def _cdf_internal_f_to_n(x, dc: DerivedConstants):
-    return kdist_cdf(dc.params.n_active, _scaled_arg(x, dc.xi_e4))
-
-
-def _density(q: int, z, slope):
-    # slope * kdist_pdf at z = x * scale; an infinite scale (unreachable
-    # receiver) sends x > 0 to z = inf, where the density is 0, not inf * 0
-    with np.errstate(invalid="ignore"):
-        out = slope * kdist_pdf(q, z)
-    return np.where(np.isinf(z), 0.0, out)
+    return _form(x, params, "user_f", "psic")
 
 
 def pdf_eve_n_ipsic(x, params, *, table: QuadratureTable | None = None):
     """Density of the external eavesdropper's SINR on the near stream, ipSIC."""
-    dc = _dc(params)
-    table = table or default_table()
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    scales = dc.xi_e1(table.nodes)
-    z = _scaled_arg(x_arr[..., None], scales)
-    out = _density(dc.params.n_active, z, scales) @ table.weights
-    return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
+    return _form(x, params, "eve_n", "ipsic", table, density=True)
 
 
 def pdf_eve_n_psic(x, params):
     """Density of the external eavesdropper's SINR on the near stream, pSIC."""
-    dc = _dc(params)
-    out = _density(dc.params.n_active, _scaled_arg(x, dc.xi_e2), dc.xi_e2)
-    return float(out) if np.isscalar(x) else out
+    return _form(x, params, "eve_n", "psic", density=True)
 
 
 def pdf_eve_f(x, params):
@@ -243,18 +219,12 @@ def pdf_eve_f(x, params):
     Supported on (0, a_f/a_n); zero beyond the ceiling where the CDF has
     already saturated.
     """
-    dc = _dc(params)
-    z, safe, capped = _far_stream(x, dc.xi_e3, dc)
-    dz = dc.xi_e3 * dc.c_f / (safe * safe)  # d/dx of the argument map
-    out = np.where(capped, 0.0, _density(dc.params.n_active, z, dz))
-    return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
+    return _form(x, params, "eve_f", "psic", density=True)
 
 
 def pdf_internal_f_to_n(x, params):
     """Density of the far user's wiretap SINR on the near stream."""
-    dc = _dc(params)
-    out = _density(dc.params.n_active, _scaled_arg(x, dc.xi_e4), dc.xi_e4)
-    return float(out) if np.isscalar(x) else out
+    return _form(x, params, "internal_f_to_n", "psic", density=True)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +249,20 @@ def _thresholds(dc: DerivedConstants, scenario: str, sic: str, outer: Quadrature
     return np.array([getattr(dc, _THRESHOLD[scenario])()]), np.ones(1)
 
 
+# the cited internal/ipSIC closed form couples omega_ipe into the user branch
+_LEGIT_SCALE = {("internal", "ipsic"): "xi_e5"}
+
+
 def _outage(dc: DerivedConstants, scenario: str, sic: str, thresholds, inner, scale=None):
     """The outage kernel: the legitimate CDF averaged over the thresholds.
 
-    Also returns whether every threshold sits at the NOMA ceiling (a certain event).
+    scale overrides the legitimate family's argument scale.  Also returns
+    whether every threshold sits at the NOMA ceiling (a certain event).
     """
     tau, w = thresholds
-    z, capped = _legit_arg(dc, scenario, sic, tau, inner, scale)
-    return float(w @ _legit_cdf(dc, z, capped, inner)), bool(np.all(capped))
+    scale = _LEGIT_SCALE.get((scenario, sic)) if scale is None else scale
+    z, _, capped = _law(dc, SCENARIOS[scenario][0][0], sic, tau, inner, scale)
+    return float(w @ _cdf(dc, z, capped, inner)), bool(np.all(capped))
 
 
 def sop(params, scenario: str, sic: str, *, outer_table: QuadratureTable | None = None,
@@ -358,7 +334,7 @@ def sop_asymptotic(params, scenario: str, sic: str, *, outer_table: QuadratureTa
         floor_scale = p.omega_ipu / (p.a_n * p.kappa**2 * dc.omega_br * dc.omega_rn)
         value, _ = _outage(dc, scenario, sic, thresholds, inner, floor_scale * inner.nodes)
         return _clamped(value, "asymptotic")
-    u, capped = _legit_arg(dc, scenario, sic, thresholds[0], inner)
+    u, _, capped = _law(dc, SCENARIOS[scenario][0][0], sic, thresholds[0], inner)
     if capped[0]:
         return SopEstimate(1.0, "asymptotic", flags=("saturated",))
     value, flags = _small_arg_asymptote(float(u[0]), dc.params.n_active)

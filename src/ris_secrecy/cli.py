@@ -50,13 +50,13 @@ from .analytic import (
     pdf_eve_n_ipsic,
     pdf_eve_n_psic,
     pdf_internal_f_to_n,
-    scenario_rate,
     sop,
     sop_asymptotic,
     sop_system_external,
 )
 from .budget import BudgetInfeasibleError
 from .config import ConfigError, ScenarioConfig, load_config, load_preset, list_presets, realize_point
+from .model import scenario_rate
 from .montecarlo import DRAW_FIELDS, empirical_sinr_cdfs, estimate_sop_grid, sinr_samples
 from .specfun import gauss_laguerre
 
@@ -194,13 +194,13 @@ def _grid_group(payload):
     return estimate_sop_grid(cases, trials, seed)
 
 
-def _metric_fields(cfg, params, scenario, sop_value, stderr):
-    """Map an SOP estimate onto the configured metric column."""
+def _metric_fields(cfg, params, scenario, est):
+    """Map an SOP estimate onto the configured metric column and its stderr."""
     if cfg.metric == "sop":
-        return sop_value, stderr
+        return est.value, est.stderr
     rate = scenario_rate(params, scenario)
-    thr = (1.0 - sop_value) * rate
-    return thr, (None if stderr is None else rate * stderr)
+    thr = (1.0 - est.value) * rate
+    return thr, (None if est.stderr is None else rate * est.stderr)
 
 
 def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
@@ -235,36 +235,34 @@ def _run_cells(cfg: ScenarioConfig, values, sweep_var: str, workers: int) -> lis
                 }
                 cells.append((row, params))
 
-    mc_groups: dict[tuple, list] = {}
-    for row, params in cells:
+    mc_groups: dict[tuple, list[int]] = {}
+    for i, (row, params) in enumerate(cells):
         if row["engine"] == "montecarlo" and params is not None:
-            mc_groups.setdefault(_shape_key(params), []).append((row, params))
-    payloads = [
-        ([(params, row["scenario"], row["sic"]) for row, params in group],
-         sweep.trials, sweep.seed)
-        for group in mc_groups.values()
-    ]
-    if workers > 1 and len(payloads) > 1:
+            mc_groups.setdefault(_shape_key(params), []).append(i)
+    payloads = [([(cells[i][1], cells[i][0]["scenario"], cells[i][0]["sic"]) for i in group],
+                 sweep.trials, sweep.seed) for group in mc_groups.values()]
+    # a pool larger than the number of draw-law groups would only fork idle workers
+    workers = min(workers, len(payloads))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             group_results = list(pool.map(_grid_group, payloads))
     else:
         group_results = [_grid_group(p) for p in payloads]
-    for group, results in zip(mc_groups.values(), group_results):
-        for (row, params), res in zip(group, results):
-            est, err = _metric_fields(cfg, params, row["scenario"], res.sop.value, res.stderr)
-            row.update(estimate=est, stderr=err, trials=res.trials, seed=res.seed,
-                       flags="|".join(res.sop.flags))
+    mc = {i: est for group, results in zip(mc_groups.values(), group_results)
+          for i, est in zip(group, results)}
 
-    for row, params in cells:
-        if params is None or row["engine"] == "montecarlo":
+    for i, (row, params) in enumerate(cells):
+        if params is None:
             continue
         try:
-            est = _closed_form_estimate(params, row["scenario"], row["sic"], row["engine"])
+            est = mc.get(i) or _closed_form_estimate(params, row["scenario"], row["sic"],
+                                                     row["engine"])
         except UnsupportedScenarioError:
             row["flags"] = "unsupported"
-        else:
-            value, _ = _metric_fields(cfg, params, row["scenario"], est.value, None)
-            row.update(estimate=value, flags="|".join(est.flags))
+            continue
+        value, err = _metric_fields(cfg, params, row["scenario"], est)
+        row.update(estimate=value, stderr=err, trials=est.trials, flags="|".join(est.flags),
+                   seed=None if est.trials is None else sweep.seed)
     return [row for row, _ in cells]
 
 
@@ -348,7 +346,7 @@ _PDF_FORMS = {
 
 def _family_sic(family: str, sic: str) -> str:
     # families the SIC mode does not enter are checked once, under psic
-    return sic if model.SINR_FAMILIES[family][1] else "psic"
+    return sic if model.SINR_FAMILIES[family].takes_sic else "psic"
 
 
 def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
@@ -403,7 +401,7 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     results = estimate_sop_grid([row[1:4] for row in sop_rows], trials, seed)
     for (i, params, scenario, sic, mode), mres in zip(sop_rows, results):
         a = sop(params, scenario, sic)
-        m = mres.sop.value
+        m = mres.value
         if scenario_rate(params, scenario) == 0.0 and a.value == 0.0:
             tol, gap = 0.0, abs(a.value - m)
         elif mode == "pris" and sic == "psic":
@@ -461,7 +459,7 @@ def _simpson(y, h: float) -> float:
 def _pdf_plan(params, family, sic, seed, pilot):
     """Pilot interquartile interval of a density check, or None and the reason to skip it."""
     # an infinitely distant wiretap receiver has zero mean gain
-    dist = getattr(params, model.SINR_FAMILIES[family][2])
+    dist = getattr(params, model.SINR_FAMILIES[family].distance)
     if not math.isfinite(dist):
         return None, "zero mean gain at the wiretap"
     gamma = sinr_samples(params, family, pilot, seed, sic=sic)

@@ -11,13 +11,14 @@ gains and on-group norms) and are the single source of truth for the Monte
 Carlo engine; the closed-form engine replaces the norms by their means, and
 keeping the two routes separate is what makes the cross-validation
 meaningful.  SCENARIOS and SINR_FAMILIES are the one registry mapping each
-secrecy event onto these SINRs and its protected rate.
+secrecy event onto these SINRs, their closed-form laws and its protected rate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 __all__ = [
     "DerivedConstants",
@@ -25,6 +26,7 @@ __all__ = [
     "SIC_MODES",
     "SINR_FAMILIES",
     "SURFACE_MODES",
+    "SinrFamily",
     "SystemParams",
     "derive",
     "mean_channel_gain",
@@ -41,14 +43,32 @@ SIC_MODES = ("ipsic", "psic")
 # active (amplifying) and passive surface
 SURFACE_MODES = ("aris", "pris")
 
-# SINR family -> (model function, whether the SIC mode enters, distance
-# field of the receiver); functions are looked up by name at call time
+
+class SinrFamily(NamedTuple):
+    """One SINR family: its exact per-draw SINR and its closed-form law.
+
+    function:  name of the sinr_* function here, looked up at call time
+    takes_sic: whether the SIC mode enters
+    distance:  SystemParams field of the receiver's RIS distance
+    scale:     DerivedConstants argument scale of the K-distributed cascade
+               law; a method of the residual power is evaluated at the
+               quadrature nodes under ipSIC and at 0.0 under pSIC
+    capped:    whether the far stream's NOMA ceiling a_f/a_n caps the argument
+    """
+
+    function: str
+    takes_sic: bool
+    distance: str
+    scale: str
+    capped: bool
+
+
 SINR_FAMILIES = {
-    "user_n": ("sinr_user_n", True, "d_rn"),
-    "user_f": ("sinr_user_f", False, "d_rf"),
-    "eve_n": ("sinr_eve_n", True, "d_re"),
-    "eve_f": ("sinr_eve_f", False, "d_re"),
-    "internal_f_to_n": ("sinr_internal_f_to_n", False, "d_rf"),
+    "user_n": SinrFamily("sinr_user_n", True, "d_rn", "xi_n", False),
+    "user_f": SinrFamily("sinr_user_f", False, "d_rf", "xi_f", True),
+    "eve_n": SinrFamily("sinr_eve_n", True, "d_re", "xi_e1", False),
+    "eve_f": SinrFamily("sinr_eve_f", False, "d_re", "xi_e3", True),
+    "internal_f_to_n": SinrFamily("sinr_internal_f_to_n", False, "d_rf", "xi_e4", False),
 }
 
 # scenario -> outage events (legitimate family, wiretap family, rate field).
@@ -149,7 +169,7 @@ class DerivedConstants:
     v_e1:     mean-field noise at the external eavesdropper
     v_e2:     mean-field noise when the far user wiretaps (eve-grade front end)
     rho_e:    p_bs / sigma2_e
-    xi_f, xi_e2, xi_e3, xi_e4: constant CDF/PDF argument scales
+    xi_f, xi_e3, xi_e4: constant CDF/PDF argument scales
     """
 
     params: SystemParams
@@ -165,7 +185,6 @@ class DerivedConstants:
     v_e2: float
     rho_e: float
     xi_f: float
-    xi_e2: float
     xi_e3: float
     xi_e4: float
 
@@ -261,7 +280,6 @@ def derive(params: SystemParams) -> DerivedConstants:
         v_e2=v_e2,
         rho_e=params.p_bs / params.sigma2_e,
         xi_f=_ratio(v_f, omega_br * omega_rf),
-        xi_e2=_ratio(v_e1, c_n * omega_br * omega_re),
         xi_e3=_ratio(v_e1, omega_br * omega_re),
         xi_e4=_ratio(v_e2, c_n * omega_br * omega_rf),
     )
@@ -348,9 +366,9 @@ def sinr(family: str, params: SystemParams, draw, sic: str):
     """Exact SINR of one family (a key of SINR_FAMILIES) over a batch of draws."""
     if family not in SINR_FAMILIES:
         raise ValueError(f"unknown SINR family {family!r}")
-    name, takes_sic, _ = SINR_FAMILIES[family]
-    fn = globals()[name]
-    return fn(params, draw, sic) if takes_sic else fn(params, draw)
+    fam = SINR_FAMILIES[family]
+    fn = globals()[fam.function]
+    return fn(params, draw, sic) if fam.takes_sic else fn(params, draw)
 
 
 def scenario_rate(params: SystemParams, scenario: str) -> float:

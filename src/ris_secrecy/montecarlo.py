@@ -40,7 +40,6 @@ __all__ = [
     "BLOCK",
     "ChannelDraw",
     "DRAW_FIELDS",
-    "McResult",
     "empirical_sinr_cdfs",
     "estimate_sop",
     "estimate_sop_grid",
@@ -85,19 +84,6 @@ class ChannelDraw:
 # the per-trial arrays of a ChannelDraw
 _ARRAYS = ("cascaded_gain_n", "cascaded_gain_f", "cascaded_gain_e", "norm_n", "norm_f",
            "norm_e", "ip_user", "ip_eve")
-
-
-@dataclass(frozen=True)
-class McResult:
-    """Monte Carlo secrecy estimate with enough metadata to re-run it."""
-
-    sop: SopEstimate
-    throughput: float
-    trials: int
-    seed: int
-    stderr: float
-    scenario: str
-    sic: str
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -178,19 +164,14 @@ def _outage_count(params, scenario, sic, draw: ChannelDraw) -> int:
     return int(np.count_nonzero(outage))
 
 
-def estimate_sop_grid(
-    cases,
-    trials: int,
-    seed: int,
-    *,
-    shared_hbr: bool = False,
-) -> list[McResult]:
+def estimate_sop_grid(cases, trials: int, seed: int) -> list[SopEstimate]:
     """Estimate many (params, scenario, sic) cells over one shared draw stream.
 
     All cases must share the DRAW_FIELDS that shape the raw channel draws
     (geometry, active elements, residual gains); power, amplification,
     noise, split, rates, varpi and the group count may differ per cell.
-    Each returned estimate is bit-identical to an individual estimate_sop
+    Each returned estimate (provenance 'monte-carlo', with its trials and
+    binomial standard error) is bit-identical to an individual estimate_sop
     call with the same seed, because both consume the same
     (seed, block)-keyed streams.
     """
@@ -208,59 +189,27 @@ def estimate_sop_grid(
             if getattr(p, name) != getattr(ref, name):
                 raise ValueError(f"cases disagree on draw-shaping field {name}")
     counts = np.zeros(len(cases), dtype=np.int64)
-    for draw in _iter_blocks(ref, trials, seed, shared_hbr):
+    for draw in _iter_blocks(ref, trials, seed, False):
         for j, (p, scenario, sic) in enumerate(cases):
             counts[j] += _outage_count(p, scenario, sic, draw)
-    results = []
-    for (p, scenario, sic), count in zip(cases, counts):
-        p_hat = count / trials
-        stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
-        rate = model.scenario_rate(p, scenario)
-        results.append(
-            McResult(
-                sop=SopEstimate(
-                    value=float(p_hat),
-                    provenance="monte-carlo",
-                    trials=int(trials),
-                    stderr=stderr,
-                ),
-                throughput=(1.0 - float(p_hat)) * rate,
-                trials=int(trials),
-                seed=int(seed),
-                stderr=stderr,
-                scenario=scenario,
-                sic=sic,
-            )
-        )
-    return results
+    p_hat = counts / trials
+    stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)
+    return [SopEstimate(float(v), "monte-carlo", int(trials), float(e))
+            for v, e in zip(p_hat, stderr)]
 
 
-def estimate_sop(
-    params: SystemParams,
-    scenario: str,
-    sic: str,
-    trials: int,
-    seed: int,
-    *,
-    shared_hbr: bool = False,
-) -> McResult:
+def estimate_sop(params: SystemParams, scenario: str, sic: str, trials: int,
+                 seed: int) -> SopEstimate:
     """Monte Carlo secrecy outage probability for one operating point.
 
     Outage on a trial means the legitimate SINR falls below
     2**rate * (1 + eavesdropper SINR) - 1, with legitimate and wiretap
     cascades drawn independently within the trial.
     """
-    return estimate_sop_grid([(params, scenario, sic)], trials, seed, shared_hbr=shared_hbr)[0]
+    return estimate_sop_grid([(params, scenario, sic)], trials, seed)[0]
 
 
-def empirical_sinr_cdfs(
-    params: SystemParams,
-    requests,
-    trials: int,
-    seed: int,
-    *,
-    shared_hbr: bool = False,
-) -> list[np.ndarray]:
+def empirical_sinr_cdfs(params: SystemParams, requests, trials: int, seed: int) -> list[np.ndarray]:
     """Empirical CDFs of several SINR families over one shared draw stream.
 
     requests: list of (which, sic, thresholds) with which a key of
@@ -275,24 +224,17 @@ def empirical_sinr_cdfs(
             raise ValueError(f"unknown SINR family {which!r}")
         prepared.append((which, sic, np.asarray(thresholds, dtype=float)))
     counts = [np.zeros(len(t), dtype=np.int64) for _, _, t in prepared]
-    for draw in _iter_blocks(params, trials, seed, shared_hbr):
+    for draw in _iter_blocks(params, trials, seed, False):
         for j, (which, sic, thresholds) in enumerate(prepared):
             gamma = np.sort(model.sinr(which, params, draw, sic))
             counts[j] += np.searchsorted(gamma, thresholds, side="right")
     return [c / trials for c in counts]
 
 
-def sinr_samples(
-    params: SystemParams,
-    which: str,
-    trials: int,
-    seed: int,
-    *,
-    sic: str = "psic",
-    shared_hbr: bool = False,
-) -> np.ndarray:
+def sinr_samples(params: SystemParams, which: str, trials: int, seed: int, *,
+                 sic: str = "psic") -> np.ndarray:
     """Exact SINR samples of one family (names as in empirical_sinr_cdfs)."""
     if which not in model.SINR_FAMILIES:
         raise ValueError(f"unknown SINR family {which!r}")
-    draw = sample_draw(params, trials, seed, shared_hbr=shared_hbr)
+    draw = sample_draw(params, trials, seed)
     return np.asarray(model.sinr(which, params, draw, sic), dtype=float)

@@ -10,7 +10,9 @@ residual-interference channels.
 
 from __future__ import annotations
 
-from ris_secrecy import SystemParams
+from dataclasses import replace
+
+from ris_secrecy import SystemParams, cli, config
 
 
 def dbm(value: float) -> float:
@@ -54,3 +56,21 @@ def make_params(**overrides) -> SystemParams:
 def make_passive(**overrides) -> SystemParams:
     """Passive counterpart: unity gain, no per-element thermal noise."""
     return make_params(kappa=1.0, sigma2_t=0.0, **overrides)
+
+
+# scenario -> the rate it secures at r_n = 0.05, r_f = 0.07; system_external secures both
+THROUGHPUT_RATES = {"external_n": 0.05, "external_f": 0.07, "internal": 0.05,
+                    "system_external": 0.05 + 0.07}
+
+
+def throughput_rows(trials: int, seed: int):
+    """Monte Carlo `metric: throughput` sweep rows for every scenario (pSIC,
+    active surface) at fig2's 16 dBm point, where each SOP lies inside (0, 1),
+    with r_n = 0.05 and r_f = 0.07.  Returns (cfg, rows).
+    """
+    cfg = config.load_preset("fig2")
+    cfg = replace(cfg, metric="throughput", params=replace(cfg.params, r_n=0.05, r_f=0.07),
+                  sweep=replace(cfg.sweep, values=(16.0,), engines=("montecarlo",),
+                                scenarios=tuple((s, "psic", "aris") for s in THROUGHPUT_RATES),
+                                trials=trials, seed=seed))
+    return cfg, cli.run_sweep(cfg)

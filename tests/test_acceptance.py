@@ -49,7 +49,7 @@ from ris_secrecy.model import SystemParams, derive
 from ris_secrecy.montecarlo import DRAW_FIELDS, empirical_sinr_cdfs, estimate_sop_grid
 from ris_secrecy.specfun import gauss_laguerre, kdist_cdf, log_bessel_k
 
-from conftest import dbm, make_params, make_passive
+from conftest import dbm, make_params, make_passive, throughput_rows
 
 mpmath.mp.dps = 50
 
@@ -89,7 +89,7 @@ def test_criterion_1_closed_form_vs_monte_carlo():
     lines, failures = [], []
     for (budget_dbm, mode, scenario, sic), (params, _, _), res in zip(meta, cases, results):
         a = an.sop(params, scenario, sic).value
-        m = res.sop.value
+        m = res.value
         ref = max(a, m)
         rel = 0.02 if (mode, sic) == ("pris", "psic") else 0.15
         tol = max(3.0 * res.stderr, rel * ref)
@@ -138,20 +138,15 @@ def test_criterion_2_distribution_agreement():
         lines.append(f"  {'PASS' if ok else 'FAIL'} c2 cdf {which:7s} {sic:5s} "
                      f"max|F_mc-F|={gap:.2e} tol=5.0e-03 over 20 quantiles")
 
-    table = default_table()
     eve_forms = [
         ("eve_n_ipsic", lambda x: an.pdf_eve_n_ipsic(x, p),
-         lambda x: float(np.asarray(an._cdf_eve_n_ipsic(x, dc, table)).reshape(())),
-         600.0 / dc.xi_e2),
+         lambda x: an._form(x, dc, "eve_n", "ipsic"), 600.0 / dc.xi_e1(0.0)),
         ("eve_n_psic", lambda x: an.pdf_eve_n_psic(x, p),
-         lambda x: float(np.asarray(an._cdf_eve_n_psic(x, dc)).reshape(())),
-         600.0 / dc.xi_e2),
-        ("eve_f", lambda x: float(np.asarray(an.pdf_eve_f(x, p)).reshape(())),
-         lambda x: float(np.asarray(an._cdf_eve_f(x, dc)).reshape(())),
-         p.a_f / p.a_n),
+         lambda x: an._form(x, dc, "eve_n", "psic"), 600.0 / dc.xi_e1(0.0)),
+        ("eve_f", lambda x: an.pdf_eve_f(x, p),
+         lambda x: an._form(x, dc, "eve_f", "psic"), p.a_f / p.a_n),
         ("internal_f_to_n", lambda x: an.pdf_internal_f_to_n(x, p),
-         lambda x: float(np.asarray(an._cdf_internal_f_to_n(x, dc)).reshape(())),
-         600.0 / dc.xi_e4),
+         lambda x: an._form(x, dc, "internal_f_to_n", "psic"), 600.0 / dc.xi_e4),
     ]
     for name, pdf, cdf, hi in eve_forms:
         mass, quad_err = quad(pdf, 0.0, hi, limit=400,
@@ -394,7 +389,7 @@ def test_criterion_7_consistency_identities():
     lines.append(f"  {'PASS' if ok else 'FAIL'} c7 zero-residual collapse worst gap={worst:.2e} tol=1.0e-09")
 
     mc = estimate_sop_grid([(p0, "external_n", "ipsic"), (p0, "external_n", "psic")], 20000, MC_SEED)
-    ok = mc[0].sop.value == mc[1].sop.value
+    ok = mc[0].value == mc[1].value
     if not ok:
         failures.append("Monte Carlo ipSIC and pSIC differ at zero residual")
     lines.append(f"  {'PASS' if ok else 'FAIL'} c7 Monte Carlo collapse is bit-exact")
@@ -406,9 +401,15 @@ def test_criterion_7_consistency_identities():
         r = float(rng.uniform(0.0, 3.0))
         if secrecy_throughput(s, r) != (1.0 - s) * r:
             ok = False
-    res = estimate_sop_grid([(make_params(), "external_n", "psic")], 5000, MC_SEED)[0]
-    if res.throughput != (1.0 - res.sop.value) * make_params().r_n:
-        ok = False
+    # Monte Carlo throughput rows, system_external at r_n + r_f
+    cfg, rows = throughput_rows(5000, MC_SEED)
+    for row in rows:
+        params = realize_point(cfg, row["value"], row["mode"])
+        s = estimate_sop_grid([(params, row["scenario"], "psic")], 5000, MC_SEED)[0].value
+        rate = {"external_n": params.r_n, "external_f": params.r_f, "internal": params.r_n,
+                "system_external": params.r_n + params.r_f}[row["scenario"]]
+        if row["estimate"] != (1.0 - s) * rate:
+            ok = False
     if not ok:
         failures.append("throughput identity violated")
     lines.append(f"  {'PASS' if ok else 'FAIL'} c7 throughput == (1 - SOP) * rate exactly")

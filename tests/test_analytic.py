@@ -33,14 +33,16 @@ from ris_secrecy.analytic import (
     pdf_eve_n_ipsic,
     pdf_eve_n_psic,
     pdf_internal_f_to_n,
-    scenario_rate,
     secrecy_throughput,
     sop,
     sop_asymptotic,
     sop_curve_fixed_eavesdropper,
     sop_system_external,
 )
-from ris_secrecy.model import derive
+from ris_secrecy import model
+from ris_secrecy.model import (
+    SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, derive, scenario_rate,
+)
 from ris_secrecy.specfun import gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
 
 from conftest import make_params
@@ -83,39 +85,68 @@ def test_cdf_accepts_scalar_and_array():
             assert form(float(x), p) == pytest.approx(v, rel=1e-14, abs=1e-300)
 
 
-PDF_CDF_PAIRS = {
-    "eve_n_ipsic": (
-        lambda x, p: pdf_eve_n_ipsic(x, p),
-        lambda x, p: an._cdf_eve_n_ipsic(x, derive(p), default_table()),
-    ),
-    "eve_n_psic": (
-        lambda x, p: pdf_eve_n_psic(x, p),
-        lambda x, p: an._cdf_eve_n_psic(x, derive(p)),
-    ),
-    "eve_f": (
-        lambda x, p: pdf_eve_f(x, p),
-        lambda x, p: an._cdf_eve_f(x, derive(p)),
-    ),
-    "internal_f_to_n": (
-        lambda x, p: pdf_internal_f_to_n(x, p),
-        lambda x, p: an._cdf_internal_f_to_n(x, derive(p)),
-    ),
+# every (family, SIC) law of the registry, named family_sic where the SIC mode enters
+LAWS = {
+    (f"{family}_{sic}" if fam.takes_sic else family): (family, sic if fam.takes_sic else "psic")
+    for family, fam in SINR_FAMILIES.items() for sic in SIC_MODES
 }
+WIRETAP_LAWS = sorted(name for name, (family, _) in LAWS.items()
+                      if any(family == eve for events in SCENARIOS.values() for _, eve, _ in events))
+
+
+def _law_forms(name):
+    family, sic = LAWS[name]
+    return (lambda x, p: an._form(x, p, family, sic, density=True),
+            lambda x, p: an._form(x, p, family, sic))
 
 
 def _support_cut(name, p):
     # upper integration limit with provably negligible tail: the smallest
     # argument scale maps 600 back to x, and kdist_sf(q, 600) < 6e-10
-    dc = derive(p)
-    if name == "eve_f":
+    fam = SINR_FAMILIES[LAWS[name][0]]
+    if fam.capped:
         return p.a_f / p.a_n
-    scale = {"eve_n_ipsic": dc.xi_e2, "eve_n_psic": dc.xi_e2, "internal_f_to_n": dc.xi_e4}[name]
-    return 600.0 / scale
+    scale = getattr(derive(p), fam.scale)
+    return 600.0 / (scale(0.0) if callable(scale) else scale)
 
 
-@pytest.mark.parametrize("name", sorted(PDF_CDF_PAIRS))
+def test_law_registry_resolves():
+    p = make_params()
+    dc = derive(p)
+    assert len(LAWS) == 7 and len(WIRETAP_LAWS) == 4
+    for family, fam in SINR_FAMILIES.items():
+        # a real DerivedConstants scale: a positive constant or a method of the residual power
+        assert fam.scale in DerivedConstants.__dataclass_fields__ or callable(
+            getattr(DerivedConstants, fam.scale, None)), family
+        scale = getattr(dc, fam.scale)
+        for sic in SIC_MODES:
+            value = scale if not callable(scale) else scale(
+                default_table().nodes if sic == "ipsic" else 0.0)
+            assert np.all(np.isfinite(value)) and np.all(np.asarray(value) > 0.0), (family, sic)
+        assert callable(getattr(model, fam.function)) and fam.distance in p.__dataclass_fields__
+    # every single-event scenario resolves to registry families and a closed form
+    for scenario, events in SCENARIOS.items():
+        if len(events) > 1:
+            continue
+        (legit, eve, _), = events
+        assert legit in SINR_FAMILIES and eve in SINR_FAMILIES
+        for sic in SIC_MODES:
+            est = sop(p, scenario, sic)
+            assert 0.0 < est.value < 1.0 and est.provenance == "analytic", (scenario, sic)
+    # the public forms are their registry laws
+    xs = np.logspace(-6, 1, 40)
+    for form, family, sic, density in (
+        (cdf_user_n_ipsic, "user_n", "ipsic", False), (cdf_user_n_psic, "user_n", "psic", False),
+        (cdf_user_f, "user_f", "psic", False), (pdf_eve_n_ipsic, "eve_n", "ipsic", True),
+        (pdf_eve_n_psic, "eve_n", "psic", True), (pdf_eve_f, "eve_f", "psic", True),
+        (pdf_internal_f_to_n, "internal_f_to_n", "psic", True),
+    ):
+        assert np.array_equal(form(xs, p), an._form(xs, p, family, sic, density=density))
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
 def test_pdf_nonnegative_and_normalized(name):
-    pdf, _ = PDF_CDF_PAIRS[name]
+    pdf, _ = _law_forms(name)
     p = make_params()
     hi = _support_cut(name, p)
     xs = np.linspace(1e-9 * hi, hi * 0.999, 200)
@@ -126,9 +157,9 @@ def test_pdf_nonnegative_and_normalized(name):
     assert err < 1e-6
 
 
-@pytest.mark.parametrize("name", sorted(PDF_CDF_PAIRS))
+@pytest.mark.parametrize("name", sorted(LAWS))
 def test_pdf_matches_cdf_derivative(name):
-    pdf, cdf = PDF_CDF_PAIRS[name]
+    pdf, cdf = _law_forms(name)
     p = make_params()
     hi = _support_cut(name, p)
     for frac in (1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.6, 0.9):
@@ -145,12 +176,12 @@ def test_pdf_matches_cdf_derivative(name):
         assert got == pytest.approx(fd, rel=1e-4), (name, frac)
 
 
-@pytest.mark.parametrize("name", sorted(PDF_CDF_PAIRS))
+@pytest.mark.parametrize("name", WIRETAP_LAWS)
 def test_pdf_of_unreachable_wiretap_receiver(name):
     # zerorate: infinite d_rf and d_re make every wiretap scale infinite and
     # the wiretap SINR surely 0, so the density is 0 for x > 0 and +inf at
     # x = 0, never inf * 0
-    pdf, _ = PDF_CDF_PAIRS[name]
+    pdf, _ = _law_forms(name)
     p = config.realize_point(config.load_preset("zerorate"), None, "aris")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -31,6 +31,7 @@ from ris_secrecy.config import (
     parse_config,
     realize_point,
 )
+from ris_secrecy.model import scenario_rate
 from ris_secrecy.montecarlo import DRAW_FIELDS, estimate_sop
 from ris_secrecy.specfun import gauss_laguerre
 
@@ -296,6 +297,36 @@ def test_sweep_csv_deterministic(tmp_path, monkeypatch):
     assert code4 == cli.EXIT_OK and bytes4 == bytes1
 
 
+def test_worker_pool_is_capped_at_the_draw_law_groups(monkeypatch):
+    # a huge --workers must not fork a process per requested worker: the pool
+    # gets one worker per draw-law group.  The fake pool maps serially, so
+    # this test starts no process.
+    cfg = parse_config(doc(**{"sweep.variable": "n_elements", "sweep.values": [20.0, 40.0],
+                              "sweep.hold": "n_groups", "sweep.engines": ["montecarlo"],
+                              "sweep.trials": 1000}))
+    groups = len(draw_laws(cfg))
+    assert groups == 2
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    rows = cli.run_sweep(cfg, workers=5000)
+    assert sizes == [groups]
+    assert rows == cli.run_sweep(cfg, workers=1) and sizes == [groups]
+
+
 def test_element_sweep_holding_active_is_one_draw_group(monkeypatch):
     # n_elements and n_groups do not shape the draws, so holding n_active
     # scores every value from one stream; each row still equals its own
@@ -314,7 +345,7 @@ def test_element_sweep_holding_active_is_one_draw_group(monkeypatch):
         params = realize_point(cfg, row["value"], row["mode"])
         res = estimate_sop(params, row["scenario"], row["sic"],
                            cfg.sweep.trials, cfg.sweep.seed)
-        assert row["estimate"] == res.sop.value and row["stderr"] == res.stderr, row
+        assert row["estimate"] == res.value and row["stderr"] == res.stderr, row
 
 
 def parse_csv(data: bytes):
@@ -345,7 +376,7 @@ def test_sweep_rows_match_direct_engine_calls(tmp_path):
         else:
             res = estimate_sop(params, row["scenario"], row["sic"],
                                cfg.sweep.trials, cfg.sweep.seed)
-            assert float(row["estimate"]) == res.sop.value, row
+            assert float(row["estimate"]) == res.value, row
             assert int(row["trials"]) == cfg.sweep.trials
             assert float(row["stderr"]) == res.stderr
 
@@ -357,7 +388,7 @@ def test_sweep_throughput_metric():
     for row in rows:
         params = realize_point(cfg, 10.0, row["mode"])
         sop_val = an.sop(params, row["scenario"], row["sic"]).value
-        rate = an.scenario_rate(params, row["scenario"])
+        rate = scenario_rate(params, row["scenario"])
         assert row["estimate"] == pytest.approx((1.0 - sop_val) * rate, rel=1e-15)
 
 
@@ -419,7 +450,7 @@ def test_simulate_command_is_deterministic(tmp_path):
     first = rows[0]
     params = realize_point(cfg, None, first["mode"])
     res = estimate_sop(params, first["scenario"], first["sic"], 2000, 11)
-    assert float(first["estimate"]) == res.sop.value
+    assert float(first["estimate"]) == res.value
 
 
 def test_engine_alias_override(tmp_path):

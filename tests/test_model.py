@@ -64,7 +64,7 @@ def test_derive_hand_values():
     assert dc.v_e2 == pytest.approx(k2 * p.sigma2_t * p.n_active * w_rf + p.sigma2_e, rel=1e-15)
     assert dc.rho_e == pytest.approx(p.p_bs / p.sigma2_e, rel=1e-15)
     assert dc.xi_f == pytest.approx(dc.v_f / (w_br * w_rf), rel=1e-14)
-    assert dc.xi_e2 == pytest.approx(dc.v_e1 / (dc.c_n * w_br * w_re), rel=1e-14)
+    assert dc.xi_e1(0.0) == pytest.approx(dc.v_e1 / (dc.c_n * w_br * w_re), rel=1e-14)
     assert dc.xi_e3 == pytest.approx(dc.v_e1 / (w_br * w_re), rel=1e-14)
     assert dc.xi_e4 == pytest.approx(dc.v_e2 / (dc.c_n * w_br * w_rf), rel=1e-14)
     assert dc.xi_n(0.0) == pytest.approx(dc.v_n / (dc.c_n * w_br * w_rn), rel=1e-14)
@@ -112,7 +112,7 @@ def test_zero_near_share_saturates_scales():
     dc = derive(make_params(a_f=1.0, a_n=0.0))
     assert dc.c_n == 0.0
     assert dc.xi_n(0.0) == math.inf
-    assert dc.xi_e2 == math.inf
+    assert dc.xi_e1(0.0) == math.inf
 
 
 def _draw(**kw):
@@ -180,12 +180,12 @@ def test_registry_dispatches_to_the_sinr_functions():
     p = make_params()
     d = _draw(cascaded_gain_n=2e-9, cascaded_gain_f=3e-10, cascaded_gain_e=5e-10,
               norm_n=3e-6, norm_f=4e-6, norm_e=6e-6, ip_user=1e-7, ip_eve=2e-7)
-    for family, (name, takes_sic, distance) in SINR_FAMILIES.items():
-        fn = getattr(model, name)
+    for family, fam in SINR_FAMILIES.items():
+        fn = getattr(model, fam.function)
         for sic in ("ipsic", "psic"):
-            want = fn(p, d, sic) if takes_sic else fn(p, d)
+            want = fn(p, d, sic) if fam.takes_sic else fn(p, d)
             assert sinr(family, p, d, sic) == want, (family, sic)
-        assert math.isfinite(getattr(p, distance))
+        assert math.isfinite(getattr(p, fam.distance))
     # every outage event pairs known families with a SystemParams rate field
     for events in SCENARIOS.values():
         for legit, eve, rate in events:
