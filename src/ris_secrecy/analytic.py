@@ -265,18 +265,18 @@ def _outage(dc: DerivedConstants, scenario: str, sic: str, thresholds, inner, sc
     return float(w @ _cdf(dc, z, capped, inner)), bool(np.all(capped))
 
 
-def sop(params, scenario: str, sic: str, *, outer_table: QuadratureTable | None = None,
-        inner_table: QuadratureTable | None = None) -> SopEstimate:
+def sop(params, scenario: str, sic: str, *, table: QuadratureTable | None = None) -> SopEstimate:
     """Closed-form secrecy outage of one scenario: the kernel value, clamped to [0, 1].
 
     external_n and external_f pit the near and far user against the external
     eavesdropper, internal the near user against the far user's wiretap.
-    ipSIC couples two residual-interference integrals (outer: eavesdropper,
-    inner: user); a far-user threshold at the NOMA ceiling gives 1, 'saturated'.
+    ipSIC couples two residual-interference integrals (eavesdropper and user),
+    both over `table` (default order 64); a far-user threshold at the NOMA
+    ceiling gives 1, 'saturated'.
     """
     dc = _dc(params)
-    thresholds = _thresholds(dc, scenario, sic, outer_table or default_table())
-    value, saturated = _outage(dc, scenario, sic, thresholds, inner_table or default_table())
+    table = table or default_table()
+    value, saturated = _outage(dc, scenario, sic, _thresholds(dc, scenario, sic, table), table)
     return _clamped(value, "analytic", ("saturated",) if saturated else ())
 
 
@@ -306,8 +306,7 @@ def _small_arg_asymptote(u: float, n_active: int) -> tuple[float, tuple[str, ...
     return u / (n_active - 1.0), flags
 
 
-def sop_asymptotic(params, scenario: str, sic: str, *, outer_table: QuadratureTable | None = None,
-                   inner_table: QuadratureTable | None = None) -> SopEstimate:
+def sop_asymptotic(params, scenario: str, sic: str) -> SopEstimate:
     """High-budget SOP asymptote on the kernel's thresholds and arguments.
 
     external_n + ipsic:  residual-interference error floor (the kernel with
@@ -327,14 +326,14 @@ def sop_asymptotic(params, scenario: str, sic: str, *, outer_table: QuadratureTa
             "couples both quadratures); evaluate sop directly"
         )
     dc = _dc(params)
-    inner = inner_table or default_table()
-    thresholds = _thresholds(dc, scenario, sic, outer_table or default_table())
+    table = default_table()
+    thresholds = _thresholds(dc, scenario, sic, table)
     if scenario == "external_n" and sic == "ipsic":
         p = dc.params
         floor_scale = p.omega_ipu / (p.a_n * p.kappa**2 * dc.omega_br * dc.omega_rn)
-        value, _ = _outage(dc, scenario, sic, thresholds, inner, floor_scale * inner.nodes)
+        value, _ = _outage(dc, scenario, sic, thresholds, table, floor_scale * table.nodes)
         return _clamped(value, "asymptotic")
-    u, _, capped = _law(dc, SCENARIOS[scenario][0][0], sic, thresholds[0], inner)
+    u, _, capped = _law(dc, SCENARIOS[scenario][0][0], sic, thresholds[0], table)
     if capped[0]:
         return SopEstimate(1.0, "asymptotic", flags=("saturated",))
     value, flags = _small_arg_asymptote(float(u[0]), dc.params.n_active)

@@ -14,16 +14,13 @@ Curve tables use a fixed CSV schema
 
 preceded by one '# meta' comment line holding the fully resolved
 configuration as JSON.  Output carries no timestamps and the Monte Carlo
-draws are keyed by (seed, trial index), so repeated runs - at any worker
-count - produce byte-identical bytes.
+draws are keyed by (seed, trial index), so repeated runs produce
+byte-identical bytes.
 
 Infeasible operating points (hardware draw exceeding the budget) become
 rows flagged 'infeasible' with an empty estimate rather than aborting the
 sweep.  Exit codes: 0 success, 1 configuration error, 2 every requested
 point infeasible, 3 validation failures.
-
-RIS_SECRECY_WORKERS sets the default Monte Carlo worker count; the
---workers flag overrides it.  Workers only change wall time, never output.
 """
 
 from __future__ import annotations
@@ -34,9 +31,7 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -57,7 +52,7 @@ from .analytic import (
 from .budget import BudgetInfeasibleError
 from .config import ConfigError, ScenarioConfig, load_config, load_preset, list_presets, realize_point
 from .model import scenario_rate
-from .montecarlo import DRAW_FIELDS, empirical_sinr_cdfs, estimate_sop_grid, sinr_samples
+from .montecarlo import empirical_sinr_cdfs, estimate_sop_grid, sinr_samples
 from .specfun import gauss_laguerre
 
 __all__ = ["main", "run_sweep", "validate_point"]
@@ -175,10 +170,6 @@ def _write_json(path, cfg: ScenarioConfig, rows: list[dict], point: str):
     _write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _shape_key(params) -> tuple:
-    return tuple(getattr(params, f) for f in DRAW_FIELDS)
-
-
 def _closed_form_estimate(params, scenario, sic, engine):
     if scenario == "system_external":
         if engine == "asymptotic":
@@ -187,11 +178,6 @@ def _closed_form_estimate(params, scenario, sic, engine):
     if engine == "asymptotic":
         return sop_asymptotic(params, scenario, sic)
     return sop(params, scenario, sic)
-
-
-def _grid_group(payload):
-    cases, trials, seed = payload
-    return estimate_sop_grid(cases, trials, seed)
 
 
 def _metric_fields(cfg, params, scenario, est):
@@ -207,15 +193,15 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
     """Evaluate the configured sweep; returns rows in deterministic order.
 
     Row order is value-major, then scenario order, then engine order, all
-    exactly as configured.  Monte Carlo cells sharing a draw law (the
-    montecarlo.DRAW_FIELDS) are batched over one stream per law, so
-    estimates match individual estimate_sop calls bit for bit regardless of
-    batching or workers.
+    exactly as configured.  All Monte Carlo cells, of any draw law, go to one
+    estimate_sop_grid call, which groups them by law internally, so
+    estimates match individual estimate_sop calls bit for bit.  `workers` is
+    accepted for compatibility and ignored: every run is serial.
     """
-    return _run_cells(cfg, cfg.sweep.values, cfg.sweep.variable, workers)
+    return _run_cells(cfg, cfg.sweep.values, cfg.sweep.variable)
 
 
-def _run_cells(cfg: ScenarioConfig, values, sweep_var: str, workers: int) -> list[dict]:
+def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[dict]:
     """Rows for every (value, scenario row, engine) cell; value None is the base point."""
     sweep = cfg.sweep
     cells = []
@@ -235,21 +221,11 @@ def _run_cells(cfg: ScenarioConfig, values, sweep_var: str, workers: int) -> lis
                 }
                 cells.append((row, params))
 
-    mc_groups: dict[tuple, list[int]] = {}
-    for i, (row, params) in enumerate(cells):
-        if row["engine"] == "montecarlo" and params is not None:
-            mc_groups.setdefault(_shape_key(params), []).append(i)
-    payloads = [([(cells[i][1], cells[i][0]["scenario"], cells[i][0]["sic"]) for i in group],
-                 sweep.trials, sweep.seed) for group in mc_groups.values()]
-    # a pool larger than the number of draw-law groups would only fork idle workers
-    workers = min(workers, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            group_results = list(pool.map(_grid_group, payloads))
-    else:
-        group_results = [_grid_group(p) for p in payloads]
-    mc = {i: est for group, results in zip(mc_groups.values(), group_results)
-          for i, est in zip(group, results)}
+    mc_cells = [i for i, (row, params) in enumerate(cells)
+                if row["engine"] == "montecarlo" and params is not None]
+    cases = [(cells[i][1], cells[i][0]["scenario"], cells[i][0]["sic"]) for i in mc_cells]
+    # no grid call without Monte Carlo cells: the traced benchmark counts grid calls
+    mc = dict(zip(mc_cells, estimate_sop_grid(cases, sweep.trials, sweep.seed))) if cases else {}
 
     for i, (row, params) in enumerate(cells):
         if params is None:
@@ -292,7 +268,7 @@ def _cmd_point(args, engines_default) -> int:
     engines = cfg.sweep.engines if getattr(args, "engines", None) else engines_default
     cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, engines=engines))
     # bypass the sweep variable entirely: realize the base point as-is
-    rows = _run_cells(cfg, (None,), "", workers=1)
+    rows = _run_cells(cfg, (None,), "")
 
     if args.out:
         _write_text(args.out, _rows_to_csv(cfg, rows, point="base"))
@@ -313,13 +289,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    workers = args.workers
-    if workers is None:
-        try:
-            workers = int(os.environ.get("RIS_SECRECY_WORKERS", "1"))
-        except ValueError as exc:
-            raise ConfigError("workers", f"RIS_SECRECY_WORKERS: {exc}") from None
-    rows = run_sweep(cfg, workers=max(1, workers))
+    rows = run_sweep(cfg)
     text = _rows_to_csv(cfg, rows, point="sweep")
     if args.json:
         _write_json(args.json, cfg, rows, point="sweep")
@@ -333,7 +303,6 @@ _CDF_FORMS = {
     ("user_n", "ipsic"): cdf_user_n_ipsic,
     ("user_n", "psic"): cdf_user_n_psic,
     ("user_f", "psic"): cdf_user_f,
-    ("user_f", "ipsic"): cdf_user_f,
 }
 
 _PDF_FORMS = {
@@ -397,7 +366,6 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
             pending.setdefault(mode, (params, []))[1].append((len(checks), points, finish))
             checks.append(base)
 
-    # surface modes differ in no draw-shaping field, so one stream serves all
     results = estimate_sop_grid([row[1:4] for row in sop_rows], trials, seed)
     for (i, params, scenario, sic, mode), mres in zip(sop_rows, results):
         a = sop(params, scenario, sic)
@@ -517,7 +485,7 @@ def _cmd_quadrature_dump(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, *, trials=True, workers=False):
+def _add_common(sub, *, trials=True):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="path to a scenario JSON file")
     group.add_argument("--preset", help=f"shipped preset name, one of {list_presets()}")
@@ -527,9 +495,6 @@ def _add_common(sub, *, trials=True, workers=False):
     sub.add_argument("--engines", help="comma list: a|analytic, m|montecarlo, asy|asymptotic")
     sub.add_argument("--out", help="write CSV here instead of a table ('-' = stdout)")
     sub.add_argument("--json", help="also write a JSON mirror here")
-    if workers:
-        sub.add_argument("--workers", type=int,
-                         help="Monte Carlo worker processes (default $RIS_SECRECY_WORKERS or 1)")
 
 
 def _build_parser() -> _Parser:
@@ -547,7 +512,7 @@ def _build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_simulate)
 
     sub = subs.add_parser("sweep", help="curve table over the configured sweep")
-    _add_common(sub, workers=True)
+    _add_common(sub)
     sub.set_defaults(func=_cmd_sweep)
 
     sub = subs.add_parser("validate", help="closed-form vs Monte Carlo agreement report")

@@ -351,7 +351,7 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError("params", str(exc)) from exc
 
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         name=str(doc.get("name", name)),
         notes=str(doc.get("notes", "")),
         params=params,
@@ -360,6 +360,10 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
         metric=metric,
         sweep=sweep,
     )
+    # reject an out-of-domain value (kappa < 1, a negative rate, no elements) here, not mid-run
+    for v in sweep.values:
+        _with_sweep_value(cfg, v)
+    return cfg
 
 
 def load_config(path) -> ScenarioConfig:
@@ -391,28 +395,36 @@ def load_preset(name: str) -> ScenarioConfig:
 
 
 def _with_sweep_value(cfg: ScenarioConfig, value: float) -> tuple[SystemParams, PowerBudget]:
-    """Apply one sweep value; returns (params without p_bs fixed, budget)."""
+    """Apply one sweep value; returns (params without p_bs fixed, budget).
+
+    A value outside the parameter domain raises ConfigError('sweep.values').
+    """
     params, budget = cfg.params, cfg.budget
     var = cfg.sweep.variable
+    changes = {}
     if var == "p_tot_dbm":
         p_tot = dbm_to_watts(value)
         p_ris = cfg.ris_fraction * p_tot if cfg.ris_fraction is not None else budget.p_ris
         budget = dataclasses.replace(budget, p_tot=p_tot, p_ris=p_ris)
     elif var == "kappa":
-        params = dataclasses.replace(params, kappa=float(value))
+        changes = {"kappa": float(value)}
     elif var == "n_elements":
         m = int(value)
         held = getattr(params, cfg.sweep.hold)
         other = {"n_active": "n_groups", "n_groups": "n_active"}[cfg.sweep.hold]
-        params = dataclasses.replace(params, n_elements=m, **{other: m // held})
+        changes = {"n_elements": m, other: m // held}
     elif var == "alpha_p":
-        params = dataclasses.replace(params, a_f=float(value), a_n=1.0 - float(value))
+        changes = {"a_f": float(value), "a_n": 1.0 - float(value)}
     elif var == "sigma2_t_dbm":
-        params = dataclasses.replace(params, sigma2_t=dbm_to_watts(value))
+        changes = {"sigma2_t": dbm_to_watts(value)}
     elif var == "rate":
-        params = dataclasses.replace(params, r_f=float(value), r_n=float(value))
+        changes = {"r_f": float(value), "r_n": float(value)}
     else:
         raise ConfigError("sweep.variable", f"unhandled variable {var!r}")
+    try:
+        params = dataclasses.replace(params, **changes)
+    except ValueError as exc:
+        raise ConfigError("sweep.values", f"{value!r}: {exc}") from exc
     return params, budget
 
 

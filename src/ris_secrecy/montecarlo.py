@@ -23,7 +23,7 @@ its own G (independent BS-RIS vectors only), then E, then G_perp (np.zeros at
 Q = 1, consuming no variates); (3) the residual-interference powers,
 standard_exponential((BLOCK, 2)).  Trial i therefore regenerates bit-exactly
 from (seed, i) alone: block i // 2**15, row i % 2**15, independent of the
-total trial count, scheduling or worker layout.
+total trial count and of which other cells share the stream.
 """
 
 from __future__ import annotations
@@ -73,12 +73,6 @@ class ChannelDraw:
     norm_e: np.ndarray
     ip_user: np.ndarray
     ip_eve: np.ndarray
-    seed: int
-    first_trial: int = 0
-
-    @property
-    def trials(self) -> int:
-        return self.cascaded_gain_n.shape[0]
 
 
 # the per-trial arrays of a ChannelDraw
@@ -122,8 +116,6 @@ def _draw_block(params: SystemParams, seed: int, block_index: int, shared_hbr: b
         norm_e=norm_e,
         ip_user=ip_user,
         ip_eve=ip_eve,
-        seed=int(seed),
-        first_trial=block_index * BLOCK,
     )
 
 
@@ -152,7 +144,7 @@ def sample_draw(
     if len(parts) == 1:
         return parts[0]
     cat = {name: np.concatenate([getattr(p, name) for p in parts]) for name in _ARRAYS}
-    return ChannelDraw(seed=int(seed), first_trial=0, **cat)
+    return ChannelDraw(**cat)
 
 
 def _outage_count(params, scenario, sic, draw: ChannelDraw) -> int:
@@ -165,33 +157,32 @@ def _outage_count(params, scenario, sic, draw: ChannelDraw) -> int:
 
 
 def estimate_sop_grid(cases, trials: int, seed: int) -> list[SopEstimate]:
-    """Estimate many (params, scenario, sic) cells over one shared draw stream.
+    """Estimate many (params, scenario, sic) cells, one shared draw stream per draw law.
 
-    All cases must share the DRAW_FIELDS that shape the raw channel draws
-    (geometry, active elements, residual gains); power, amplification,
-    noise, split, rates, varpi and the group count may differ per cell.
-    Each returned estimate (provenance 'monte-carlo', with its trials and
-    binomial standard error) is bit-identical to an individual estimate_sop
-    call with the same seed, because both consume the same
+    Cases of any draw law are accepted: they are grouped internally by the
+    DRAW_FIELDS that shape the raw channel draws (geometry, active elements,
+    residual gains), and each group is scored over one stream.  Estimates
+    (provenance 'monte-carlo', with their trials and binomial standard
+    error) come back in input order, each bit-identical to an individual
+    estimate_sop call with the same seed, because both consume the same
     (seed, block)-keyed streams.
     """
     if not cases:
         return []
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ref = cases[0][0]
-    for p, scenario, sic in cases:
+    laws: dict[tuple, list[int]] = {}
+    for j, (p, scenario, sic) in enumerate(cases):
         if scenario not in model.SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
         if sic not in model.SIC_MODES:
             raise ValueError(f"sic must be one of {model.SIC_MODES}")
-        for name in DRAW_FIELDS:
-            if getattr(p, name) != getattr(ref, name):
-                raise ValueError(f"cases disagree on draw-shaping field {name}")
+        laws.setdefault(tuple(getattr(p, name) for name in DRAW_FIELDS), []).append(j)
     counts = np.zeros(len(cases), dtype=np.int64)
-    for draw in _iter_blocks(ref, trials, seed, False):
-        for j, (p, scenario, sic) in enumerate(cases):
-            counts[j] += _outage_count(p, scenario, sic, draw)
+    for group in laws.values():
+        for draw in _iter_blocks(cases[group[0]][0], trials, seed, False):
+            for j in group:
+                counts[j] += _outage_count(*cases[j], draw)
     p_hat = counts / trials
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)
     return [SopEstimate(float(v), "monte-carlo", int(trials), float(e))

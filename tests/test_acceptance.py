@@ -23,8 +23,8 @@ the full acceptance report.  Criteria:
 5. the special-function kernel matches a 50-digit oracle to 1e-10 on a
    200-point grid, the quadrature is exact through degree 2D-1, and
    doubling the quadrature orders moves no SOP by more than 1e-8;
-6. sweep and simulate outputs are byte-identical across repeat runs
-   and worker counts;
+6. sweep and simulate outputs are byte-identical across repeat runs,
+   also for a sweep spanning two draw laws;
 7. zero residual interference collapses every imperfect-SIC expression
    onto its perfect-SIC counterpart within 1e-9, throughput is exactly
    (1 - SOP) * rate, and SOP stays inside [0, 1] on a 1000-point
@@ -295,7 +295,7 @@ def test_criterion_5_special_function_kernel():
     for label, params in (("baseline", make_params()),
                           ("fig9-base", realize_point(load_preset("fig9"), None, "aris"))):
         coarse = an.sop(params, "external_n", "ipsic").value
-        fine = an.sop(params, "external_n", "ipsic", outer_table=t128, inner_table=t128).value
+        fine = an.sop(params, "external_n", "ipsic", table=t128).value
         gap = abs(fine - coarse)
         ok = gap < 1e-8
         if not ok:
@@ -305,7 +305,7 @@ def test_criterion_5_special_function_kernel():
     _report(5, lines, failures)
 
 
-def test_criterion_6_byte_determinism(tmp_path, monkeypatch):
+def test_criterion_6_byte_determinism(tmp_path):
     doc = {
         "name": "determinism",
         "params": {
@@ -329,41 +329,27 @@ def test_criterion_6_byte_determinism(tmp_path, monkeypatch):
     lines, failures = [], []
 
     # holding n_groups moves n_active, so the Monte Carlo cells fall into
-    # two draw laws and the worker counts below really start a pool
+    # two draw laws, each scored over its own stream
     cfg = parse_config(doc)
     laws = {tuple(getattr(realize_point(cfg, v, mode), f) for f in DRAW_FIELDS)
             for v in cfg.sweep.values for _, _, mode in cfg.sweep.scenarios}
     ok = len(laws) >= 2
     if not ok:
-        failures.append(f"determinism sweep has {len(laws)} draw law(s), pool never starts")
+        failures.append(f"determinism sweep has {len(laws)} draw law(s), expected two or more")
     lines.append(f"  {'PASS' if ok else 'FAIL'} c6 sweep spans {len(laws)} draw laws")
 
-    def run(cmd, extra, name):
+    def run(cmd, name):
         out = tmp_path / name
-        code = cli.main([cmd, "--config", str(path), *extra, "--out", str(out)])
+        code = cli.main([cmd, "--config", str(path), "--out", str(out)])
         assert code == cli.EXIT_OK
         return out.read_bytes()
 
-    ref = run("sweep", [], "s0.csv")
-    for label, extra, env in (
-        ("repeat run", [], None),
-        ("--workers 2", ["--workers", "2"], None),
-        ("--workers 3", ["--workers", "3"], None),
-        ("env workers", [], "2"),
-    ):
-        if env is not None:
-            monkeypatch.setenv("RIS_SECRECY_WORKERS", env)
-        got = run("sweep", extra, "s1.csv")
-        if env is not None:
-            monkeypatch.delenv("RIS_SECRECY_WORKERS")
-        ok = got == ref
-        if not ok:
-            failures.append(f"sweep output changed under {label}")
-        lines.append(f"  {'PASS' if ok else 'FAIL'} c6 sweep byte-identical under {label}")
+    ok = run("sweep", "s0.csv") == run("sweep", "s1.csv")
+    if not ok:
+        failures.append("sweep output changed across runs")
+    lines.append(f"  {'PASS' if ok else 'FAIL'} c6 sweep byte-identical across runs")
 
-    sim_ref = run("simulate", [], "m0.csv")
-    sim_rep = run("simulate", [], "m1.csv")
-    ok = sim_ref == sim_rep
+    ok = run("simulate", "m0.csv") == run("simulate", "m1.csv")
     if not ok:
         failures.append("simulate output changed across runs")
     lines.append(f"  {'PASS' if ok else 'FAIL'} c6 simulate byte-identical across runs")

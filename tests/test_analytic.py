@@ -311,7 +311,7 @@ def test_quadrature_order_stability():
     p = make_params()
     base = sop(p, "external_n", "ipsic").value
     t128 = default_table(128)
-    refined = sop(p, "external_n", "ipsic", outer_table=t128, inner_table=t128).value
+    refined = sop(p, "external_n", "ipsic", table=t128).value
     assert abs(refined - base) < 1e-8
 
 

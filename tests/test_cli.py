@@ -3,11 +3,12 @@
 Groups: decibel conversion and field validation in the config layer;
 element-count and power-split completion; budget and sweep block rules;
 preset integrity; operating-point realization for both surface modes
-and every sweep variable; CSV byte-determinism across repeat runs,
-worker counts and the worker environment variable; row agreement with
+and every sweep variable; CSV byte-determinism across repeat runs; one
+grid call per run over any number of draw laws; row agreement with
 direct engine calls; infeasible and unsupported row marking; the
 validation report and its exit code; quadrature dump; JSON mirrors;
-command line error handling; NaN input rejected at the config boundary.
+command line error handling; NaN and out-of-domain input rejected at the
+config boundary.
 """
 
 import copy
@@ -277,10 +278,9 @@ def draw_laws(cfg) -> set:
             for v in cfg.sweep.values for _, _, mode in cfg.sweep.scenarios}
 
 
-def test_sweep_csv_deterministic(tmp_path, monkeypatch):
+def test_sweep_csv_deterministic(tmp_path):
     # holding n_groups, two element-count points change n_active and so
-    # give two draw laws: worker pools actually engage, and output must
-    # not depend on any of it
+    # give two draw laws; repeat runs must still give the same bytes
     d = doc(**{"sweep.variable": "n_elements", "sweep.values": [20.0, 40.0],
                "sweep.hold": "n_groups", "sweep.trials": 2000})
     assert len(draw_laws(parse_config(d))) >= 2
@@ -290,41 +290,6 @@ def test_sweep_csv_deterministic(tmp_path, monkeypatch):
     code2, bytes2 = run_to_file(tmp_path, argv, "b.csv")
     assert code1 == code2 == cli.EXIT_OK
     assert bytes1 == bytes2
-    code3, bytes3 = run_to_file(tmp_path, argv + ["--workers", "3"], "c.csv")
-    assert code3 == cli.EXIT_OK and bytes3 == bytes1
-    monkeypatch.setenv("RIS_SECRECY_WORKERS", "2")
-    code4, bytes4 = run_to_file(tmp_path, argv, "d.csv")
-    assert code4 == cli.EXIT_OK and bytes4 == bytes1
-
-
-def test_worker_pool_is_capped_at_the_draw_law_groups(monkeypatch):
-    # a huge --workers must not fork a process per requested worker: the pool
-    # gets one worker per draw-law group.  The fake pool maps serially, so
-    # this test starts no process.
-    cfg = parse_config(doc(**{"sweep.variable": "n_elements", "sweep.values": [20.0, 40.0],
-                              "sweep.hold": "n_groups", "sweep.engines": ["montecarlo"],
-                              "sweep.trials": 1000}))
-    groups = len(draw_laws(cfg))
-    assert groups == 2
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    rows = cli.run_sweep(cfg, workers=5000)
-    assert sizes == [groups]
-    assert rows == cli.run_sweep(cfg, workers=1) and sizes == [groups]
 
 
 def test_element_sweep_holding_active_is_one_draw_group(monkeypatch):
@@ -336,11 +301,39 @@ def test_element_sweep_holding_active_is_one_draw_group(monkeypatch):
                               "sweep.engines": ["montecarlo"], "sweep.trials": 2000}))
     assert len(draw_laws(cfg)) == 1
     calls = []
+    rows = run_counting_grid_calls(cfg, monkeypatch, calls)
+    assert calls == [len(rows)] == [3 * 2]
+    assert_rows_match_estimate_sop(cfg, rows)
+
+
+def test_sweep_over_two_draw_laws_is_one_grid_call(monkeypatch):
+    # holding n_groups moves n_active, which shapes the draws: the grid
+    # call groups the cells by law itself
+    cfg = parse_config(doc(**{"sweep.variable": "n_elements", "sweep.values": [20.0, 40.0],
+                              "sweep.hold": "n_groups", "sweep.engines": ["montecarlo"],
+                              "sweep.trials": 2000}))
+    assert len(draw_laws(cfg)) == 2
+    calls = []
+    rows = run_counting_grid_calls(cfg, monkeypatch, calls)
+    assert calls == [len(rows)] == [2 * 2]
+    assert_rows_match_estimate_sop(cfg, rows)
+
+
+def test_closed_form_sweep_makes_no_grid_call(monkeypatch):
+    cfg = parse_config(doc(**{"sweep.engines": ["analytic", "asymptotic"]}))
+    calls = []
+    run_counting_grid_calls(cfg, monkeypatch, calls)
+    assert calls == []
+
+
+def run_counting_grid_calls(cfg, monkeypatch, calls):
     real = cli.estimate_sop_grid
     monkeypatch.setattr(cli, "estimate_sop_grid",
                         lambda cases, *a, **k: calls.append(len(cases)) or real(cases, *a, **k))
-    rows = cli.run_sweep(cfg, workers=2)
-    assert calls == [len(rows)] == [3 * 2]
+    return cli.run_sweep(cfg, workers=2)
+
+
+def assert_rows_match_estimate_sop(cfg, rows):
     for row in rows:
         params = realize_point(cfg, row["value"], row["mode"])
         res = estimate_sop(params, row["scenario"], row["sic"],
@@ -537,13 +530,6 @@ def test_cli_error_paths(tmp_path, capsys):
     capsys.readouterr()  # drain usage noise
 
 
-def test_non_integer_worker_variable_is_a_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RIS_SECRECY_WORKERS", "two")
-    code = cli.main(["sweep", "--preset", "zerorate", "--out", str(tmp_path / "z.csv")])
-    assert code == cli.EXIT_CONFIG
-    assert "workers" in capsys.readouterr().err
-
-
 NAN = float("nan")
 # every float field a scenario file carries, under the key BASE_DOC uses
 FLOAT_KEYS = [f"params.{k}" for k, v in BASE_DOC["params"].items() if isinstance(v, float)]
@@ -583,3 +569,17 @@ def test_nan_sweep_value_fails_at_the_boundary(tmp_path, capsys, variable, good)
     d = doc(**{"sweep.variable": variable, "sweep.values": ...,
                "sweep.range": {"start": NAN, "stop": good, "step": 1.0}})
     assert_config_error(tmp_path, capsys, d, "sweep.range.start")
+
+
+@pytest.mark.parametrize("variable, good, bad", [
+    ("kappa", 4.0, 0.5), ("rate", 0.1, -0.1),
+    ("n_elements", 40.0, -20.0), ("n_elements", 40.0, 0.0),
+])
+def test_out_of_domain_sweep_value_fails_at_the_boundary(tmp_path, capsys, variable, good, bad):
+    # these values pass the sweep block's own checks but leave the domain
+    # SystemParams accepts
+    for values in ([bad], [good, bad]):
+        d = doc(**{"sweep.variable": variable, "sweep.values": values})
+        with pytest.raises(ConfigError, match="sweep.values"):
+            parse_config(d)
+        assert_config_error(tmp_path, capsys, d, "sweep.values")
