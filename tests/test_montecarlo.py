@@ -240,14 +240,29 @@ def test_trial_count_prefix_property():
 def test_grid_matches_individual_estimates():
     p_a = make_params()
     p_b = make_params(kappa=1.0, sigma2_t=0.0, p_bs=0.02)
-    # n_active shapes the draws: the grid groups this case into its own stream
-    p_c = make_params(n_active=10, n_elements=40, n_groups=4)
-    cases = [(p_a, "external_n", "psic"), (p_c, "external_n", "psic"),
-             (p_b, "internal", "ipsic"), (p_a, "system_external", "psic")]
+    cases = [(p_a, "external_n", "psic"), (p_b, "internal", "ipsic"),
+             (p_a, "system_external", "psic")]
     grid = estimate_sop_grid(cases, 40_000, SEED)
     for (pp, scenario, sic), res in zip(cases, grid):
         single = estimate_sop(pp, scenario, sic, 40_000, SEED)
         assert res.value == single.value, (scenario, sic)
+
+
+def test_grid_groups_mixed_draw_laws():
+    # geometry and n_active shape the draws: each law gets its own stream,
+    # interleaved cases come back in input order
+    p_a = make_params()
+    p_b = make_params(d_re=40.0)
+    p_c = make_params(n_active=10, n_elements=40, n_groups=4)
+    cases = [(p_a, "external_n", "psic"), (p_b, "external_n", "psic"),
+             (p_c, "external_n", "psic"), (p_a, "internal", "ipsic")]
+    grid = estimate_sop_grid(cases, 40_000, SEED)
+    assert [r.trials for r in grid] == [40_000] * len(cases)
+    for (pp, scenario, sic), res in zip(cases, grid):
+        single = estimate_sop(pp, scenario, sic, 40_000, SEED)
+        assert res.value == single.value, (scenario, sic)
+        assert res.stderr == single.stderr, (scenario, sic)
+    assert grid[0].value != grid[1].value
 
 
 def test_distinct_seeds_are_distinct_but_consistent():
