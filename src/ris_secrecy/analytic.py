@@ -37,6 +37,7 @@ __all__ = [
     "sop_asymptotic",
     "sop_curve_fixed_eavesdropper",
     "sop_system_external",
+    "sop_union",
 ]
 
 DEFAULT_ORDER = 64
@@ -288,10 +289,13 @@ def sop_system_external(params, sic: str) -> SopEstimate:
     the per-user closed forms already assume between the cascades).  This
     is the quantity whose power-split ordering the sweep checks exercise.
     """
-    est_n = sop(params, "external_n", sic)
-    est_f = sop(params, "external_f", sic)
+    return sop_union(sop(params, "external_n", sic), sop(params, "external_f", sic))
+
+
+def sop_union(est_n: SopEstimate, est_f: SopEstimate) -> SopEstimate:
+    """1 - (1 - SOP_n)(1 - SOP_f), carrying the flags of both in first-seen order."""
     value = 1.0 - (1.0 - est_n.value) * (1.0 - est_f.value)
-    return _clamped(value, "analytic", extra_flags=tuple(set(est_n.flags) | set(est_f.flags)))
+    return _clamped(value, "analytic", tuple(dict.fromkeys(est_n.flags + est_f.flags)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ from .analytic import (
     pdf_internal_f_to_n,
     sop,
     sop_asymptotic,
-    sop_system_external,
+    sop_system_external,  # unused here; perfbench/spans.py wraps it by this name
+    sop_union,
 )
 from .budget import BudgetInfeasibleError
 from .config import ConfigError, ScenarioConfig, load_config, load_preset, list_presets, realize_point
@@ -170,14 +171,19 @@ def _write_json(path, cfg: ScenarioConfig, rows: list[dict], point: str):
     _write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _closed_form_estimate(params, scenario, sic, engine):
-    if scenario == "system_external":
-        if engine == "asymptotic":
+def _closed_form_estimate(memo: dict, params, scenario, sic, engine):
+    """One closed-form cell, evaluated once per memo; the system event is the
+    union of the memoized external_n and external_f cells."""
+    key = (params, scenario, sic, engine)
+    if key not in memo:
+        if scenario != "system_external":
+            memo[key] = (sop_asymptotic if engine == "asymptotic" else sop)(params, scenario, sic)
+        elif engine == "asymptotic":
             raise UnsupportedScenarioError("no closed-form asymptote for the system event")
-        return sop_system_external(params, sic)
-    if engine == "asymptotic":
-        return sop_asymptotic(params, scenario, sic)
-    return sop(params, scenario, sic)
+        else:
+            memo[key] = sop_union(*(_closed_form_estimate(memo, params, s, sic, engine)
+                                    for s in ("external_n", "external_f")))
+    return memo[key]
 
 
 def _metric_fields(cfg, params, scenario, est):
@@ -202,15 +208,19 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
 
 
 def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[dict]:
-    """Rows for every (value, scenario row, engine) cell; value None is the base point."""
+    """Rows for every (value, scenario row, engine) cell; value None is the base point.
+    Each (value, mode) point is realized, and each closed-form cell evaluated, once."""
     sweep = cfg.sweep
     cells = []
     for value in values:
+        points = {}
         for scenario, sic, mode in sweep.scenarios:
-            try:
-                params = realize_point(cfg, value, mode)
-            except BudgetInfeasibleError:
-                params = None
+            if mode not in points:
+                try:
+                    points[mode] = realize_point(cfg, value, mode)
+                except BudgetInfeasibleError:
+                    points[mode] = None
+            params = points[mode]
             for engine in sweep.engines:
                 row = {
                     "sweep_var": sweep_var, "value": None if value is None else float(value),
@@ -227,11 +237,12 @@ def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[dict]:
     # no grid call without Monte Carlo cells: the traced benchmark counts grid calls
     mc = dict(zip(mc_cells, estimate_sop_grid(cases, sweep.trials, sweep.seed))) if cases else {}
 
+    memo = {}
     for i, (row, params) in enumerate(cells):
         if params is None:
             continue
         try:
-            est = mc.get(i) or _closed_form_estimate(params, row["scenario"], row["sic"],
+            est = mc.get(i) or _closed_form_estimate(memo, params, row["scenario"], row["sic"],
                                                      row["engine"])
         except UnsupportedScenarioError:
             row["flags"] = "unsupported"
@@ -277,14 +288,6 @@ def _cmd_point(args, engines_default) -> int:
     if not args.out and not args.json:
         _print_table(rows)
     return EXIT_INFEASIBLE if _all_infeasible(rows) else EXIT_OK
-
-
-def _cmd_analytic(args) -> int:
-    return _cmd_point(args, engines_default=("analytic",))
-
-
-def _cmd_simulate(args) -> int:
-    return _cmd_point(args, engines_default=("montecarlo",))
 
 
 def _cmd_sweep(args) -> int:
@@ -505,11 +508,11 @@ def _build_parser() -> _Parser:
 
     sub = subs.add_parser("analytic", help="closed forms at the base operating point")
     _add_common(sub, trials=False)
-    sub.set_defaults(func=_cmd_analytic)
+    sub.set_defaults(func=lambda args: _cmd_point(args, ("analytic",)))
 
     sub = subs.add_parser("simulate", help="Monte Carlo at the base operating point")
     _add_common(sub)
-    sub.set_defaults(func=_cmd_simulate)
+    sub.set_defaults(func=lambda args: _cmd_point(args, ("montecarlo",)))
 
     sub = subs.add_parser("sweep", help="curve table over the configured sweep")
     _add_common(sub)
@@ -532,13 +535,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliArgumentError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (_CliArgumentError, ConfigError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

@@ -195,11 +195,39 @@ def kdist_sf(q: int, z) -> np.ndarray | float:
         return np.exp(logsf)
 
 
+_SATURATED_LOGSF = -40.0
+_SATURATION_ARGS: dict[int, float] = {}
+
+
+def _saturation_arg(q: int) -> float:
+    """Cached per q: a z with kdist_logsf(q, z) <= -40, bisected to adjacent doubles."""
+    z_sat = _SATURATION_ARGS.get(q)
+    if z_sat is None:
+        lo, hi = 0.0, 64.0
+        while kdist_logsf(q, hi) > _SATURATED_LOGSF:
+            lo, hi = hi, 2.0 * hi
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if kdist_logsf(q, mid) > _SATURATED_LOGSF else (lo, mid)
+        z_sat = _SATURATION_ARGS[q] = hi
+    return z_sat
+
+
 def kdist_cdf(q: int, z) -> np.ndarray | float:
-    """CDF of the normalized cascade power, 1 - kdist_sf, clamped to [0, 1]."""
-    logsf = kdist_logsf(q, z)
-    with np.errstate(under="ignore"):
-        out = -np.expm1(logsf)
+    """CDF of the normalized cascade power, 1 - kdist_sf, clamped to [0, 1].
+
+    Arguments at or beyond the per-q saturation point, where ln sf <= -40,
+    return 1.0 without a Bessel call.  That is exact: -expm1(x) rounds to
+    1.0 for any x < ln 2^-54 ~ -37.4, and 2.6 nats is far more than the
+    ~1e-12 error of kdist_logsf, so the result is bit for bit the one the
+    survival function would give.
+    """
+    arr = _as_float_array(z)
+    out = np.ones(arr.shape)
+    live = arr < _saturation_arg(q)
+    if np.any(live):
+        with np.errstate(under="ignore"):
+            out[live] = -np.expm1(kdist_logsf(q, arr[live]))
     return np.clip(out, 0.0, 1.0)
 
 

@@ -38,6 +38,7 @@ from ris_secrecy.analytic import (
     sop_asymptotic,
     sop_curve_fixed_eavesdropper,
     sop_system_external,
+    sop_union,
 )
 from ris_secrecy import model
 from ris_secrecy.model import (
@@ -240,6 +241,17 @@ def test_system_external_is_union_of_per_user_events():
         s_f = sop(p, "external_f", "psic").value
         want = 1.0 - (1.0 - s_n) * (1.0 - s_f)
         assert sop_system_external(p, sic).value == pytest.approx(want, rel=1e-15)
+
+
+def test_system_flags_keep_first_seen_order(monkeypatch):
+    # a set union would order two distinct flags by PYTHONHASHSEED
+    n = SopEstimate(0.2, "analytic", flags=("clamp-drift",))
+    f = SopEstimate(0.5, "analytic", flags=("saturated", "clamp-drift"))
+    assert sop_union(n, f) == SopEstimate(0.6, "analytic", flags=("clamp-drift", "saturated"))
+    assert sop_union(f, n).flags == ("saturated", "clamp-drift")
+    per_user = {"external_n": n, "external_f": f}
+    monkeypatch.setattr(an, "sop", lambda params, scenario, sic: per_user[scenario])
+    assert sop_system_external(make_params(), "ipsic").flags == ("clamp-drift", "saturated")
 
 
 # ---------------------------------------------------------------------------

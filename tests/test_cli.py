@@ -5,7 +5,8 @@ element-count and power-split completion; budget and sweep block rules;
 preset integrity; operating-point realization for both surface modes
 and every sweep variable; CSV byte-determinism across repeat runs; one
 grid call per run over any number of draw laws; row agreement with
-direct engine calls; infeasible and unsupported row marking; the
+direct engine calls; closed-form cells and realized points shared within
+one sweep, never across sweeps; infeasible and unsupported row marking; the
 validation report and its exit code; quadrature dump; JSON mirrors;
 command line error handling; NaN and out-of-domain input rejected at the
 config boundary.
@@ -16,13 +17,16 @@ import csv
 import io
 import json
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ris_secrecy import analytic as an
 from ris_secrecy import cli
-from ris_secrecy.analytic import SopEstimate
+from ris_secrecy.analytic import SopEstimate, UnsupportedScenarioError
+from ris_secrecy.budget import BudgetInfeasibleError
 from ris_secrecy.config import (
     ConfigError,
     dbm_to_watts,
@@ -372,6 +376,65 @@ def test_sweep_rows_match_direct_engine_calls(tmp_path):
             assert float(row["estimate"]) == res.value, row
             assert int(row["trials"]) == cfg.sweep.trials
             assert float(row["stderr"]) == res.stderr
+
+
+def closed_form_cell(params, scenario, sic, engine):
+    if engine == "analytic" and scenario == "system_external":
+        return an.sop_system_external(params, sic)
+    if engine == "analytic":
+        return an.sop(params, scenario, sic)
+    if scenario == "system_external":
+        raise UnsupportedScenarioError("no system asymptote")
+    return an.sop_asymptotic(params, scenario, sic)
+
+
+@pytest.mark.parametrize("preset", list_presets())
+def test_closed_form_sweep_equals_cell_by_cell_calls(preset):
+    cfg = load_preset(preset)
+    cfg = replace(cfg, sweep=replace(cfg.sweep, engines=("analytic", "asymptotic")))
+    want = []
+    for value in cfg.sweep.values:
+        for scenario, sic, mode in cfg.sweep.scenarios:
+            for engine in cfg.sweep.engines:
+                row = {"sweep_var": cfg.sweep.variable, "value": float(value),
+                       "scenario": scenario, "sic": sic, "mode": mode, "engine": engine,
+                       "metric": cfg.metric, "estimate": None, "stderr": None,
+                       "trials": None, "seed": None, "flags": "infeasible"}
+                want.append(row)
+                try:
+                    params = realize_point(cfg, value, mode)
+                    est = closed_form_cell(params, scenario, sic, engine)
+                except BudgetInfeasibleError:
+                    continue
+                except UnsupportedScenarioError:
+                    row["flags"] = "unsupported"
+                    continue
+                estimate, err = cli._metric_fields(cfg, params, scenario, est)
+                row.update(estimate=estimate, stderr=err, flags="|".join(est.flags))
+    assert cli.run_sweep(cfg) == want
+
+
+def test_sweep_shares_points_and_closed_form_cells(monkeypatch):
+    # both modes, with the system event next to one of its per-user events:
+    # each per-user SOP and each (value, mode) point is computed once per run
+    cfg = parse_config(doc(**{
+        "sweep.values": [10.0, 20.0, 30.0],
+        "sweep.scenarios": [[s, "ipsic", m] for m in ("aris", "pris")
+                            for s in ("external_n", "system_external")],
+        "sweep.engines": ["analytic", "asymptotic"]}))
+    counts = Counter()
+    for name in ("sop", "sop_asymptotic", "sop_system_external", "realize_point"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _real=real, _name=name, **k:
+                            counts.update([_name]) or _real(*a, **k))
+    points = len(cfg.sweep.values) * 2
+    want = {"sop": points * 2, "sop_asymptotic": points, "realize_point": points}
+    first = cli.run_sweep(cfg)
+    assert counts == want
+    counts.clear()
+    assert cli.run_sweep(cfg) == first and counts == want  # nothing kept between runs
+    # the system event has no asymptote: one unsupported row per point
+    assert sum(r["estimate"] is None for r in first) == points
 
 
 def test_sweep_throughput_metric():

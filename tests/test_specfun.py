@@ -8,7 +8,7 @@ Groups:
     through degree 2D-1, table invariants, input validation
  3. Cascade-power distribution: mpmath oracle, complementarity,
     small-argument closure, density vs finite differences, normalization,
-    saturated (+inf) arguments
+    saturated (+inf) arguments, the CDF's saturation cutoff is bit-exact
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ris_secrecy import analytic as an
 from ris_secrecy.specfun import (
     QuadratureTable,
+    _saturation_arg,
     gauss_laguerre,
     kdist_cdf,
     kdist_logsf,
@@ -29,6 +31,8 @@ from ris_secrecy.specfun import (
     kdist_sf,
     log_bessel_k,
 )
+
+from conftest import dbm, make_params
 
 mpmath.mp.dps = 50
 
@@ -212,6 +216,29 @@ def test_limits_and_saturated_arguments():
         assert kdist_cdf(q, np.inf) == 1.0
         assert kdist_pdf(q, np.inf) == 0.0
         assert kdist_logsf(q, np.inf) == -np.inf
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 10, 20, 41, 64])
+def test_cdf_saturation_cutoff_is_bit_exact(q):
+    # beyond its per-q cutoff kdist_cdf returns 1.0 without evaluating the
+    # survival function; that must be the very double the survival
+    # function gives, on both sides of the cutoff and on a real ipSIC grid
+    def via_sf(z):
+        with np.errstate(under="ignore"):
+            return np.clip(-np.expm1(kdist_logsf(q, z)), 0.0, 1.0)
+
+    z_sat = _saturation_arg(q)
+    assert kdist_logsf(q, z_sat) <= -40.0
+    near = z_sat * (1.0 + np.arange(-16, 17) * 2.0**-52)
+    # external_n/ipSIC thresholds through the user law: 64 x 64 arguments
+    p = make_params(n_elements=2 * q, n_groups=2, n_active=q, d_re=2.0, p_bs=dbm(30.0))
+    dc, table = an.derive(p), an.default_table()
+    grid, _, _ = an._law(dc, "user_n", "ipsic", dc.eps_n1(table.nodes), table)
+    assert grid.shape == (64, 64) and 0.0 < np.mean(grid >= z_sat) < 1.0
+    for z in (np.geomspace(1e-14, 1e8, 4001), near, np.array([0.0, np.inf]), grid):
+        got = kdist_cdf(q, z)
+        assert got.shape == z.shape and np.array_equal(got, via_sf(z)), q
+    assert kdist_cdf(q, z_sat) == 1.0 and kdist_cdf(q, 1.0) == via_sf(1.0)
 
 
 def test_pdf_at_zero():
