@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, derive
+from .model import SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, SinrFamily, derive
 from .specfun import QuadratureTable, gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
 
 __all__ = [
@@ -126,19 +126,16 @@ def _far_stream(x, scale, dc: DerivedConstants):
     return np.where(capped, 0.0, _scaled_arg(x_arr, scale) / safe), safe, capped
 
 
-def _law(dc: DerivedConstants, family: str, sic: str, x, table: QuadratureTable, scale=None):
-    """Cascade argument z of one SINR family at the 1-D points x, the slope dz/dx
-    and the mask of points at the NOMA ceiling.
+def _law(dc: DerivedConstants, fam: SinrFamily, sic: str, x, table: QuadratureTable,
+         scale=None):
+    """Cascade argument z of one SINR_FAMILIES row at the 1-D points x, the slope
+    dz/dx and the mask of points at the NOMA ceiling.
 
-    scale (default: the family's registry scale) is a DerivedConstants name or
-    a value.  A residual-power scale is evaluated at the table nodes under
-    ipSIC, which gives z a trailing quadrature axis, and at 0.0 under pSIC.
+    scale defaults to dc.scale of the row: at the table nodes under ipSIC for a
+    row that takes SIC, which gives z a trailing quadrature axis, else at 0.0.
     """
-    fam = SINR_FAMILIES[family]
-    if scale is None or isinstance(scale, str):
-        scale = getattr(dc, scale or fam.scale)
-        if callable(scale):
-            scale = scale(table.nodes if sic == "ipsic" else 0.0)
+    if scale is None:
+        scale = dc.scale(fam, table.nodes if sic == "ipsic" else 0.0)
     if fam.capped:
         z, safe, capped = _far_stream(x, scale, dc)
         return z, scale * dc.c_f / (safe * safe), capped
@@ -172,7 +169,8 @@ def _form(x, params, family: str, sic: str, table: QuadratureTable | None = None
     """CDF (clipped to [0, 1]) or density of one (family, SIC) law at scalar or array x."""
     dc = _dc(params)
     table = table or default_table()
-    z, slope, capped = _law(dc, family, sic, np.asarray(x, dtype=float).ravel(), table)
+    z, slope, capped = _law(dc, SINR_FAMILIES[family], sic, np.asarray(x, dtype=float).ravel(),
+                            table)
     if density:
         out = _pdf(dc, z, slope, capped, table)
     else:
@@ -198,7 +196,7 @@ def cdf_user_n_psic(x, params):
 def cdf_user_f(x, params):
     """CDF of the far user's SINR; saturates to 1 at the NOMA ceiling a_f/a_n.
 
-    Below the ceiling the argument x * xi_f / (c_f - x c_n) blows up as x
+    Below the ceiling the argument x * scale / (c_f - x c_n) blows up as x
     approaches a_f/a_n; the guard hands those points the exact limit 1.
     """
     return _form(x, params, "user_f", "psic")
@@ -231,27 +229,28 @@ def pdf_internal_f_to_n(x, params):
 # ---------------------------------------------------------------------------
 # secrecy outage probabilities: SOP = sum_k w_k F_legit(tau_k)
 
-# scenario -> DerivedConstants method giving its mean-field outage threshold
-_THRESHOLD = {"external_n": "eps_n2", "external_f": "eps_f", "internal": "eps_fn"}
-
-
 def _thresholds(dc: DerivedConstants, scenario: str, sic: str, outer: QuadratureTable):
     """Outage thresholds tau_k = 2^R (1 + gamma_E) - 1 and their weights w_k.
 
-    gamma_E is the eavesdropper's mean-field SINR: averaged over its residual
-    interference (outer table) for external_n/ipSIC, a point mass otherwise.
+    gamma_E is the wiretap family's mean-field SINR (dc.mean_sinr): averaged
+    over its residual interference (outer table) when it takes SIC under
+    ipSIC, a point mass otherwise.
     """
-    if scenario not in _THRESHOLD:
+    events = SCENARIOS.get(scenario, ())
+    if len(events) != 1:
         raise ValueError(f"no closed form for scenario {scenario!r}")
     if sic not in SIC_MODES:
         raise ValueError(f"sic must be one of {SIC_MODES}")
-    if scenario == "external_n" and sic == "ipsic":
-        return dc.eps_n1(outer.nodes), outer.weights
-    return np.array([getattr(dc, _THRESHOLD[scenario])()]), np.ones(1)
+    (_, wiretap, rate), = events
+    fam = SINR_FAMILIES[wiretap]
+    zeta, w = (outer.nodes, outer.weights) if fam.takes_sic and sic == "ipsic" else (0.0, np.ones(1))
+    tau = 2.0 ** getattr(dc.params, rate) * (1.0 + dc.mean_sinr(fam, zeta)) - 1.0
+    return np.atleast_1d(tau), w
 
 
-# the cited internal/ipSIC closed form couples omega_ipe into the user branch
-_LEGIT_SCALE = {("internal", "ipsic"): "xi_e5"}
+# legitimate-family residual-gain overrides: the cited internal/ipSIC closed
+# form couples omega_ipe into the user branch
+_LEGIT_SCALE = {("internal", "ipsic"): "omega_ipe"}
 
 
 def _outage(dc: DerivedConstants, scenario: str, sic: str, thresholds, inner, scale=None):
@@ -261,8 +260,10 @@ def _outage(dc: DerivedConstants, scenario: str, sic: str, thresholds, inner, sc
     whether every threshold sits at the NOMA ceiling (a certain event).
     """
     tau, w = thresholds
-    scale = _LEGIT_SCALE.get((scenario, sic)) if scale is None else scale
-    z, _, capped = _law(dc, SCENARIOS[scenario][0][0], sic, tau, inner, scale)
+    fam = SINR_FAMILIES[SCENARIOS[scenario][0][0]]
+    if (scenario, sic) in _LEGIT_SCALE:
+        fam = fam._replace(residual=_LEGIT_SCALE[scenario, sic])
+    z, _, capped = _law(dc, fam, sic, tau, inner, scale)
     return float(w @ _cdf(dc, z, capped, inner)), bool(np.all(capped))
 
 
@@ -337,7 +338,7 @@ def sop_asymptotic(params, scenario: str, sic: str) -> SopEstimate:
         floor_scale = p.omega_ipu / (p.a_n * p.kappa**2 * dc.omega_br * dc.omega_rn)
         value, _ = _outage(dc, scenario, sic, thresholds, table, floor_scale * table.nodes)
         return _clamped(value, "asymptotic")
-    u, _, capped = _law(dc, SCENARIOS[scenario][0][0], sic, thresholds[0], table)
+    u, _, capped = _law(dc, SINR_FAMILIES[SCENARIOS[scenario][0][0]], sic, thresholds[0], table)
     if capped[0]:
         return SopEstimate(1.0, "asymptotic", flags=("saturated",))
     value, flags = _small_arg_asymptote(float(u[0]), dc.params.n_active)

@@ -488,15 +488,17 @@ def _cmd_quadrature_dump(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, *, trials=True):
+def _add_common(sub, *, trials=True, table=True):
+    # table: the command writes a curve table over selectable engines
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="path to a scenario JSON file")
     group.add_argument("--preset", help=f"shipped preset name, one of {list_presets()}")
     if trials:
         sub.add_argument("--trials", type=int, help="Monte Carlo trials (overrides config)")
         sub.add_argument("--seed", type=int, help="Monte Carlo seed (overrides config)")
-    sub.add_argument("--engines", help="comma list: a|analytic, m|montecarlo, asy|asymptotic")
-    sub.add_argument("--out", help="write CSV here instead of a table ('-' = stdout)")
+    if table:
+        sub.add_argument("--engines", help="comma list: a|analytic, m|montecarlo, asy|asymptotic")
+        sub.add_argument("--out", help="write CSV here instead of a table ('-' = stdout)")
     sub.add_argument("--json", help="also write a JSON mirror here")
 
 
@@ -519,7 +521,7 @@ def _build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_sweep)
 
     sub = subs.add_parser("validate", help="closed-form vs Monte Carlo agreement report")
-    _add_common(sub)
+    _add_common(sub, table=False)
     sub.set_defaults(func=_cmd_validate)
 
     sub = subs.add_parser("quadrature-dump", help="Gauss-Laguerre nodes and weights")

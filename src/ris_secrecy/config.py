@@ -280,29 +280,15 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
     sblock = doc.get("sweep")
     if not isinstance(sblock, dict):
         raise ConfigError("sweep", "must be an object")
-    unknown = set(sblock) - {"variable", "values", "range", "scenarios", "engines", "trials", "seed", "hold"}
+    unknown = set(sblock) - {"variable", "values", "scenarios", "engines", "trials", "seed", "hold"}
     if unknown:
         raise ConfigError(f"sweep.{sorted(unknown)[0]}", "unknown field")
-    if "values" in sblock and "range" in sblock:
-        raise ConfigError("sweep.values", "give either values or range")
-    if "values" in sblock:
-        raw_values = sblock["values"]
-        if not isinstance(raw_values, list):
-            raise ConfigError("sweep.values", "must be a list")
-        sweep_values = tuple(_finite("sweep.values", v) for v in raw_values)
-    elif "range" in sblock:
-        r = sblock["range"]
-        if not isinstance(r, dict) or not all(k in r for k in ("start", "stop", "step")):
-            raise ConfigError("sweep.range", "needs start/stop/step")
-        start, stop, step = (_finite(f"sweep.range.{k}", r[k]) for k in ("start", "stop", "step"))
-        if step == 0.0:
-            raise ConfigError("sweep.range", "step must be nonzero")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        if n < 1:
-            raise ConfigError("sweep.range", "empty range")
-        sweep_values = tuple(start + i * step for i in range(n))
-    else:
+    if "values" not in sblock:
         raise ConfigError("sweep.values", "required field missing")
+    raw_values = sblock["values"]
+    if not isinstance(raw_values, list):
+        raise ConfigError("sweep.values", "must be a list")
+    sweep_values = tuple(_finite("sweep.values", v) for v in raw_values)
 
     scenarios = sblock.get("scenarios")
     if not isinstance(scenarios, list):

@@ -6,12 +6,13 @@ M = P * Q elements of which one group of Q is active.  An external
 eavesdropper taps both NOMA streams; the far user can also act as an
 internal eavesdropper on the near user's stream.
 
-The SINR functions here take exact per-draw channel quantities (cascaded
-gains and on-group norms) and are the single source of truth for the Monte
-Carlo engine; the closed-form engine replaces the norms by their means, and
-keeping the two routes separate is what makes the cross-validation
-meaningful.  SCENARIOS and SINR_FAMILIES are the one registry mapping each
-secrecy event onto these SINRs, their closed-form laws and its protected rate.
+Every SINR is one formula over a SINR_FAMILIES row (power share, receiver,
+noise, residual gain, NOMA cap).  The sinr_* functions evaluate it on exact
+per-draw gains and norms for the Monte Carlo engine; DerivedConstants.scale
+and mean_sinr evaluate it at mean-field norms for the closed forms.  The two
+routes share the registry, not the draws, which is what makes the
+cross-validation meaningful.  SCENARIOS maps each secrecy event onto the
+families and its protected rate.
 """
 
 from __future__ import annotations
@@ -45,31 +46,56 @@ SURFACE_MODES = ("aris", "pris")
 
 
 class SinrFamily(NamedTuple):
-    """One SINR family: its exact per-draw SINR and its closed-form law.
+    """One SINR family as data, read by both engines.
 
-    function:  name of the sinr_* function here, looked up at call time
-    takes_sic: whether the SIC mode enters
-    distance:  SystemParams field of the receiver's RIS distance
-    scale:     DerivedConstants argument scale of the K-distributed cascade
-               law; a method of the residual power is evaluated at the
-               quadrature nodes under ipSIC and at 0.0 under pSIC
-    capped:    whether the far stream's NOMA ceiling a_f/a_n caps the argument
+    Every family decodes one stream at one receiver with the SINR
+
+        share p_bs kappa^2 g / ([a_n p_bs kappa^2 g] + kappa^2 sigma2_t ||h||^2
+                                + [varpi p_bs I] + noise)
+
+    of its cascaded gain g = |h_r^H h_br|^2, on-group norm ||h||^2 and
+    residual-interference power I.  The near stream's NOMA interference
+    enters a capped row; the residual enters under ipSIC.
+
+    function: name of the exact-SINR entry point here, looked up at call time
+    share:    SystemParams field of the decoded stream's power share
+    receiver: 'n', 'f' or 'e'; picks the ChannelDraw cascaded_gain_* and
+              norm_*, the SystemParams distance d_r* and DerivedConstants omega_r*
+    noise:    SystemParams field of the receiver noise power
+    residual: SystemParams field of the residual-interference gain left by
+              imperfect SIC, or None where the SIC mode does not enter
+    capped:   whether the NOMA ceiling a_f/a_n caps the SINR
     """
 
     function: str
-    takes_sic: bool
-    distance: str
-    scale: str
+    share: str
+    receiver: str
+    noise: str
+    residual: str | None
     capped: bool
+
+    @property
+    def takes_sic(self) -> bool:
+        return self.residual is not None
+
+    @property
+    def distance(self) -> str:
+        return "d_r" + self.receiver
 
 
 SINR_FAMILIES = {
-    "user_n": SinrFamily("sinr_user_n", True, "d_rn", "xi_n", False),
-    "user_f": SinrFamily("sinr_user_f", False, "d_rf", "xi_f", True),
-    "eve_n": SinrFamily("sinr_eve_n", True, "d_re", "xi_e1", False),
-    "eve_f": SinrFamily("sinr_eve_f", False, "d_re", "xi_e3", True),
-    "internal_f_to_n": SinrFamily("sinr_internal_f_to_n", False, "d_rf", "xi_e4", False),
+    "user_n": SinrFamily("sinr_user_n", "a_n", "n", "sigma2", "omega_ipu", False),
+    "user_f": SinrFamily("sinr_user_f", "a_f", "f", "sigma2", None, True),
+    "eve_n": SinrFamily("sinr_eve_n", "a_n", "e", "sigma2_e", "omega_ipe", False),
+    "eve_f": SinrFamily("sinr_eve_f", "a_f", "e", "sigma2_e", None, True),
+    # the far user wiretaps through an eavesdropper-grade front end
+    "internal_f_to_n": SinrFamily("sinr_internal_f_to_n", "a_n", "f", "sigma2_e", None, False),
 }
+
+
+def _row(family) -> SinrFamily:
+    return family if isinstance(family, SinrFamily) else SINR_FAMILIES[family]
+
 
 # scenario -> outage events (legitimate family, wiretap family, rate field).
 # A trial is in outage when any event fires, and the protected rate is the
@@ -165,11 +191,10 @@ class DerivedConstants:
 
     omega_*:  mean per-hop gains for the four links
     c_n, c_f: amplified signal-power coefficients a_x * p_bs * kappa^2
-    v_n, v_f: mean-field noise at the near/far user (RIS thermal + receiver)
-    v_e1:     mean-field noise at the external eavesdropper
-    v_e2:     mean-field noise when the far user wiretaps (eve-grade front end)
-    rho_e:    p_bs / sigma2_e
-    xi_f, xi_e3, xi_e4: constant CDF/PDF argument scales
+
+    scale and mean_sinr evaluate a family (a SINR_FAMILIES key or row) at
+    mean-field norms ||h||^2 -> Q omega_r and residual power I -> residual
+    gain * zeta, zeta a Gauss-Laguerre node of the exponential law.
     """
 
     params: SystemParams
@@ -179,187 +204,102 @@ class DerivedConstants:
     omega_re: float
     c_n: float
     c_f: float
-    v_n: float
-    v_f: float
-    v_e1: float
-    v_e2: float
-    rho_e: float
-    xi_f: float
-    xi_e3: float
-    xi_e4: float
 
-    # zeta-dependent argument scales; zeta is a Gauss-Laguerre node standing
-    # in for the exponentially distributed residual-interference power.
-    def xi_n(self, zeta):
-        p = self.params
-        num = self.v_n + p.varpi * p.p_bs * p.omega_ipu * zeta
-        den = self.c_n * self.omega_br * self.omega_rn
-        # den = 0 only in degenerate configs (a_n = 0); num >= sigma2 > 0
+    def scale(self, family, zeta):
+        """Argument scale of the family's K-distributed cascade law: the SINR
+        is below x when g / (omega_br omega_r) is below x * scale, or below
+        x * scale / (c_f - x c_n) for a capped row."""
+        fam, p = _row(family), self.params
+        omega_r = getattr(self, "omega_r" + fam.receiver)
+        num = p.kappa**2 * p.sigma2_t * p.n_active * omega_r + getattr(p, fam.noise)
+        if fam.takes_sic:
+            num = num + p.varpi * p.p_bs * getattr(p, fam.residual) * zeta
+        signal = 1.0 if fam.capped else getattr(p, fam.share) * p.p_bs * p.kappa**2
+        den = signal * self.omega_br * omega_r
+        # den = 0 only in degenerate configs (a_n = 0, an unreachable receiver);
+        # num >= noise > 0, so the scale is +inf and the CDFs saturate at 1
         return num / den if den > 0.0 else num * math.inf
 
-    def xi_e1(self, zeta):
-        p = self.params
-        num = self.v_e1 + p.varpi * p.p_bs * p.omega_ipe * zeta
-        den = self.c_n * self.omega_br * self.omega_re
-        return num / den if den > 0.0 else num * math.inf
+    def mean_sinr(self, family, zeta):
+        """SINR at the mean cascaded gain g -> Q omega_br omega_r: the closed
+        forms' wiretap SINR, the one approximation Monte Carlo does not share."""
+        fam, p = _row(family), self.params
+        omega_r = getattr(self, "omega_r" + fam.receiver)
+        rho = p.p_bs / getattr(p, fam.noise)
 
-    def xi_e5(self, zeta):
-        # internal-scenario user-side scale; the residual gain here follows
-        # the cited closed form, which couples omega_ipe into the user branch
-        p = self.params
-        num = self.v_n + p.varpi * p.p_bs * p.omega_ipe * zeta
-        den = self.c_n * self.omega_br * self.omega_rn
-        return num / den if den > 0.0 else num * math.inf
+        def signal(share):
+            return share * rho * p.kappa**2 * p.n_active * self.omega_br * omega_r
 
-    # secrecy-outage SINR thresholds; the eavesdropper SINR enters through
-    # its mean-field value, which is the one analytic-route approximation
-    # the Monte Carlo engine does not share.
-    def _eve_gain_term(self, a_frac):
-        p = self.params
-        return a_frac * self.rho_e * p.kappa**2 * p.n_active * self.omega_br * self.omega_re
-
-    def _eve_thermal_term(self):
-        p = self.params
-        return p.kappa**2 * p.sigma2_t * p.n_active * self.omega_re / p.sigma2_e
-
-    def eps_n1(self, zeta):
-        p = self.params
-        mean_sinr = self._eve_gain_term(p.a_n) / (
-            self._eve_thermal_term() + p.varpi * self.rho_e * p.omega_ipe * zeta + 1.0
-        )
-        return 2.0**p.r_n * (1.0 + mean_sinr) - 1.0
-
-    def eps_n2(self) -> float:
-        mean_sinr = self._eve_gain_term(self.params.a_n) / (self._eve_thermal_term() + 1.0)
-        return 2.0 ** self.params.r_n * (1.0 + mean_sinr) - 1.0
-
-    def eps_f(self) -> float:
-        mean_sinr = self._eve_gain_term(self.params.a_f) / (
-            self._eve_thermal_term() + self._eve_gain_term(self.params.a_n) + 1.0
-        )
-        return 2.0 ** self.params.r_f * (1.0 + mean_sinr) - 1.0
-
-    def eps_fn(self) -> float:
-        p = self.params
-        gain = p.a_n * self.rho_e * p.kappa**2 * p.n_active * self.omega_br * self.omega_rf
-        thermal = p.kappa**2 * p.sigma2_t * p.n_active * self.omega_rf / p.sigma2_e
-        return 2.0**p.r_n * (1.0 + gain / (thermal + 1.0)) - 1.0
-
-
-def _ratio(num: float, den: float) -> float:
-    # degenerate configs (a_n = 0, or an infinitely distant receiver) zero
-    # the denominator; the scale is then +inf and the CDFs saturate at 1
-    return num / den if den > 0.0 else math.inf
+        den = p.kappa**2 * p.sigma2_t * p.n_active * omega_r / getattr(p, fam.noise)
+        if fam.capped:
+            den = den + signal(p.a_n)
+        if fam.takes_sic:
+            den = den + p.varpi * rho * getattr(p, fam.residual) * zeta
+        return signal(getattr(p, fam.share)) / (den + 1.0)
 
 
 def derive(params: SystemParams) -> DerivedConstants:
     """Compute the derived constants for one operating point."""
-    omega_br = mean_channel_gain(params.d_br, params.alpha_p, params.beta0)
-    omega_rn = mean_channel_gain(params.d_rn, params.alpha_p, params.beta0)
-    omega_rf = mean_channel_gain(params.d_rf, params.alpha_p, params.beta0)
-    omega_re = mean_channel_gain(params.d_re, params.alpha_p, params.beta0)
     k2 = params.kappa**2
-    q = params.n_active
-    c_n = params.a_n * params.p_bs * k2
-    c_f = params.a_f * params.p_bs * k2
-    v_n = k2 * params.sigma2_t * q * omega_rn + params.sigma2
-    v_f = k2 * params.sigma2_t * q * omega_rf + params.sigma2
-    v_e1 = k2 * params.sigma2_t * q * omega_re + params.sigma2_e
-    v_e2 = k2 * params.sigma2_t * q * omega_rf + params.sigma2_e
     return DerivedConstants(
         params=params,
-        omega_br=omega_br,
-        omega_rn=omega_rn,
-        omega_rf=omega_rf,
-        omega_re=omega_re,
-        c_n=c_n,
-        c_f=c_f,
-        v_n=v_n,
-        v_f=v_f,
-        v_e1=v_e1,
-        v_e2=v_e2,
-        rho_e=params.p_bs / params.sigma2_e,
-        xi_f=_ratio(v_f, omega_br * omega_rf),
-        xi_e3=_ratio(v_e1, omega_br * omega_re),
-        xi_e4=_ratio(v_e2, c_n * omega_br * omega_rf),
+        omega_br=mean_channel_gain(params.d_br, params.alpha_p, params.beta0),
+        omega_rn=mean_channel_gain(params.d_rn, params.alpha_p, params.beta0),
+        omega_rf=mean_channel_gain(params.d_rf, params.alpha_p, params.beta0),
+        omega_re=mean_channel_gain(params.d_re, params.alpha_p, params.beta0),
+        c_n=params.a_n * params.p_bs * k2,
+        c_f=params.a_f * params.p_bs * k2,
     )
 
 
-def _check_sic(sic: str):
-    if sic not in SIC_MODES:
-        raise ValueError(f"sic must be one of {SIC_MODES}")
+# the residual-interference power of a ChannelDraw behind each residual gain
+_RESIDUAL_DRAW = {"omega_ipu": "ip_user", "omega_ipe": "ip_eve"}
 
 
-def _residual(params: SystemParams, ip_gain, sic: str):
-    if sic == "psic":
-        return 0.0
-    return params.varpi * params.p_bs * ip_gain
+def _sinr(family: str, params: SystemParams, draw, sic: str):
+    """The SinrFamily formula on exact per-draw gains, norms and residual powers;
+    array-valued draw fields broadcast, so one call scores a batch of trials."""
+    fam = SINR_FAMILIES[family]
+    k2 = params.kappa**2
+    gain = getattr(draw, "cascaded_gain_" + fam.receiver)
+    # in-place updates of this call's own temporaries save block-sized allocations
+    num = getattr(params, fam.share) * params.p_bs * k2 * gain
+    den = k2 * params.sigma2_t * getattr(draw, "norm_" + fam.receiver)
+    if fam.capped:
+        den += params.a_n * params.p_bs * k2 * gain
+    if fam.takes_sic:
+        if sic not in SIC_MODES:
+            raise ValueError(f"sic must be one of {SIC_MODES}")
+        if sic == "ipsic":
+            den += params.varpi * params.p_bs * getattr(draw, _RESIDUAL_DRAW[fam.residual])
+    den += getattr(params, fam.noise)
+    num /= den
+    return num
 
 
 def sinr_user_n(params: SystemParams, draw, sic: str):
-    """Exact SINR of the near user decoding its own stream after SIC.
-
-    draw supplies cascaded_gain_n, norm_n, ip_user; all array-valued inputs
-    broadcast, so one call scores a whole batch of trials.
-    """
-    _check_sic(sic)
-    k2 = params.kappa**2
-    num = params.a_n * params.p_bs * k2 * draw.cascaded_gain_n
-    den = (
-        k2 * params.sigma2_t * draw.norm_n
-        + _residual(params, draw.ip_user, sic)
-        + params.sigma2
-    )
-    return num / den
+    """Exact SINR of the near user decoding its own stream after SIC."""
+    return _sinr("user_n", params, draw, sic)
 
 
 def sinr_user_f(params: SystemParams, draw):
     """Exact SINR of the far user; bounded above by a_f / a_n."""
-    k2 = params.kappa**2
-    num = params.a_f * params.p_bs * k2 * draw.cascaded_gain_f
-    den = (
-        params.a_n * params.p_bs * k2 * draw.cascaded_gain_f
-        + k2 * params.sigma2_t * draw.norm_f
-        + params.sigma2
-    )
-    return num / den
+    return _sinr("user_f", params, draw, "psic")
 
 
 def sinr_eve_n(params: SystemParams, draw, sic: str):
     """Exact SINR of the external eavesdropper on the near user's stream."""
-    _check_sic(sic)
-    k2 = params.kappa**2
-    num = params.a_n * params.p_bs * k2 * draw.cascaded_gain_e
-    den = (
-        k2 * params.sigma2_t * draw.norm_e
-        + _residual(params, draw.ip_eve, sic)
-        + params.sigma2_e
-    )
-    return num / den
+    return _sinr("eve_n", params, draw, sic)
 
 
 def sinr_eve_f(params: SystemParams, draw):
     """Exact SINR of the external eavesdropper on the far user's stream."""
-    k2 = params.kappa**2
-    num = params.a_f * params.p_bs * k2 * draw.cascaded_gain_e
-    den = (
-        params.a_n * params.p_bs * k2 * draw.cascaded_gain_e
-        + k2 * params.sigma2_t * draw.norm_e
-        + params.sigma2_e
-    )
-    return num / den
+    return _sinr("eve_f", params, draw, "psic")
 
 
 def sinr_internal_f_to_n(params: SystemParams, draw):
-    """Exact SINR of the far user wiretapping the near user's stream.
-
-    The far user knows its own signal, so no NOMA interference term remains;
-    its wiretap front end sees sigma2_e.
-    """
-    k2 = params.kappa**2
-    num = params.a_n * params.p_bs * k2 * draw.cascaded_gain_f
-    den = k2 * params.sigma2_t * draw.norm_f + params.sigma2_e
-    return num / den
+    """Exact SINR of the far user wiretapping the near user's stream (it knows its own)."""
+    return _sinr("internal_f_to_n", params, draw, "psic")
 
 
 def sinr(family: str, params: SystemParams, draw, sic: str):

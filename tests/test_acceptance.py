@@ -140,13 +140,14 @@ def test_criterion_2_distribution_agreement():
 
     eve_forms = [
         ("eve_n_ipsic", lambda x: an.pdf_eve_n_ipsic(x, p),
-         lambda x: an._form(x, dc, "eve_n", "ipsic"), 600.0 / dc.xi_e1(0.0)),
+         lambda x: an._form(x, dc, "eve_n", "ipsic"), 600.0 / dc.scale("eve_n", 0.0)),
         ("eve_n_psic", lambda x: an.pdf_eve_n_psic(x, p),
-         lambda x: an._form(x, dc, "eve_n", "psic"), 600.0 / dc.xi_e1(0.0)),
+         lambda x: an._form(x, dc, "eve_n", "psic"), 600.0 / dc.scale("eve_n", 0.0)),
         ("eve_f", lambda x: an.pdf_eve_f(x, p),
          lambda x: an._form(x, dc, "eve_f", "psic"), p.a_f / p.a_n),
         ("internal_f_to_n", lambda x: an.pdf_internal_f_to_n(x, p),
-         lambda x: an._form(x, dc, "internal_f_to_n", "psic"), 600.0 / dc.xi_e4),
+         lambda x: an._form(x, dc, "internal_f_to_n", "psic"),
+         600.0 / dc.scale("internal_f_to_n", 0.0)),
     ]
     for name, pdf, cdf, hi in eve_forms:
         mass, quad_err = quad(pdf, 0.0, hi, limit=400,
@@ -196,7 +197,8 @@ def test_criterion_3_diversity_and_asymptotes():
     q = base.n_active
 
     exact = float(an.sop_curve_fixed_eavesdropper(base, "external_n", "psic", [hi])[0])
-    u = dc0.eps_n2() * dch.xi_n(0.0)
+    # the wiretap threshold stays at the base point, the legitimate scale moves with p_bs
+    u = (2.0**base.r_n * (1.0 + dc0.mean_sinr("eve_n", 0.0)) - 1.0) * dch.scale("user_n", 0.0)
     approx = u / (q - 1)
     gap = abs(approx - exact) / exact
     ok = gap <= 0.05
@@ -207,7 +209,7 @@ def test_criterion_3_diversity_and_asymptotes():
 
     t = default_table()
     fs = base.omega_ipu / (base.a_n * base.kappa**2 * dc0.omega_br * dc0.omega_rn)
-    eps0 = dc0.eps_n1(t.nodes)
+    eps0 = 2.0**base.r_n * (1.0 + dc0.mean_sinr("eve_n", t.nodes)) - 1.0
     floor = float(t.weights @ (kdist_cdf(q, eps0[:, None] * fs * t.nodes) @ t.weights))
     exact = float(an.sop_curve_fixed_eavesdropper(base, "external_n", "ipsic", [hi])[0])
     gap = abs(floor - exact) / exact

@@ -107,8 +107,7 @@ def _support_cut(name, p):
     fam = SINR_FAMILIES[LAWS[name][0]]
     if fam.capped:
         return p.a_f / p.a_n
-    scale = getattr(derive(p), fam.scale)
-    return 600.0 / (scale(0.0) if callable(scale) else scale)
+    return 600.0 / derive(p).scale(fam, 0.0)
 
 
 def test_law_registry_resolves():
@@ -116,14 +115,15 @@ def test_law_registry_resolves():
     dc = derive(p)
     assert len(LAWS) == 7 and len(WIRETAP_LAWS) == 4
     for family, fam in SINR_FAMILIES.items():
-        # a real DerivedConstants scale: a positive constant or a method of the residual power
-        assert fam.scale in DerivedConstants.__dataclass_fields__ or callable(
-            getattr(DerivedConstants, fam.scale, None)), family
-        scale = getattr(dc, fam.scale)
+        # the row names the SystemParams fields and the receiver's
+        # DerivedConstants mean gain that dc.scale reads
+        assert {fam.share, fam.noise} | {fam.residual} - {None} <= set(p.__dataclass_fields__)
+        assert "omega_r" + fam.receiver in DerivedConstants.__dataclass_fields__, family
         for sic in SIC_MODES:
-            value = scale if not callable(scale) else scale(
-                default_table().nodes if sic == "ipsic" else 0.0)
+            value = dc.scale(family, default_table().nodes if sic == "ipsic" else 0.0)
             assert np.all(np.isfinite(value)) and np.all(np.asarray(value) > 0.0), (family, sic)
+            # a quadrature axis exactly where the residual power enters
+            assert np.ndim(value) == int(fam.takes_sic and sic == "ipsic"), (family, sic)
         assert callable(getattr(model, fam.function)) and fam.distance in p.__dataclass_fields__
     # every single-event scenario resolves to registry families and a closed form
     for scenario, events in SCENARIOS.items():
@@ -196,10 +196,15 @@ def test_pdf_of_unreachable_wiretap_receiver(name):
 # independent re-derivations of the outage expressions
 
 
+def _threshold(dc, wiretap, rate, zeta):
+    """2^R (1 + mean-field wiretap SINR) - 1."""
+    return 2.0**rate * (1.0 + dc.mean_sinr(wiretap, zeta)) - 1.0
+
+
 def test_external_n_psic_rederived():
     p = make_params()
     dc = derive(p)
-    want = 1.0 - kdist_sf(p.n_active, dc.eps_n2() * dc.xi_n(0.0))
+    want = 1.0 - kdist_sf(p.n_active, _threshold(dc, "eve_n", p.r_n, 0.0) * dc.scale("user_n", 0.0))
     assert sop(p, "external_n", "psic").value == pytest.approx(want, rel=1e-14)
 
 
@@ -209,28 +214,30 @@ def test_external_n_ipsic_rederived_by_double_loop():
     t = gauss_laguerre(64)
     total = 0.0
     for ws, zs in zip(t.weights, t.nodes):
-        eps = dc.eps_n1(zs)
+        eps = _threshold(dc, "eve_n", p.r_n, zs)
         for wd, zd in zip(t.weights, t.nodes):
-            total += ws * wd * float(kdist_cdf(p.n_active, eps * dc.xi_n(zd)))
+            total += ws * wd * float(kdist_cdf(p.n_active, eps * dc.scale("user_n", zd)))
     assert sop(p, "external_n", "ipsic").value == pytest.approx(total, rel=1e-12)
 
 
 def test_external_f_rederived():
     p = make_params()
     dc = derive(p)
-    eps = dc.eps_f()
-    want = 1.0 - kdist_sf(p.n_active, eps * dc.xi_f / (dc.c_f - eps * dc.c_n))
+    eps = _threshold(dc, "eve_f", p.r_f, 0.0)
+    want = 1.0 - kdist_sf(p.n_active, eps * dc.scale("user_f", 0.0) / (dc.c_f - eps * dc.c_n))
     assert sop(p, "external_f", "psic").value == pytest.approx(want, rel=1e-14)
 
 
 def test_internal_rederived():
     p = make_params()
     dc = derive(p)
-    eps = dc.eps_fn()
-    want_psic = 1.0 - kdist_sf(p.n_active, eps * dc.xi_n(0.0))
+    eps = _threshold(dc, "internal_f_to_n", p.r_n, 0.0)
+    want_psic = 1.0 - kdist_sf(p.n_active, eps * dc.scale("user_n", 0.0))
     assert sop(p, "internal", "psic").value == pytest.approx(want_psic, rel=1e-14)
     t = gauss_laguerre(64)
-    want_ipsic = float(kdist_cdf(p.n_active, eps * dc.xi_e5(t.nodes)) @ t.weights)
+    # the cited closed form couples the eavesdropper's residual gain into the user law
+    user_n_ipe = SINR_FAMILIES["user_n"]._replace(residual="omega_ipe")
+    want_ipsic = float(kdist_cdf(p.n_active, eps * dc.scale(user_n_ipe, t.nodes)) @ t.weights)
     assert sop(p, "internal", "ipsic").value == pytest.approx(want_ipsic, rel=1e-12)
 
 
@@ -369,7 +376,7 @@ def test_asymptote_small_argument_form():
     # a distant eavesdropper keeps the outage argument inside the regime
     p = make_params(p_bs=10.0, d_re=2000.0)
     dc = derive(p)
-    u = dc.eps_n2() * dc.xi_n(0.0)
+    u = _threshold(dc, "eve_n", p.r_n, 0.0) * dc.scale("user_n", 0.0)
     assert u < 0.1
     est = sop_asymptotic(p, "external_n", "psic")
     assert est.flags == ()
@@ -381,7 +388,7 @@ def test_asymptote_single_element_log_form():
         p_bs=10.0, d_re=2000.0, n_elements=40, n_groups=40, n_active=1
     )
     dc = derive(p)
-    u = dc.eps_n2() * dc.xi_n(0.0)
+    u = _threshold(dc, "eve_n", p.r_n, 0.0) * dc.scale("user_n", 0.0)
     est = sop_asymptotic(p, "external_n", "psic")
     assert est.value == pytest.approx(-u * math.log(u), rel=1e-14)
 

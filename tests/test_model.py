@@ -3,10 +3,11 @@
 Groups: mean path gain arithmetic and domain handling; derived-constant
 hand values (signal coefficients, mean-field noise, argument scales);
 threshold algebra including the perfect-SIC collapse at varpi = 0;
-straight-line SINR oracles on synthetic draws; structural SINR facts
-(far-user ceiling, SIC ordering, power monotonicity); the scenario
-registry; dataclass invariant enforcement, NaN in every float field
-included.
+straight-line SINR oracles on synthetic draws; the per-family hand formulas
+the registry replaced, matched bit for bit on seeded operating points;
+structural SINR facts (far-user ceiling, SIC ordering, power monotonicity);
+the scenario registry; dataclass invariant enforcement, NaN in every float
+field included.
 """
 
 import dataclasses
@@ -17,9 +18,11 @@ import numpy as np
 import pytest
 
 from ris_secrecy import model
+from ris_secrecy.analytic import _thresholds, default_table
 from ris_secrecy.model import (
     SCENARIOS,
     SINR_FAMILIES,
+    DerivedConstants,
     SystemParams,
     derive,
     mean_channel_gain,
@@ -30,8 +33,12 @@ from ris_secrecy.model import (
     sinr_user_f,
     sinr_user_n,
 )
+from ris_secrecy.montecarlo import ChannelDraw
 
 from conftest import BASELINE, make_params, make_passive
+
+# the cited internal/ipSIC user-side law: user_n with the eavesdropper's residual gain
+USER_N_IPE = SINR_FAMILIES["user_n"]._replace(residual="omega_ipe")
 
 
 def test_mean_channel_gain_values():
@@ -59,15 +66,17 @@ def test_derive_hand_values():
     assert dc.omega_br == pytest.approx(w_br, rel=1e-15)
     assert dc.c_n == pytest.approx(p.a_n * p.p_bs * k2, rel=1e-15)
     assert dc.c_f == pytest.approx(p.a_f * p.p_bs * k2, rel=1e-15)
-    assert dc.v_n == pytest.approx(k2 * p.sigma2_t * p.n_active * w_rn + p.sigma2, rel=1e-15)
-    assert dc.v_e1 == pytest.approx(k2 * p.sigma2_t * p.n_active * w_re + p.sigma2_e, rel=1e-15)
-    assert dc.v_e2 == pytest.approx(k2 * p.sigma2_t * p.n_active * w_rf + p.sigma2_e, rel=1e-15)
-    assert dc.rho_e == pytest.approx(p.p_bs / p.sigma2_e, rel=1e-15)
-    assert dc.xi_f == pytest.approx(dc.v_f / (w_br * w_rf), rel=1e-14)
-    assert dc.xi_e1(0.0) == pytest.approx(dc.v_e1 / (dc.c_n * w_br * w_re), rel=1e-14)
-    assert dc.xi_e3 == pytest.approx(dc.v_e1 / (w_br * w_re), rel=1e-14)
-    assert dc.xi_e4 == pytest.approx(dc.v_e2 / (dc.c_n * w_br * w_rf), rel=1e-14)
-    assert dc.xi_n(0.0) == pytest.approx(dc.v_n / (dc.c_n * w_br * w_rn), rel=1e-14)
+    # mean-field noise: RIS thermal noise over the Q active elements + receiver noise
+    v_n = k2 * p.sigma2_t * p.n_active * w_rn + p.sigma2
+    v_f = k2 * p.sigma2_t * p.n_active * w_rf + p.sigma2
+    v_e1 = k2 * p.sigma2_t * p.n_active * w_re + p.sigma2_e
+    v_e2 = k2 * p.sigma2_t * p.n_active * w_rf + p.sigma2_e
+    assert dc.scale("user_f", 0.0) == pytest.approx(v_f / (w_br * w_rf), rel=1e-14)
+    assert dc.scale("eve_n", 0.0) == pytest.approx(v_e1 / (dc.c_n * w_br * w_re), rel=1e-14)
+    assert dc.scale("eve_f", 0.0) == pytest.approx(v_e1 / (w_br * w_re), rel=1e-14)
+    assert dc.scale("internal_f_to_n", 0.0) == pytest.approx(
+        v_e2 / (dc.c_n * w_br * w_rf), rel=1e-14)
+    assert dc.scale("user_n", 0.0) == pytest.approx(v_n / (dc.c_n * w_br * w_rn), rel=1e-14)
 
 
 def test_amplification_scales_quadratically():
@@ -80,39 +89,41 @@ def test_amplification_scales_quadratically():
 def test_passive_noise_is_receiver_only():
     dc = derive(make_passive())
     p = dc.params
-    assert dc.v_n == p.sigma2
-    assert dc.v_f == p.sigma2
-    assert dc.v_e1 == p.sigma2_e
-    assert dc.v_e2 == p.sigma2_e
+    assert dc.scale("user_n", 0.0) == p.sigma2 / (dc.c_n * dc.omega_br * dc.omega_rn)
+    assert dc.scale("user_f", 0.0) == p.sigma2 / (dc.omega_br * dc.omega_rf)
+    assert dc.scale("eve_n", 0.0) == p.sigma2_e / (dc.c_n * dc.omega_br * dc.omega_re)
+    assert dc.scale("internal_f_to_n", 0.0) == p.sigma2_e / (dc.c_n * dc.omega_br * dc.omega_rf)
 
 
 def test_threshold_hand_value():
     p = make_params()
     dc = derive(p)
-    gain = p.a_n * dc.rho_e * p.kappa**2 * p.n_active * dc.omega_br * dc.omega_re
+    rho_e = p.p_bs / p.sigma2_e
+    gain = p.a_n * rho_e * p.kappa**2 * p.n_active * dc.omega_br * dc.omega_re
     thermal = p.kappa**2 * p.sigma2_t * p.n_active * dc.omega_re / p.sigma2_e
     expected = 2.0**p.r_n * (1.0 + gain / (thermal + 1.0)) - 1.0
-    assert dc.eps_n2() == pytest.approx(expected, rel=1e-14)
+    assert 2.0**p.r_n * (1.0 + dc.mean_sinr("eve_n", 0.0)) - 1.0 == pytest.approx(
+        expected, rel=1e-14)
     # the residual term only makes the wiretap worse off, so the
     # zeta-dependent threshold can never exceed the perfect-SIC one
     for zeta in (0.1, 1.0, 17.0):
-        assert dc.eps_n1(zeta) <= dc.eps_n2()
+        assert dc.mean_sinr("eve_n", zeta) <= dc.mean_sinr("eve_n", 0.0)
 
 
 def test_perfect_sic_collapses_residual_terms():
     dc = derive(make_params(varpi=0.0))
     for zeta in (0.0, 0.3, 5.0, 200.0):
-        assert dc.eps_n1(zeta) == dc.eps_n2()
-        assert dc.xi_n(zeta) == dc.xi_n(0.0)
-        assert dc.xi_e1(zeta) == dc.xi_e1(0.0)
-        assert dc.xi_e5(zeta) == dc.xi_e5(0.0)
+        assert dc.mean_sinr("eve_n", zeta) == dc.mean_sinr("eve_n", 0.0)
+        assert dc.scale("user_n", zeta) == dc.scale("user_n", 0.0)
+        assert dc.scale("eve_n", zeta) == dc.scale("eve_n", 0.0)
+        assert dc.scale(USER_N_IPE, zeta) == dc.scale(USER_N_IPE, 0.0)
 
 
 def test_zero_near_share_saturates_scales():
     dc = derive(make_params(a_f=1.0, a_n=0.0))
     assert dc.c_n == 0.0
-    assert dc.xi_n(0.0) == math.inf
-    assert dc.xi_e1(0.0) == math.inf
+    assert dc.scale("user_n", 0.0) == math.inf
+    assert dc.scale("eve_n", 0.0) == math.inf
 
 
 def _draw(**kw):
@@ -186,6 +197,17 @@ def test_registry_dispatches_to_the_sinr_functions():
             want = fn(p, d, sic) if fam.takes_sic else fn(p, d)
             assert sinr(family, p, d, sic) == want, (family, sic)
         assert math.isfinite(getattr(p, fam.distance))
+        # a row is data: its share, noise, residual gain and distance name
+        # SystemParams fields, its receiver a ChannelDraw gain and norm and a
+        # DerivedConstants mean gain
+        params_fields = {f.name for f in dataclasses.fields(SystemParams)}
+        draw_fields = {f.name for f in dataclasses.fields(ChannelDraw)}
+        assert {fam.share, fam.noise, fam.distance} <= params_fields, family
+        if fam.takes_sic:
+            assert fam.residual in params_fields
+            assert model._RESIDUAL_DRAW[fam.residual] in draw_fields
+        assert {"cascaded_gain_" + fam.receiver, "norm_" + fam.receiver} <= draw_fields
+        assert "omega_r" + fam.receiver in {f.name for f in dataclasses.fields(DerivedConstants)}
     # every outage event pairs known families with a SystemParams rate field
     for events in SCENARIOS.values():
         for legit, eve, rate in events:
@@ -193,6 +215,196 @@ def test_registry_dispatches_to_the_sinr_functions():
             assert getattr(p, rate) >= 0.0
     with pytest.raises(ValueError):
         sinr("nobody", p, d, "psic")
+
+
+# ---------------------------------------------------------------------------
+# the hand formulas the registry replaced: one exact SINR per family, the
+# mean-field noise sums v_*, the CDF argument scales xi_* and the wiretap
+# thresholds eps_*.  The registry code must reproduce every one bit for bit.
+
+
+def ref_residual(p, ip_gain, sic):
+    return 0.0 if sic == "psic" else p.varpi * p.p_bs * ip_gain
+
+
+def ref_sinr_user_n(p, d, sic):
+    k2 = p.kappa**2
+    num = p.a_n * p.p_bs * k2 * d.cascaded_gain_n
+    return num / (k2 * p.sigma2_t * d.norm_n + ref_residual(p, d.ip_user, sic) + p.sigma2)
+
+
+def ref_sinr_user_f(p, d):
+    k2 = p.kappa**2
+    num = p.a_f * p.p_bs * k2 * d.cascaded_gain_f
+    return num / (p.a_n * p.p_bs * k2 * d.cascaded_gain_f + k2 * p.sigma2_t * d.norm_f + p.sigma2)
+
+
+def ref_sinr_eve_n(p, d, sic):
+    k2 = p.kappa**2
+    num = p.a_n * p.p_bs * k2 * d.cascaded_gain_e
+    return num / (k2 * p.sigma2_t * d.norm_e + ref_residual(p, d.ip_eve, sic) + p.sigma2_e)
+
+
+def ref_sinr_eve_f(p, d):
+    k2 = p.kappa**2
+    num = p.a_f * p.p_bs * k2 * d.cascaded_gain_e
+    return num / (p.a_n * p.p_bs * k2 * d.cascaded_gain_e + k2 * p.sigma2_t * d.norm_e
+                  + p.sigma2_e)
+
+
+def ref_sinr_internal_f_to_n(p, d):
+    k2 = p.kappa**2
+    return p.a_n * p.p_bs * k2 * d.cascaded_gain_f / (k2 * p.sigma2_t * d.norm_f + p.sigma2_e)
+
+
+def ref_v_n(p, dc):
+    return p.kappa**2 * p.sigma2_t * p.n_active * dc.omega_rn + p.sigma2
+
+
+def ref_v_f(p, dc):
+    return p.kappa**2 * p.sigma2_t * p.n_active * dc.omega_rf + p.sigma2
+
+
+def ref_v_e1(p, dc):
+    return p.kappa**2 * p.sigma2_t * p.n_active * dc.omega_re + p.sigma2_e
+
+
+def ref_v_e2(p, dc):
+    return p.kappa**2 * p.sigma2_t * p.n_active * dc.omega_rf + p.sigma2_e
+
+
+def ref_ratio(num, den):
+    return num / den if den > 0.0 else math.inf
+
+
+def ref_xi_f(p, dc):
+    return ref_ratio(ref_v_f(p, dc), dc.omega_br * dc.omega_rf)
+
+
+def ref_xi_e3(p, dc):
+    return ref_ratio(ref_v_e1(p, dc), dc.omega_br * dc.omega_re)
+
+
+def ref_xi_e4(p, dc):
+    return ref_ratio(ref_v_e2(p, dc), dc.c_n * dc.omega_br * dc.omega_rf)
+
+
+def ref_xi_n(p, dc, zeta):
+    num = ref_v_n(p, dc) + p.varpi * p.p_bs * p.omega_ipu * zeta
+    den = dc.c_n * dc.omega_br * dc.omega_rn
+    return num / den if den > 0.0 else num * math.inf
+
+
+def ref_xi_e1(p, dc, zeta):
+    num = ref_v_e1(p, dc) + p.varpi * p.p_bs * p.omega_ipe * zeta
+    den = dc.c_n * dc.omega_br * dc.omega_re
+    return num / den if den > 0.0 else num * math.inf
+
+
+def ref_xi_e5(p, dc, zeta):
+    num = ref_v_n(p, dc) + p.varpi * p.p_bs * p.omega_ipe * zeta
+    den = dc.c_n * dc.omega_br * dc.omega_rn
+    return num / den if den > 0.0 else num * math.inf
+
+
+def ref_eve_gain(p, dc, a_frac):
+    return a_frac * (p.p_bs / p.sigma2_e) * p.kappa**2 * p.n_active * dc.omega_br * dc.omega_re
+
+
+def ref_eve_thermal(p, dc):
+    return p.kappa**2 * p.sigma2_t * p.n_active * dc.omega_re / p.sigma2_e
+
+
+def ref_eps_n1(p, dc, zeta):
+    rho_e = p.p_bs / p.sigma2_e
+    mean = ref_eve_gain(p, dc, p.a_n) / (
+        ref_eve_thermal(p, dc) + p.varpi * rho_e * p.omega_ipe * zeta + 1.0)
+    return 2.0**p.r_n * (1.0 + mean) - 1.0
+
+
+def ref_eps_n2(p, dc):
+    return 2.0**p.r_n * (1.0 + ref_eve_gain(p, dc, p.a_n) / (ref_eve_thermal(p, dc) + 1.0)) - 1.0
+
+
+def ref_eps_f(p, dc):
+    mean = ref_eve_gain(p, dc, p.a_f) / (
+        ref_eve_thermal(p, dc) + ref_eve_gain(p, dc, p.a_n) + 1.0)
+    return 2.0**p.r_f * (1.0 + mean) - 1.0
+
+
+def ref_eps_fn(p, dc):
+    gain = p.a_n * (p.p_bs / p.sigma2_e) * p.kappa**2 * p.n_active * dc.omega_br * dc.omega_rf
+    thermal = p.kappa**2 * p.sigma2_t * p.n_active * dc.omega_rf / p.sigma2_e
+    return 2.0**p.r_n * (1.0 + gain / (thermal + 1.0)) - 1.0
+
+
+def _oracle_points(count: int, seed: int):
+    """Seeded operating points with Q in 1..64 that hit every degenerate branch:
+    a_n = 0, an unreachable eavesdropper, a passive surface with no thermal
+    noise, varpi = 0 and zero residual gains."""
+    rng = np.random.default_rng(seed)
+
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    for i in range(count):
+        q, groups = int(rng.integers(1, 65)), int(rng.integers(1, 4))
+        passive = i % 5 == 0
+        a_n = 0.0 if i % 7 == 0 else u(0.01, 0.49)
+        yield SystemParams(
+            d_br=u(1, 100), d_rn=u(1, 100), d_rf=u(1, 100),
+            d_re=math.inf if i % 6 == 0 else u(1, 100), alpha_p=u(1.5, 4.0),
+            beta0=10 ** u(-4, -2), n_elements=q * groups, n_groups=groups, n_active=q,
+            kappa=1.0 if passive else u(1.0, 30.0), sigma2=10 ** u(-12, -6),
+            sigma2_e=10 ** u(-12, -6), sigma2_t=0.0 if passive else 10 ** u(-10, -4),
+            a_f=1.0 - a_n, a_n=a_n, r_f=u(0.0, 2.0), r_n=u(0.0, 2.0),
+            varpi=0.0 if i % 4 == 0 else u(0.0, 1.0),
+            omega_ipu=0.0 if i % 9 == 0 else 10 ** u(-10, -6),
+            omega_ipe=0.0 if i % 8 == 0 else 10 ** u(-10, -6), p_bs=10 ** u(-4, 1),
+        )
+
+
+def _oracle_draw(rng, n=32):
+    # synthetic per-trial quantities, a few of them exactly zero
+    def field(lo, hi):
+        x = 10.0 ** rng.uniform(lo, hi, n)
+        x[rng.random(n) < 0.1] = 0.0
+        return x
+
+    return _draw(cascaded_gain_n=field(-14, -5), cascaded_gain_f=field(-14, -5),
+                 cascaded_gain_e=field(-14, -5), norm_n=field(-9, -3), norm_f=field(-9, -3),
+                 norm_e=field(-9, -3), ip_user=field(-12, -6), ip_eve=field(-12, -6))
+
+
+def test_registry_formulas_match_the_hand_formulas_bit_for_bit():
+    exact = {"user_n": ref_sinr_user_n, "user_f": ref_sinr_user_f, "eve_n": ref_sinr_eve_n,
+             "eve_f": ref_sinr_eve_f, "internal_f_to_n": ref_sinr_internal_f_to_n}
+    table = default_table()
+    rng = np.random.default_rng(7)
+    for p in _oracle_points(400, seed=20261018):
+        dc = derive(p)
+        d = _oracle_draw(rng)
+        for family, ref in exact.items():
+            for sic in ("ipsic", "psic"):
+                want = ref(p, d, sic) if SINR_FAMILIES[family].takes_sic else ref(p, d)
+                assert np.array_equal(sinr(family, p, d, sic), want), (family, sic, p)
+        for zeta in (0.0, table.nodes):
+            for got, want in ((dc.scale("user_n", zeta), ref_xi_n(p, dc, zeta)),
+                              (dc.scale("eve_n", zeta), ref_xi_e1(p, dc, zeta)),
+                              (dc.scale(USER_N_IPE, zeta), ref_xi_e5(p, dc, zeta)),
+                              (dc.scale("user_f", zeta), ref_xi_f(p, dc)),
+                              (dc.scale("eve_f", zeta), ref_xi_e3(p, dc)),
+                              (dc.scale("internal_f_to_n", zeta), ref_xi_e4(p, dc))):
+                assert np.shape(got) == np.shape(want) and np.array_equal(got, want), p
+        for scenario, sic, want in (("external_n", "ipsic", ref_eps_n1(p, dc, table.nodes)),
+                                    ("external_n", "psic", [ref_eps_n2(p, dc)]),
+                                    ("external_f", "ipsic", [ref_eps_f(p, dc)]),
+                                    ("external_f", "psic", [ref_eps_f(p, dc)]),
+                                    ("internal", "ipsic", [ref_eps_fn(p, dc)]),
+                                    ("internal", "psic", [ref_eps_fn(p, dc)])):
+            tau, _ = _thresholds(dc, scenario, sic, table)
+            assert np.array_equal(tau, want), (scenario, sic, p)
+        assert ref_eps_n1(p, dc, 0.0) == ref_eps_n2(p, dc)
 
 
 def test_far_user_sinr_ceiling():
