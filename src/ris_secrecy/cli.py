@@ -53,7 +53,8 @@ from .analytic import (
 from .budget import BudgetInfeasibleError
 from .config import ConfigError, ScenarioConfig, load_config, load_preset, list_presets, realize_point
 from .model import scenario_rate
-from .montecarlo import empirical_sinr_cdfs, estimate_sop_grid, sinr_samples
+# sinr_samples is unused here; perfbench/spans.py wraps it by this name
+from .montecarlo import empirical_sinr_cdfs, estimate_sop_grid, sample_draw, sinr_samples
 from .specfun import gauss_laguerre
 
 __all__ = ["main", "run_sweep", "validate_point"]
@@ -332,11 +333,11 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     otherwise; CDFs get 3 sigma + 0.005 absolute, densities 3 sigma + 2.5
     percent of the interval mass.  Wiretap checks whose receiver has zero
     mean gain are reported as skipped.  All SOP rows share one draw stream,
-    and the CDF and density checks of each surface mode share another.
+    and the CDF and density checks of each surface mode share another; the
+    pilots of each mode are scored on one draw of that stream's first trials.
     """
-    checks, sop_rows, pending = [], [], {}
+    checks, sop_rows, pending, pilots = [], [], {}, {}
     seen = set()
-    pilot = min(trials, 1 << 16)
     for scenario, sic, mode in cfg.sweep.scenarios:
         events = model.SCENARIOS[scenario]
         if len(events) > 1:
@@ -353,6 +354,8 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
             continue
         sop_rows.append((len(checks), params, scenario, sic, mode))
         checks.append(None)
+        if mode not in pilots:
+            pilots[mode] = sample_draw(params, min(trials, 1 << 16), seed)
 
         legit, eve, _ = events[0]
         for kind, family, plan, finish in (("cdf", legit, _cdf_plan, _cdf_result),
@@ -362,12 +365,14 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
                 continue
             seen.add((family, family_sic, mode))
             base = {"check": kind, "scenario": family, "sic": family_sic, "mode": mode}
-            points, why = plan(params, family, family_sic, seed, pilot)
+            gamma = model.sinr(family, params, pilots[mode], family_sic)
+            points, why = plan(params, family, gamma)
             if points is None:
                 checks.append({**base, "status": "skip", "detail": why})
                 continue
             pending.setdefault(mode, (params, []))[1].append((len(checks), points, finish))
             checks.append(base)
+    pilots = gamma = None  # release the pilot draws before the scoring passes
 
     results = estimate_sop_grid([row[1:4] for row in sop_rows], trials, seed)
     for (i, params, scenario, sic, mode), mres in zip(sop_rows, results):
@@ -395,9 +400,8 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     return checks
 
 
-def _cdf_plan(params, family, sic, seed, pilot):
+def _cdf_plan(params, family, gamma):
     """Pilot-quantile thresholds of a CDF check, or None and the reason to skip it."""
-    gamma = sinr_samples(params, family, pilot, seed, sic=sic)
     if not np.all(np.isfinite(gamma)) or float(np.max(gamma)) <= 0.0:
         return None, "degenerate SINR (zero mean gain)"
     thresholds = np.quantile(gamma, np.linspace(0.1, 0.9, 9))
@@ -427,13 +431,12 @@ def _simpson(y, h: float) -> float:
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
-def _pdf_plan(params, family, sic, seed, pilot):
+def _pdf_plan(params, family, gamma):
     """Pilot interquartile interval of a density check, or None and the reason to skip it."""
     # an infinitely distant wiretap receiver has zero mean gain
     dist = getattr(params, model.SINR_FAMILIES[family].distance)
     if not math.isfinite(dist):
         return None, "zero mean gain at the wiretap"
-    gamma = sinr_samples(params, family, pilot, seed, sic=sic)
     lo, hi = (float(q) for q in np.quantile(gamma, [0.25, 0.75]))
     if not 0.0 < lo < hi:
         return None, "degenerate pilot interval"

@@ -18,10 +18,15 @@ A config file is a single JSON object with four blocks::
       }
     }
 
-dB-valued fields carry a ``_db`` suffix and dBm-valued power fields a
-``_dbm`` suffix; they are converted to linear watts/ratios here, exactly
-once, and the rest of the package never sees decibels.  Plain (unsuffixed)
-field names are accepted too and are taken as already-linear.
+The schema of the two numeric blocks is data: ``_PARAM_FIELDS`` and
+``_BUDGET_FIELDS`` map each field to its decibel suffix, ``""`` for a
+linear-only field, ``"_db"`` for a dB ratio and ``"_dbm"`` for a dBm power.
+A field is given once: under its plain name, taken as already linear, or
+under its suffixed name, converted to linear watts/ratios here, exactly
+once; the rest of the package never sees decibels.  One block parser,
+``_block``, applies that table and rejects unknown keys.  The budget's own
+rules (positive total, nonnegative terms, surface mode) are PowerBudget's,
+and the per-variable sweep rules are ``_with_sweep_value``'s.
 
 Naming note: ``params.alpha_p`` is the path-loss exponent.  The *sweep
 variable* ``alpha_p`` is the power-offset factor instead: it sets the NOMA
@@ -58,14 +63,15 @@ __all__ = [
 SWEEP_VARIABLES = ("p_tot_dbm", "kappa", "n_elements", "alpha_p", "sigma2_t_dbm", "rate")
 ENGINES = ("analytic", "asymptotic", "montecarlo")
 
-_DBM_FIELDS = ("sigma2", "sigma2_e", "sigma2_t")
-_DB_FIELDS = ("beta0", "omega_ipu", "omega_ipe")
-_PLAIN_PARAM_FIELDS = (
-    "d_br", "d_rn", "d_rf", "d_re", "alpha_p",
-    "n_elements", "n_groups", "n_active", "kappa",
-    "a_f", "a_n", "r_f", "r_n", "varpi",
-)
-_BUDGET_DBM_FIELDS = ("p_tot", "p_ris", "p_ps", "p_dc")
+# field -> decibel suffix of its second spelling ("" when it has none)
+_PARAM_FIELDS = {
+    "d_br": "", "d_rn": "", "d_rf": "", "d_re": "", "alpha_p": "", "beta0": "_db",
+    "n_elements": "", "n_groups": "", "n_active": "", "kappa": "",
+    "sigma2": "_dbm", "sigma2_e": "_dbm", "sigma2_t": "_dbm",
+    "a_f": "", "a_n": "", "r_f": "", "r_n": "", "varpi": "",
+    "omega_ipu": "_db", "omega_ipe": "_db",
+}
+_BUDGET_FIELDS = {"p_tot": "_dbm", "p_ris": "_dbm", "p_ps": "_dbm", "p_dc": "_dbm"}
 
 
 class ConfigError(ValueError):
@@ -118,8 +124,7 @@ class SweepSpec:
             raise ConfigError("sweep.values", "must be strictly monotone")
         if not self.scenarios:
             raise ConfigError("sweep.scenarios", "must be nonempty")
-        for row in self.scenarios:
-            scenario, sic, mode = row
+        for scenario, sic, mode in self.scenarios:
             if scenario not in SCENARIOS:
                 raise ConfigError("sweep.scenarios", f"unknown scenario {scenario!r}")
             if sic not in SIC_MODES:
@@ -152,25 +157,37 @@ class ScenarioConfig:
     sweep: SweepSpec
 
 
-def _pick(block: dict, field: str, *, dbm: bool = False, db: bool = False):
-    """Fetch a field that may appear in linear or suffixed decibel form."""
-    suffix = "_dbm" if dbm else "_db" if db else None
-    names = [field] + ([field + suffix] if suffix else [])
-    present = [n for n in names if n in block]
-    if len(present) > 1:
-        raise ConfigError(field, f"give only one of {names}")
-    if not present:
-        return None
-    raw = block[present[0]]
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        raise ConfigError(present[0], "must be a number")
-    if math.isnan(raw):
-        raise ConfigError(present[0], "must not be NaN")
-    if present[0].endswith("_dbm"):
-        return dbm_to_watts(float(raw))
-    if present[0].endswith("_db"):
-        return db_to_linear(float(raw))
-    return float(raw)
+_TO_LINEAR = {"": float, "_db": db_to_linear, "_dbm": dbm_to_watts}
+
+
+def _block(doc: dict, name: str, fields: dict, extra_keys=()) -> dict:
+    """One block of the document: its fields in linear units, its extra keys as given.
+
+    Each field may appear under its plain name or with its suffix from
+    `fields`, not both, and must be a number other than NaN.
+    """
+    block = doc.get(name)
+    if not isinstance(block, dict):
+        raise ConfigError(name, "must be an object")
+    known = {*fields, *(f + suffix for f, suffix in fields.items()), *extra_keys}
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"{name}.{key}", "unknown field")
+    out = {key: block[key] for key in extra_keys if key in block}
+    for field, suffix in fields.items():
+        names = [field] + ([field + suffix] if suffix else [])
+        given = [n for n in names if n in block]
+        if len(given) > 1:
+            raise ConfigError(field, f"give only one of {names}")
+        if not given:
+            continue
+        raw = block[given[0]]
+        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+            raise ConfigError(given[0], "must be a number")
+        if math.isnan(raw):
+            raise ConfigError(given[0], "must not be NaN")
+        out[field] = _TO_LINEAR[given[0][len(field):]](float(raw))
+    return out
 
 
 def _finite(field: str, raw) -> float:
@@ -179,48 +196,15 @@ def _finite(field: str, raw) -> float:
     return float(raw)
 
 
-def _known_keys() -> tuple[set[str], set[str]]:
-    params = set(_PLAIN_PARAM_FIELDS)
-    for f in _DBM_FIELDS:
-        params.update((f, f + "_dbm"))
-    for f in _DB_FIELDS:
-        params.update((f, f + "_db"))
-    budget = {"mode", "ris_fraction"}
-    for f in _BUDGET_DBM_FIELDS:
-        budget.update((f, f + "_dbm"))
-    return params, budget
-
-
 def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
     """Validate and resolve a parsed JSON document into a ScenarioConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "document must be a JSON object")
-    known_params, known_budget = _known_keys()
 
-    pblock = doc.get("params")
-    if not isinstance(pblock, dict):
-        raise ConfigError("params", "must be an object")
-    for key in pblock:
-        if key not in known_params:
-            raise ConfigError(f"params.{key}", "unknown field")
-
-    values = {}
-    for f in _PLAIN_PARAM_FIELDS:
-        got = _pick(pblock, f)
-        if got is not None:
-            values[f] = got
-    for f in _DBM_FIELDS:
-        got = _pick(pblock, f, dbm=True)
-        if got is not None:
-            values[f] = got
-    for f in _DB_FIELDS:
-        got = _pick(pblock, f, db=True)
-        if got is not None:
-            values[f] = got
-
+    values = _block(doc, "params", _PARAM_FIELDS)
     for f in ("n_elements", "n_active", "n_groups"):
         if f in values:
-            if values[f] != int(values[f]):
+            if not values[f].is_integer():
                 raise ConfigError(f"params.{f}", "must be an integer")
             values[f] = int(values[f])
     # accept any two of M = P*Q and derive the third
@@ -246,17 +230,10 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
     if missing:
         raise ConfigError(f"params.{missing[0]}", "required field missing")
 
-    bblock = doc.get("budget")
-    if not isinstance(bblock, dict):
-        raise ConfigError("budget", "must be an object")
-    for key in bblock:
-        if key not in known_budget:
-            raise ConfigError(f"budget.{key}", "unknown field")
-    p_tot = _pick(bblock, "p_tot", dbm=True)
-    if p_tot is None:
+    b = _block(doc, "budget", _BUDGET_FIELDS, ("mode", "ris_fraction"))
+    if "p_tot" not in b:
         raise ConfigError("budget.p_tot", "required field missing")
-    p_ris = _pick(bblock, "p_ris", dbm=True)
-    ris_fraction = bblock.get("ris_fraction")
+    p_ris, ris_fraction = b.get("p_ris"), b.get("ris_fraction")
     if p_ris is not None and ris_fraction is not None:
         raise ConfigError("budget.ris_fraction", "give either p_ris or ris_fraction")
     if p_ris is None and ris_fraction is None:
@@ -265,32 +242,25 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
         if not isinstance(ris_fraction, (int, float)) or not 0.0 <= ris_fraction < 1.0:
             raise ConfigError("budget.ris_fraction", "must lie in [0, 1)")
         ris_fraction = float(ris_fraction)
-        p_ris = ris_fraction * p_tot
-    p_ps = _pick(bblock, "p_ps", dbm=True) or 0.0
-    p_dc = _pick(bblock, "p_dc", dbm=True) or 0.0
-    mode = bblock.get("mode", "aris")
-    if mode not in SURFACE_MODES:
-        raise ConfigError("budget.mode", f"must be one of {SURFACE_MODES}")
-    budget = PowerBudget(p_tot=p_tot, p_ris=p_ris, p_ps=p_ps, p_dc=p_dc, mode=mode)
+        p_ris = ris_fraction * b["p_tot"]
+    try:
+        budget = PowerBudget(p_tot=b["p_tot"], p_ris=p_ris, p_ps=b.get("p_ps") or 0.0,
+                             p_dc=b.get("p_dc") or 0.0, mode=b.get("mode", "aris"))
+    except ValueError as exc:
+        raise ConfigError("budget", str(exc)) from exc
 
     metric = doc.get("metric", "sop")
     if metric not in ("sop", "throughput"):
         raise ConfigError("metric", "must be 'sop' or 'throughput'")
 
-    sblock = doc.get("sweep")
-    if not isinstance(sblock, dict):
-        raise ConfigError("sweep", "must be an object")
-    unknown = set(sblock) - {"variable", "values", "scenarios", "engines", "trials", "seed", "hold"}
-    if unknown:
-        raise ConfigError(f"sweep.{sorted(unknown)[0]}", "unknown field")
-    if "values" not in sblock:
+    s = _block(doc, "sweep", {}, [f.name for f in dataclasses.fields(SweepSpec)])
+    if "values" not in s:
         raise ConfigError("sweep.values", "required field missing")
-    raw_values = sblock["values"]
-    if not isinstance(raw_values, list):
+    if not isinstance(s["values"], list):
         raise ConfigError("sweep.values", "must be a list")
-    sweep_values = tuple(_finite("sweep.values", v) for v in raw_values)
+    sweep_values = tuple(_finite("sweep.values", v) for v in s["values"])
 
-    scenarios = sblock.get("scenarios")
+    scenarios = s.get("scenarios")
     if not isinstance(scenarios, list):
         raise ConfigError("sweep.scenarios", "must be a list of [scenario, sic, mode]")
     parsed_rows = []
@@ -298,39 +268,24 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             raise ConfigError("sweep.scenarios", "each row must be [scenario, sic, mode]")
         parsed_rows.append((str(row[0]), str(row[1]), str(row[2])))
-    engines = sblock.get("engines", ["analytic"])
+    engines = s.get("engines", ["analytic"])
     if not isinstance(engines, list):
         raise ConfigError("sweep.engines", "must be a list")
-    trials = sblock.get("trials", 100000)
-    seed = sblock.get("seed", 0)
+    trials = s.get("trials", 100000)
+    seed = s.get("seed", 0)
     if not isinstance(trials, int) or isinstance(trials, bool):
         raise ConfigError("sweep.trials", "must be an integer")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("sweep.seed", "must be an integer")
     sweep = SweepSpec(
-        variable=str(sblock.get("variable", "")),
+        variable=str(s.get("variable", "")),
         values=sweep_values,
         scenarios=tuple(parsed_rows),
         engines=tuple(str(e) for e in engines),
         trials=trials,
         seed=seed,
-        hold=str(sblock.get("hold", "n_active")),
+        hold=str(s.get("hold", "n_active")),
     )
-
-    if sweep.variable == "n_elements":
-        held = values[sweep.hold]
-        for v in sweep.values:
-            if v != int(v) or int(v) % held:
-                raise ConfigError(
-                    "sweep.values", f"{v} does not keep n_elements divisible by {sweep.hold}={held}"
-                )
-    if sweep.variable == "alpha_p":
-        for v in sweep.values:
-            if not 0.5 < v < 1.0:
-                raise ConfigError(
-                    "sweep.values",
-                    "power offset must lie in (0.5, 1) so the far user keeps the larger share",
-                )
 
     try:
         params = SystemParams(p_bs=1.0, **values)
@@ -346,7 +301,8 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
         metric=metric,
         sweep=sweep,
     )
-    # reject an out-of-domain value (kappa < 1, a negative rate, no elements) here, not mid-run
+    # reject a value the sweep rules or the parameter domain refuse (kappa < 1,
+    # a negative rate, no elements) here, not mid-run
     for v in sweep.values:
         _with_sweep_value(cfg, v)
     return cfg
@@ -383,35 +339,43 @@ def load_preset(name: str) -> ScenarioConfig:
 def _with_sweep_value(cfg: ScenarioConfig, value: float) -> tuple[SystemParams, PowerBudget]:
     """Apply one sweep value; returns (params without p_bs fixed, budget).
 
-    A value outside the parameter domain raises ConfigError('sweep.values').
+    The sweep rules live here: an n_elements value must be an integer that
+    keeps M = P*Q divisible by the held side, and an alpha_p value must lie
+    in (0.5, 1).  A value breaking them or leaving the parameter domain
+    raises ConfigError('sweep.values').
     """
     params, budget = cfg.params, cfg.budget
-    var = cfg.sweep.variable
-    changes = {}
+    var, hold = cfg.sweep.variable, cfg.sweep.hold
+    changes, budget_changes = {}, {}
     if var == "p_tot_dbm":
         p_tot = dbm_to_watts(value)
         p_ris = cfg.ris_fraction * p_tot if cfg.ris_fraction is not None else budget.p_ris
-        budget = dataclasses.replace(budget, p_tot=p_tot, p_ris=p_ris)
+        budget_changes = {"p_tot": p_tot, "p_ris": p_ris}
     elif var == "kappa":
         changes = {"kappa": float(value)}
     elif var == "n_elements":
-        m = int(value)
-        held = getattr(params, cfg.sweep.hold)
-        other = {"n_active": "n_groups", "n_groups": "n_active"}[cfg.sweep.hold]
+        m, held = int(value), getattr(params, hold)
+        if value != m or m % held:
+            raise ConfigError(
+                "sweep.values", f"{value} does not keep n_elements divisible by {hold}={held}"
+            )
+        other = {"n_active": "n_groups", "n_groups": "n_active"}[hold]
         changes = {"n_elements": m, other: m // held}
     elif var == "alpha_p":
+        if not 0.5 < value < 1.0:
+            raise ConfigError(
+                "sweep.values",
+                "power offset must lie in (0.5, 1) so the far user keeps the larger share",
+            )
         changes = {"a_f": float(value), "a_n": 1.0 - float(value)}
     elif var == "sigma2_t_dbm":
         changes = {"sigma2_t": dbm_to_watts(value)}
-    elif var == "rate":
+    elif var == "rate":  # SweepSpec admits no other variable
         changes = {"r_f": float(value), "r_n": float(value)}
-    else:
-        raise ConfigError("sweep.variable", f"unhandled variable {var!r}")
     try:
-        params = dataclasses.replace(params, **changes)
+        return dataclasses.replace(params, **changes), dataclasses.replace(budget, **budget_changes)
     except ValueError as exc:
         raise ConfigError("sweep.values", f"{value!r}: {exc}") from exc
-    return params, budget
 
 
 def realize_point(cfg: ScenarioConfig, value: float | None, mode: str) -> SystemParams:

@@ -135,7 +135,7 @@ class SystemParams:
     a_f, a_n:                 NOMA power split, a_f + a_n = 1 with a_f > a_n
     r_f, r_n:                 target secrecy rates (bits per channel use)
     varpi:                    residual interference level after imperfect SIC, in [0, 1]
-    omega_ipu, omega_ipe:     mean gains of the residual-interference channels
+    omega_ipu, omega_ipe:     mean gains of the residual-interference channels (finite)
     p_bs:                     base-station transmit power (W)
     """
 
@@ -168,9 +168,13 @@ class SystemParams:
         for name in ("d_br", "d_rn", "d_rf", "d_re", "beta0", "sigma2", "sigma2_e", "p_bs"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("alpha_p", "sigma2_t", "r_f", "r_n", "omega_ipu", "omega_ipe"):
+        for name in ("alpha_p", "sigma2_t", "r_f", "r_n"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
+        # an infinite residual gain has no residual-free pSIC limit (0 * inf)
+        for name in ("omega_ipu", "omega_ipe"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         if self.n_elements != self.n_groups * self.n_active:
             raise ValueError("element counts must satisfy n_elements = n_groups * n_active")
         if min(self.n_groups, self.n_active) < 1:
@@ -306,6 +310,8 @@ def sinr(family: str, params: SystemParams, draw, sic: str):
     """Exact SINR of one family (a key of SINR_FAMILIES) over a batch of draws."""
     if family not in SINR_FAMILIES:
         raise ValueError(f"unknown SINR family {family!r}")
+    if sic not in SIC_MODES:
+        raise ValueError(f"sic must be one of {SIC_MODES}")
     fam = SINR_FAMILIES[family]
     fn = globals()[fam.function]
     return fn(params, draw, sic) if fam.takes_sic else fn(params, draw)

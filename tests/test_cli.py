@@ -24,11 +24,12 @@ import numpy as np
 import pytest
 
 from ris_secrecy import analytic as an
-from ris_secrecy import cli
+from ris_secrecy import cli, montecarlo
 from ris_secrecy.analytic import SopEstimate, UnsupportedScenarioError
 from ris_secrecy.budget import BudgetInfeasibleError
 from ris_secrecy.config import (
     ConfigError,
+    db_to_linear,
     dbm_to_watts,
     list_presets,
     load_config,
@@ -102,6 +103,31 @@ def test_parse_rejects_duplicate_forms():
         parse_config(doc(**{"params.sigma2": 1e-9}))
 
 
+# every field with a decibel spelling: (block, field, suffix, value in decibels)
+DECIBEL_FIELDS = [
+    ("params", "sigma2", "_dbm", -55.0), ("params", "sigma2_e", "_dbm", -55.0),
+    ("params", "sigma2_t", "_dbm", -40.0), ("params", "beta0", "_db", -30.0),
+    ("params", "omega_ipu", "_db", -80.0), ("params", "omega_ipe", "_db", -80.0),
+    ("budget", "p_tot", "_dbm", 10.0), ("budget", "p_ris", "_dbm", 0.0),
+    ("budget", "p_ps", "_dbm", -40.0), ("budget", "p_dc", "_dbm", -40.0),
+]
+
+
+@pytest.mark.parametrize("block, field, suffix, value", DECIBEL_FIELDS)
+def test_plain_spelling_parses_like_the_decibel_one(block, field, suffix, value):
+    # p_ris is given instead of the default ris_fraction split
+    base = {"budget.ris_fraction": ...} if field == "p_ris" else {}
+    linear = (dbm_to_watts if suffix == "_dbm" else db_to_linear)(value)
+    suffixed = parse_config(doc(**base, **{f"{block}.{field}{suffix}": value}))
+    plain = parse_config(doc(**base, **{f"{block}.{field}{suffix}": ...,
+                                        f"{block}.{field}": linear}))
+    assert getattr(getattr(plain, block), field) == linear
+    assert plain == suffixed
+    with pytest.raises(ConfigError, match=f"'{field}': give only one"):
+        parse_config(doc(**base, **{f"{block}.{field}{suffix}": value,
+                                    f"{block}.{field}": linear}))
+
+
 def test_parse_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="params.bandwidth"):
         parse_config(doc(**{"params.bandwidth": 1.0}))
@@ -131,6 +157,8 @@ def test_element_count_completion():
         parse_config(doc(**{"params.n_groups": 3}))  # inconsistent triple
     with pytest.raises(ConfigError, match="integer"):
         parse_config(doc(**{"params.n_active": 20.5}))
+    with pytest.raises(ConfigError, match="integer"):
+        parse_config(doc(**{"params.n_active": math.inf}))
 
 
 def test_power_split_completion():
@@ -548,6 +576,21 @@ def test_validate_rejects_table_flags(tmp_path, monkeypatch, capsys, flag, value
     assert list(tmp_path.iterdir()) == []
 
 
+def test_validate_draws_each_pilot_stream_once_per_mode(monkeypatch):
+    # one mode and trials within one block: one pilot draw, one SOP pass and
+    # one empirical pass, however many families the rows check
+    calls = []
+    original = montecarlo._draw_block
+    monkeypatch.setattr(montecarlo, "_draw_block",
+                        lambda *args: calls.append(args[1:]) or original(*args))
+    rows = [["external_n", "psic", "aris"], ["external_f", "psic", "aris"],
+            ["internal", "ipsic", "aris"]]
+    cfg = parse_config(doc(**{"sweep.scenarios": rows, "sweep.trials": 3000}))
+    checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
+    assert [c["check"] for c in checks] == ["sop", "cdf", "pdf"] * 3
+    assert len(calls) == 3
+
+
 def test_simpson_matches_scipy():
     from scipy.integrate import simpson
 
@@ -623,6 +666,24 @@ def test_nan_field_fails_at_the_boundary(tmp_path, capsys, key):
     with pytest.raises(ConfigError, match=field):
         parse_config(doc(**edits))
     assert_config_error(tmp_path, capsys, doc(**edits), field)
+
+
+@pytest.mark.parametrize("key, value", [("p_tot", -1), ("p_tot", 0), ("p_ps", -1e-3)])
+def test_budget_power_out_of_domain_fails_at_the_boundary(tmp_path, capsys, key, value):
+    # plain linear powers skip the decibel conversion, so they can leave the
+    # domain PowerBudget accepts
+    d = doc(**{f"budget.{key}_dbm": ..., f"budget.{key}": value})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(d)
+    assert_config_error(tmp_path, capsys, d, key)
+
+
+@pytest.mark.parametrize("key", ["omega_ipu", "omega_ipe"])
+def test_infinite_residual_gain_fails_at_the_boundary(tmp_path, capsys, key):
+    d = doc(**{f"params.{key}_db": math.inf})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(d)
+    assert_config_error(tmp_path, capsys, d, key)
 
 
 @pytest.mark.parametrize("variable, good", [

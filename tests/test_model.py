@@ -451,6 +451,14 @@ def test_sinr_rejects_unknown_sic():
         sinr_eve_n(make_params(), d, "")
 
 
+@pytest.mark.parametrize("family", sorted(SINR_FAMILIES))
+def test_sinr_rejects_unknown_sic_for_every_family(family):
+    # a family the SIC mode does not enter must still refuse a mode that does not exist
+    d = _draw(cascaded_gain_n=1e-9, cascaded_gain_f=1e-9, cascaded_gain_e=1e-9)
+    with pytest.raises(ValueError, match="sic"):
+        sinr(family, make_params(), d, "genie")
+
+
 def test_params_invariants():
     with pytest.raises(ValueError):
         make_params(d_br=-1.0)
@@ -478,6 +486,13 @@ def test_params_allow_infinite_distances():
     assert dc.omega_rf == 0.0
     assert dc.omega_re == 0.0
     assert isinstance(p, SystemParams)
+
+
+@pytest.mark.parametrize("name", ["omega_ipu", "omega_ipe"])
+def test_params_reject_infinite_residual_gain(name):
+    # pSIC has no residual-free limit of an infinite gain (0 * inf is NaN)
+    with pytest.raises(ValueError, match=name):
+        make_params(**{name: math.inf})
 
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(SystemParams) if f.type in (float, "float")]

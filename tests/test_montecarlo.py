@@ -366,3 +366,11 @@ def test_input_validation():
     with pytest.raises(ValueError):
         empirical_sinr_cdfs(p, [("nobody", "psic", [1.0])], 100, SEED)
 
+
+def test_unknown_sic_rejected_for_families_without_sic():
+    p = make_params()
+    with pytest.raises(ValueError, match="sic"):
+        empirical_sinr_cdfs(p, [("user_f", "genie", [1.0])], 10, SEED)
+    with pytest.raises(ValueError, match="sic"):
+        sinr_samples(p, "eve_f", 10, SEED, sic="genie")
+
