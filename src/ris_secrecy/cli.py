@@ -317,11 +317,6 @@ _PDF_FORMS = {
 }
 
 
-def _family_sic(family: str, sic: str) -> str:
-    # families the SIC mode does not enter are checked once, under psic
-    return sic if model.SINR_FAMILIES[family].takes_sic else "psic"
-
-
 def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     """Closed-form vs Monte Carlo agreement checks at the base operating point.
 
@@ -360,7 +355,8 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
         legit, eve, _ = events[0]
         for kind, family, plan, finish in (("cdf", legit, _cdf_plan, _cdf_result),
                                            ("pdf", eve, _pdf_plan, _pdf_result)):
-            family_sic = _family_sic(family, sic)
+            # families the SIC mode does not enter are checked once, under psic
+            family_sic = model.SINR_FAMILIES[family].sic_for(sic)
             if (family, family_sic, mode) in seen:
                 continue
             seen.add((family, family_sic, mode))

@@ -78,6 +78,13 @@ class SinrFamily(NamedTuple):
     def takes_sic(self) -> bool:
         return self.residual is not None
 
+    def sic_for(self, sic: str) -> str:
+        """The SIC mode this family's SINR reads under `sic`: `sic` itself where
+        a residual enters, else 'psic' (one SINR serves both modes)."""
+        if sic not in SIC_MODES:
+            raise ValueError(f"sic must be one of {SIC_MODES}")
+        return sic if self.takes_sic else "psic"
+
     @property
     def distance(self) -> str:
         return "d_r" + self.receiver
@@ -310,9 +317,8 @@ def sinr(family: str, params: SystemParams, draw, sic: str):
     """Exact SINR of one family (a key of SINR_FAMILIES) over a batch of draws."""
     if family not in SINR_FAMILIES:
         raise ValueError(f"unknown SINR family {family!r}")
-    if sic not in SIC_MODES:
-        raise ValueError(f"sic must be one of {SIC_MODES}")
     fam = SINR_FAMILIES[family]
+    sic = fam.sic_for(sic)
     fn = globals()[fam.function]
     return fn(params, draw, sic) if fam.takes_sic else fn(params, draw)
 

@@ -23,11 +23,13 @@ its own G (independent BS-RIS vectors only), then E, then G_perp (np.zeros at
 Q = 1, consuming no variates); (3) the residual-interference powers,
 standard_exponential((BLOCK, 2)).  Trial i therefore regenerates bit-exactly
 from (seed, i) alone: block i // 2**15, row i % 2**15, independent of the
-total trial count and of which other cells share the stream.
+total trial count and of which cells share the stream or, at equal
+SystemParams, its per-block SINR and outage arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,13 +149,26 @@ def sample_draw(
     return ChannelDraw(**cat)
 
 
-def _outage_count(params, scenario, sic, draw: ChannelDraw) -> int:
-    outage = False
-    for legit, eve, rate in model.SCENARIOS[scenario]:
-        gamma_legit = model.sinr(legit, params, draw, sic)
-        gamma_eve = model.sinr(eve, params, draw, sic)
-        outage = outage | (gamma_legit < 2.0 ** getattr(params, rate) * (1.0 + gamma_eve) - 1.0)
-    return int(np.count_nonzero(outage))
+def _outage_counts(params, cells, draw: ChannelDraw) -> list[int]:
+    """Outage counts of one operating point's (scenario, sic) cells on one draw;
+    each SINR under the SIC mode it reads, and each outage event, is evaluated once."""
+
+    @functools.cache
+    def gamma(family, sic):
+        return model.sinr(family, params, draw, sic)
+
+    @functools.cache
+    def fired(legit, eve, rate, sic_legit, sic_eve):
+        return gamma(legit, sic_legit) < 2.0 ** getattr(params, rate) * (1.0 + gamma(eve, sic_eve)) - 1.0
+
+    reads = {(f, s): fam.sic_for(s) for f, fam in model.SINR_FAMILIES.items() for s in model.SIC_MODES}
+    counts = []
+    for scenario, sic in cells:
+        masks = [fired(legit, eve, rate, reads[legit, sic], reads[eve, sic])
+                 for legit, eve, rate in model.SCENARIOS[scenario]]
+        # reduce counts a one-event cell's mask as is, with no copy
+        counts.append(int(np.count_nonzero(functools.reduce(np.logical_or, masks))))
+    return counts
 
 
 def estimate_sop_grid(cases, trials: int, seed: int) -> list[SopEstimate]:
@@ -161,28 +176,28 @@ def estimate_sop_grid(cases, trials: int, seed: int) -> list[SopEstimate]:
 
     Cases of any draw law are accepted: they are grouped internally by the
     DRAW_FIELDS that shape the raw channel draws (geometry, active elements,
-    residual gains), and each group is scored over one stream.  Estimates
-    (provenance 'monte-carlo', with their trials and binomial standard
-    error) come back in input order, each bit-identical to an individual
-    estimate_sop call with the same seed, because both consume the same
-    (seed, block)-keyed streams.
+    residual gains), and each group is scored over one stream, one operating
+    point (equal SystemParams) at a time: each SINR family and outage event
+    is scored once per point per block.  Estimates (provenance 'monte-carlo',
+    with trials and binomial standard error) come back in input order, each
+    bit-identical to a lone estimate_sop call with the same seed.
     """
     if not cases:
         return []
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    laws: dict[tuple, list[int]] = {}
+    laws: dict[tuple, dict[SystemParams, list[int]]] = {}
     for j, (p, scenario, sic) in enumerate(cases):
         if scenario not in model.SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
         if sic not in model.SIC_MODES:
             raise ValueError(f"sic must be one of {model.SIC_MODES}")
-        laws.setdefault(tuple(getattr(p, name) for name in DRAW_FIELDS), []).append(j)
+        laws.setdefault(tuple(getattr(p, name) for name in DRAW_FIELDS), {}).setdefault(p, []).append(j)
     counts = np.zeros(len(cases), dtype=np.int64)
-    for group in laws.values():
-        for draw in _iter_blocks(cases[group[0]][0], trials, seed, False):
-            for j in group:
-                counts[j] += _outage_count(*cases[j], draw)
+    for points in laws.values():
+        for draw in _iter_blocks(next(iter(points)), trials, seed, False):
+            for p, group in points.items():
+                counts[group] += _outage_counts(p, [cases[j][1:] for j in group], draw)
     p_hat = counts / trials
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)
     return [SopEstimate(float(v), "monte-carlo", int(trials), float(e))

@@ -457,6 +457,15 @@ def test_sinr_rejects_unknown_sic_for_every_family(family):
     d = _draw(cascaded_gain_n=1e-9, cascaded_gain_f=1e-9, cascaded_gain_e=1e-9)
     with pytest.raises(ValueError, match="sic"):
         sinr(family, make_params(), d, "genie")
+    with pytest.raises(ValueError, match="sic"):
+        SINR_FAMILIES[family].sic_for("genie")
+
+
+def test_effective_sic_is_psic_without_a_residual():
+    # the SIC mode a family's SINR reads: a family with no residual reads one SINR under both
+    for name, fam in SINR_FAMILIES.items():
+        expected = ["ipsic", "psic"] if name in ("user_n", "eve_n") else ["psic", "psic"]
+        assert [fam.sic_for(sic) for sic in ("ipsic", "psic")] == expected, name
 
 
 def test_params_invariants():

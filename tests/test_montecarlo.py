@@ -23,7 +23,7 @@ from ris_secrecy import config, model
 from ris_secrecy.montecarlo import (
     BLOCK,
     ChannelDraw,
-    _outage_count,
+    _outage_counts,
     empirical_sinr_cdfs,
     estimate_sop,
     estimate_sop_grid,
@@ -32,7 +32,7 @@ from ris_secrecy.montecarlo import (
 )
 from ris_secrecy.model import derive
 
-from conftest import THROUGHPUT_RATES, make_params, throughput_rows
+from conftest import THROUGHPUT_RATES, make_params, make_passive, throughput_rows
 
 SEED = 20260813
 RECEIVERS = ("n", "f", "e")
@@ -107,9 +107,9 @@ def test_projected_draw_matches_elementwise_oracle(q):
                 # 48 fixed-seed tests in all: 1e-4 each keeps the family under 0.5%
                 pvalue = ks_2samp(getattr(draw, field), getattr(ref, field)).pvalue
                 assert pvalue > 1e-4, (shared, field, pvalue)
-        for scenario, sic in ORACLE_CELLS:
-            counts[shared, scenario] = (_outage_count(p, scenario, sic, draw),
-                                        _outage_count(p, scenario, sic, ref))
+        pairs = zip(_outage_counts(p, ORACLE_CELLS, draw), _outage_counts(p, ORACLE_CELLS, ref))
+        for (scenario, _), pair in zip(ORACLE_CELLS, pairs):
+            counts[shared, scenario] = pair
 
     def z(a, b):
         pooled = (a + b) / (2 * ORACLE_TRIALS)
@@ -263,6 +263,37 @@ def test_grid_groups_mixed_draw_laws():
         assert res.value == single.value, (scenario, sic)
         assert res.stderr == single.stderr, (scenario, sic)
     assert grid[0].value != grid[1].value
+
+
+def _lone_outage_count(p, scenario, sic, draw):
+    # one cell scored on its own: both SINRs of every event, nothing shared
+    outage = np.zeros(len(draw.ip_user), dtype=bool)
+    for legit, eve, rate in model.SCENARIOS[scenario]:
+        threshold = 2.0 ** getattr(p, rate) * (1.0 + model.sinr(eve, p, draw, sic)) - 1.0
+        outage |= model.sinr(legit, p, draw, sic) < threshold
+    return int(np.count_nonzero(outage))
+
+
+def test_grid_scores_each_family_once_per_point_per_block(monkeypatch):
+    # all 16 rows (4 scenarios x 2 SIC x 2 surfaces) at two powers: four
+    # operating points on one draw law, cases interleaved across points and
+    # built as equal but distinct SystemParams; 40 000 trials cut the second block
+    trials = 40_000
+    points = [(surface, p_bs) for surface in (make_params, make_passive) for p_bs in (0.1, 1.0)]
+    cases = [(surface(p_bs=p_bs, d_re=40.0), scenario, sic)
+             for scenario in model.SCENARIOS for sic in model.SIC_MODES
+             for surface, p_bs in points]
+    calls = []
+    real = model._sinr
+    monkeypatch.setattr(model, "_sinr", lambda *a: calls.append(a[0]) or real(*a))
+    grid = estimate_sop_grid(cases, trials, SEED)
+    monkeypatch.undo()
+    # user_n and eve_n under each SIC mode, user_f, eve_f and internal_f_to_n
+    assert len(calls) == 7 * len(points) * 2
+    for (p, scenario, sic), res in zip(cases, grid):
+        expected = _lone_outage_count(p, scenario, sic, sample_draw(p, trials, SEED))
+        assert (res.value, res.trials) == (expected / trials, trials), (p, scenario, sic)
+    assert len({res.value for res in grid}) > len(grid) // 2
 
 
 def test_distinct_seeds_are_distinct_but_consistent():
