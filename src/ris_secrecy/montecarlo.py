@@ -94,13 +94,19 @@ def _draw_block(params: SystemParams, seed: int, block_index: int, shared_hbr: b
     omega_br = model.mean_channel_gain(params.d_br, params.alpha_p, params.beta0)
 
     def projected(distance, g):
-        # h_r projected on h_br: gain omega_br omega_r G E, norm omega_r (E + G_perp)
+        # h_r projected on h_br, in place: gain omega_br omega_r G E, norm omega_r (E + G_perp)
         omega_r = model.mean_channel_gain(distance, params.alpha_p, params.beta0)
         if g is None:
-            g = rng.standard_gamma(q, BLOCK)
+            gain = rng.standard_gamma(q, BLOCK)
+            gain *= omega_br * omega_r
+        else:
+            gain = g * (omega_br * omega_r)
         e = rng.standard_exponential(BLOCK)
-        g_perp = rng.standard_gamma(q - 1, BLOCK) if q > 1 else np.zeros(BLOCK)
-        return omega_br * omega_r * g * e, omega_r * (e + g_perp)
+        gain *= e
+        norm = rng.standard_gamma(q - 1, BLOCK) if q > 1 else np.zeros(BLOCK)
+        norm += e
+        norm *= omega_r
+        return gain, norm
 
     shared = rng.standard_gamma(q, BLOCK) if shared_hbr else None
     gain_n, norm_n = projected(params.d_rn, shared)

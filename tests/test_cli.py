@@ -17,8 +17,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -589,6 +593,36 @@ def test_validate_draws_each_pilot_stream_once_per_mode(monkeypatch):
     checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
     assert [c["check"] for c in checks] == ["sop", "cdf", "pdf"] * 3
     assert len(calls) == 3
+
+
+SCIPY_SPECIAL_PROBE = """
+import json, sys
+from ris_secrecy import analytic, cli
+from ris_secrecy.config import parse_config, realize_point
+loaded = {"import": "scipy.special" in sys.modules}
+assert cli.main(["simulate", "--preset", "fig2", "--trials", "5000"]) == cli.EXIT_OK
+loaded["simulate"] = "scipy.special" in sys.modules
+cfg = parse_config(json.loads(sys.argv[1]))
+assert {row["engine"] for row in cli.run_sweep(cfg)} == {"montecarlo"}
+loaded["sweep"] = "scipy.special" in sys.modules
+analytic.sop(realize_point(cfg, None, "aris"), "external_n", "psic")
+loaded["sop"] = "scipy.special" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_monte_carlo_path_never_imports_scipy_special():
+    # only the closed forms call scipy.special; a fresh process that
+    # simulates and sweeps by Monte Carlo alone must never load it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    mc_only = doc(**{"sweep.engines": ["montecarlo"], "sweep.trials": 2000})
+    proc = subprocess.run([sys.executable, "-c", SCIPY_SPECIAL_PROBE, json.dumps(mc_only)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert loaded == {"import": False, "simulate": False, "sweep": False, "sop": True}
 
 
 def test_simpson_matches_scipy():

@@ -5,13 +5,15 @@ Groups: the projected draw against the element-wise reference sampler
 counts); first-moment agreement of the raw draws with the channel model;
 empirical SINR CDFs against the closed forms at seeded grid points;
 bit-exact reproducibility (same-seed identity, trial-count prefix
-property, grid-versus-single equality, seed separation); structural
+property, draw bits against straight-line arithmetic, grid-versus-single
+equality, seed separation); structural
 per-trial facts (far-user ceiling, SIC ordering, exact zero- and
 one-probability corners); the throughput and union-event accounting;
 input validation.
 """
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from ris_secrecy import config, model
 from ris_secrecy.montecarlo import (
     BLOCK,
     ChannelDraw,
+    _block_rng,
     _outage_counts,
     empirical_sinr_cdfs,
     estimate_sop,
@@ -235,6 +238,39 @@ def test_trial_count_prefix_property():
     np.testing.assert_array_equal(short.cascaded_gain_n, long.cascaded_gain_n[:5])
     np.testing.assert_array_equal(short.norm_e, long.norm_e[:5])
     np.testing.assert_array_equal(short.ip_user, long.ip_user[:5])
+
+
+def _straight_line_block(params, seed, block_index, shared_hbr):
+    # one block in the canonical generation order, with the projection
+    # identities written as plain expressions: the engine must give these bits
+    q = params.n_active
+    rng = _block_rng(seed, block_index)
+    omega_br = model.mean_channel_gain(params.d_br, params.alpha_p, params.beta0)
+    shared = rng.standard_gamma(q, BLOCK) if shared_hbr else None
+    arrays = {}
+    for r in RECEIVERS:
+        omega_r = model.mean_channel_gain(getattr(params, f"d_r{r}"), params.alpha_p, params.beta0)
+        g = rng.standard_gamma(q, BLOCK) if shared is None else shared
+        e = rng.standard_exponential(BLOCK)
+        g_perp = rng.standard_gamma(q - 1, BLOCK) if q > 1 else np.zeros(BLOCK)
+        arrays[f"cascaded_gain_{r}"] = omega_br * omega_r * g * e
+        arrays[f"norm_{r}"] = omega_r * (e + g_perp)
+    ip = rng.standard_exponential((BLOCK, 2))
+    return ChannelDraw(**arrays, ip_user=params.omega_ipu * ip[:, 0],
+                       ip_eve=params.omega_ipe * ip[:, 1])
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("q", [1, 2, 20])
+def test_draw_bits_match_straight_line_arithmetic(q, shared):
+    # 40 000 trials cut the second block
+    p = make_params(n_active=q, n_elements=2 * q)
+    trials = 40_000
+    blocks = [_straight_line_block(p, SEED, b, shared) for b in range(2)]
+    draw = sample_draw(p, trials, SEED, shared_hbr=shared)
+    for name in (f.name for f in fields(ChannelDraw)):
+        want = np.concatenate([getattr(b, name) for b in blocks])[:trials]
+        assert np.array_equal(getattr(draw, name), want), name
 
 
 def test_grid_matches_individual_estimates():
