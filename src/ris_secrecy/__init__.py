@@ -4,130 +4,21 @@ Two independent engines compute the same physical quantities: `analytic`
 holds the closed forms (cascaded-channel statistics, outage theorems,
 high-budget asymptotes, diversity slopes), `montecarlo` re-derives them
 from first-principles channel draws.  `model` carries the shared system
-description and exact SINRs, `budget` the equal-total-power bookkeeping,
-`specfun` the Bessel/quadrature kernel, and `config`/`cli` the sweep and
-validation harness.
+description, exact SINRs and the estimate type, `budget` the equal-total-power
+bookkeeping, `specfun` the Bessel/quadrature kernel, and `config`/`cli` the
+sweep and validation harness.  The package root re-exports the `__all__` of
+every module except `cli`.
 """
 
-from .analytic import (
-    DegenerateCurveError,
-    SopEstimate,
-    UnsupportedScenarioError,
-    cdf_user_f,
-    cdf_user_n_ipsic,
-    cdf_user_n_psic,
-    default_table,
-    diversity_order,
-    pdf_eve_f,
-    pdf_eve_n_ipsic,
-    pdf_eve_n_psic,
-    pdf_internal_f_to_n,
-    secrecy_throughput,
-    sop,
-    sop_asymptotic,
-    sop_curve_fixed_eavesdropper,
-    sop_system_external,
-)
-from .budget import BudgetInfeasibleError, PowerBudget, solve_bs_power
-from .config import (
-    ConfigError,
-    ScenarioConfig,
-    SweepSpec,
-    db_to_linear,
-    dbm_to_watts,
-    list_presets,
-    load_config,
-    load_preset,
-    parse_config,
-    realize_point,
-)
-from .model import (
-    SIC_MODES,
-    DerivedConstants,
-    SystemParams,
-    derive,
-    mean_channel_gain,
-    scenario_rate,
-    sinr_eve_f,
-    sinr_eve_n,
-    sinr_internal_f_to_n,
-    sinr_user_f,
-    sinr_user_n,
-)
-from .montecarlo import (
-    ChannelDraw,
-    empirical_sinr_cdfs,
-    estimate_sop,
-    estimate_sop_grid,
-    sample_draw,
-    sinr_samples,
-)
-from .specfun import (
-    QuadratureTable,
-    gauss_laguerre,
-    kdist_cdf,
-    kdist_logsf,
-    kdist_pdf,
-    kdist_sf,
-    log_bessel_k,
-)
+from . import analytic, budget, config, model, montecarlo, specfun
+from .analytic import *  # noqa: F403
+from .budget import *  # noqa: F403
+from .config import *  # noqa: F403
+from .model import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .specfun import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetInfeasibleError",
-    "ChannelDraw",
-    "ConfigError",
-    "DegenerateCurveError",
-    "DerivedConstants",
-    "PowerBudget",
-    "QuadratureTable",
-    "SIC_MODES",
-    "ScenarioConfig",
-    "SopEstimate",
-    "SweepSpec",
-    "SystemParams",
-    "UnsupportedScenarioError",
-    "cdf_user_f",
-    "cdf_user_n_ipsic",
-    "cdf_user_n_psic",
-    "db_to_linear",
-    "dbm_to_watts",
-    "default_table",
-    "derive",
-    "diversity_order",
-    "empirical_sinr_cdfs",
-    "estimate_sop",
-    "estimate_sop_grid",
-    "gauss_laguerre",
-    "kdist_cdf",
-    "kdist_logsf",
-    "kdist_pdf",
-    "kdist_sf",
-    "list_presets",
-    "load_config",
-    "load_preset",
-    "log_bessel_k",
-    "mean_channel_gain",
-    "parse_config",
-    "pdf_eve_f",
-    "pdf_eve_n_ipsic",
-    "pdf_eve_n_psic",
-    "pdf_internal_f_to_n",
-    "realize_point",
-    "sample_draw",
-    "scenario_rate",
-    "secrecy_throughput",
-    "sinr_eve_f",
-    "sinr_eve_n",
-    "sinr_internal_f_to_n",
-    "sinr_samples",
-    "sinr_user_f",
-    "sinr_user_n",
-    "solve_bs_power",
-    "sop",
-    "sop_asymptotic",
-    "sop_curve_fixed_eavesdropper",
-    "sop_system_external",
-    "__version__",
-]
+__all__ = [name for module in (analytic, budget, config, model, montecarlo, specfun)
+           for name in module.__all__] + ["__version__"]

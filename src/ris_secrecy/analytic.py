@@ -12,16 +12,16 @@ tolerances in the tests measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .model import SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, SinrFamily, derive
+from .model import (SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, SinrFamily, SopEstimate,
+                    derive)
 from .specfun import QuadratureTable, gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
 
 __all__ = [
     "DegenerateCurveError",
-    "SopEstimate",
     "UnsupportedScenarioError",
     "cdf_user_f",
     "cdf_user_n_ipsic",
@@ -54,27 +54,6 @@ class UnsupportedScenarioError(ValueError):
 
 class DegenerateCurveError(ValueError):
     """Diversity slope undefined (too few points, zero SOP, or repeated abscissa)."""
-
-
-@dataclass(frozen=True)
-class SopEstimate:
-    """A secrecy outage probability with provenance.
-
-    value:      SOP in [0, 1] for the analytic and Monte Carlo routes; an
-                asymptote evaluated outside its regime keeps its raw
-                (possibly >1 or <0) value so the trend line stays plottable,
-                and carries 'asymptote-regime-invalid'
-    provenance: 'analytic', 'asymptotic' or 'monte-carlo'
-    trials:     Monte Carlo trials behind the estimate (None for closed forms)
-    stderr:     binomial standard error (None for closed forms)
-    flags:      quality notes, e.g. 'clamp-drift', 'saturated', 'asymptote-regime-invalid'
-    """
-
-    value: float
-    provenance: str
-    trials: int | None = None
-    stderr: float | None = None
-    flags: tuple[str, ...] = field(default_factory=tuple)
 
 
 _TABLES: dict[int, QuadratureTable] = {}
@@ -164,11 +143,10 @@ def _pdf(dc: DerivedConstants, z, slope, capped, table: QuadratureTable):
     return np.where(capped, 0.0, out)
 
 
-def _form(x, params, family: str, sic: str, table: QuadratureTable | None = None, *,
-          density: bool = False):
+def _form(x, params, family: str, sic: str, *, density: bool = False):
     """CDF (clipped to [0, 1]) or density of one (family, SIC) law at scalar or array x."""
     dc = _dc(params)
-    table = table or default_table()
+    table = default_table()
     z, slope, capped = _law(dc, SINR_FAMILIES[family], sic, np.asarray(x, dtype=float).ravel(),
                             table)
     if density:
@@ -178,14 +156,14 @@ def _form(x, params, family: str, sic: str, table: QuadratureTable | None = None
     return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
 
 
-def cdf_user_n_ipsic(x, params, *, table: QuadratureTable | None = None):
+def cdf_user_n_ipsic(x, params):
     """CDF of the near user's SINR under imperfect SIC.
 
     The residual-interference power is exponential, so the conditional
-    cascade CDF is averaged over a Gauss-Laguerre table (default order 64).
+    cascade CDF is averaged over the default order-64 Gauss-Laguerre table.
     Accepts scalar or array x >= 0.
     """
-    return _form(x, params, "user_n", "ipsic", table)
+    return _form(x, params, "user_n", "ipsic")
 
 
 def cdf_user_n_psic(x, params):
@@ -202,9 +180,9 @@ def cdf_user_f(x, params):
     return _form(x, params, "user_f", "psic")
 
 
-def pdf_eve_n_ipsic(x, params, *, table: QuadratureTable | None = None):
+def pdf_eve_n_ipsic(x, params):
     """Density of the external eavesdropper's SINR on the near stream, ipSIC."""
-    return _form(x, params, "eve_n", "ipsic", table, density=True)
+    return _form(x, params, "eve_n", "ipsic", density=True)
 
 
 def pdf_eve_n_psic(x, params):
@@ -390,6 +368,6 @@ def secrecy_throughput(sop_value: float, rate: float) -> float:
     """Effective secrecy throughput (1 - SOP) * rate, in bits per channel use."""
     if not 0.0 <= sop_value <= 1.0:
         raise ValueError("sop_value must lie in [0, 1]")
-    if rate < 0.0:
-        raise ValueError("rate must be nonnegative")
+    if not 0.0 <= rate < math.inf:
+        raise ValueError("rate must be finite and nonnegative")
     return (1.0 - sop_value) * rate

@@ -57,7 +57,7 @@ from .model import scenario_rate
 from .montecarlo import empirical_sinr_cdfs, estimate_sop_grid, sample_draw, sinr_samples
 from .specfun import gauss_laguerre
 
-__all__ = ["main", "run_sweep", "validate_point"]
+__all__ = ["main", "run_sweep", "sop_tolerance", "validate_point"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -317,16 +317,26 @@ _PDF_FORMS = {
 }
 
 
+def sop_tolerance(analytic: float, mc: float, stderr: float, mode: str, sic: str,
+                  rate: float) -> float:
+    """Largest closed-form vs Monte Carlo SOP gap accepted at one cell: 0 at zero
+    rate with a zero closed form, else max(3 sigma, rel * max(analytic, mc)), rel
+    2 percent for passive pSIC (no amplifier noise or residual interference, so
+    only the wiretap's mean-field SINR separates the engines), else 15 percent."""
+    if rate == 0.0 and analytic == 0.0:
+        return 0.0
+    rel = 0.02 if (mode, sic) == ("pris", "psic") else 0.15
+    return max(3.0 * stderr, rel * max(analytic, mc))
+
+
 def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     """Closed-form vs Monte Carlo agreement checks at the base operating point.
 
     Per scenario row: the SOP itself, the legitimate-side SINR CDF on a
     pilot-quantile grid, and the wiretap-side density mass over a pilot
-    interval.  Tolerances combine the binomial error with the documented
-    mean-field slack: 3 sigma + 2 percent for the passive perfect-SIC
-    branch (no mean-field step survives there), max(3 sigma, 15 percent)
-    otherwise; CDFs get 3 sigma + 0.005 absolute, densities 3 sigma + 2.5
-    percent of the interval mass.  Wiretap checks whose receiver has zero
+    interval.  SOP tolerances are sop_tolerance's; CDFs get 3 sigma + 0.005
+    absolute, densities 3 sigma + 2.5 percent of the interval mass, sigma
+    the binomial error.  Wiretap checks whose receiver has zero
     mean gain are reported as skipped.  All SOP rows share one draw stream,
     and the CDF and density checks of each surface mode share another; the
     pilots of each mode are scored on one draw of that stream's first trials.
@@ -374,14 +384,8 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     for (i, params, scenario, sic, mode), mres in zip(sop_rows, results):
         a = sop(params, scenario, sic)
         m = mres.value
-        if scenario_rate(params, scenario) == 0.0 and a.value == 0.0:
-            tol, gap = 0.0, abs(a.value - m)
-        elif mode == "pris" and sic == "psic":
-            tol = 3.0 * mres.stderr + 0.02 * max(a.value, m)
-            gap = abs(a.value - m)
-        else:
-            tol = max(3.0 * mres.stderr, 0.15 * max(a.value, m))
-            gap = abs(a.value - m)
+        gap = abs(a.value - m)
+        tol = sop_tolerance(a.value, m, mres.stderr, mode, sic, scenario_rate(params, scenario))
         checks[i] = {
             "check": "sop", "scenario": scenario, "sic": sic, "mode": mode,
             "status": "pass" if gap <= tol else "fail",

@@ -12,7 +12,8 @@ per-draw gains and norms for the Monte Carlo engine; DerivedConstants.scale
 and mean_sinr evaluate it at mean-field norms for the closed forms.  The two
 routes share the registry, not the draws, which is what makes the
 cross-validation meaningful.  SCENARIOS maps each secrecy event onto the
-families and its protected rate.
+families and its protected rate, and SopEstimate is the result type both
+engines return.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "SINR_FAMILIES",
     "SURFACE_MODES",
     "SinrFamily",
+    "SopEstimate",
     "SystemParams",
     "derive",
     "mean_channel_gain",
@@ -57,7 +59,6 @@ class SinrFamily(NamedTuple):
     residual-interference power I.  The near stream's NOMA interference
     enters a capped row; the residual enters under ipSIC.
 
-    function: name of the exact-SINR entry point here, looked up at call time
     share:    SystemParams field of the decoded stream's power share
     receiver: 'n', 'f' or 'e'; picks the ChannelDraw cascaded_gain_* and
               norm_*, the SystemParams distance d_r* and DerivedConstants omega_r*
@@ -67,7 +68,6 @@ class SinrFamily(NamedTuple):
     capped:   whether the NOMA ceiling a_f/a_n caps the SINR
     """
 
-    function: str
     share: str
     receiver: str
     noise: str
@@ -91,12 +91,12 @@ class SinrFamily(NamedTuple):
 
 
 SINR_FAMILIES = {
-    "user_n": SinrFamily("sinr_user_n", "a_n", "n", "sigma2", "omega_ipu", False),
-    "user_f": SinrFamily("sinr_user_f", "a_f", "f", "sigma2", None, True),
-    "eve_n": SinrFamily("sinr_eve_n", "a_n", "e", "sigma2_e", "omega_ipe", False),
-    "eve_f": SinrFamily("sinr_eve_f", "a_f", "e", "sigma2_e", None, True),
+    "user_n": SinrFamily("a_n", "n", "sigma2", "omega_ipu", False),
+    "user_f": SinrFamily("a_f", "f", "sigma2", None, True),
+    "eve_n": SinrFamily("a_n", "e", "sigma2_e", "omega_ipe", False),
+    "eve_f": SinrFamily("a_f", "e", "sigma2_e", None, True),
     # the far user wiretaps through an eavesdropper-grade front end
-    "internal_f_to_n": SinrFamily("sinr_internal_f_to_n", "a_n", "f", "sigma2_e", None, False),
+    "internal_f_to_n": SinrFamily("a_n", "f", "sigma2_e", None, False),
 }
 
 
@@ -319,7 +319,8 @@ def sinr(family: str, params: SystemParams, draw, sic: str):
         raise ValueError(f"unknown SINR family {family!r}")
     fam = SINR_FAMILIES[family]
     sic = fam.sic_for(sic)
-    fn = globals()[fam.function]
+    # looked up at call time, so a wrapper installed on the module sees each call
+    fn = globals()["sinr_" + family]
     return fn(params, draw, sic) if fam.takes_sic else fn(params, draw)
 
 
@@ -332,3 +333,24 @@ def scenario_rate(params: SystemParams, scenario: str) -> float:
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {tuple(SCENARIOS)}")
     return sum(getattr(params, rate) for _, _, rate in SCENARIOS[scenario])
+
+
+@dataclass(frozen=True)
+class SopEstimate:
+    """A secrecy outage probability with provenance.
+
+    value:      SOP in [0, 1] for the analytic and Monte Carlo routes; an
+                asymptote evaluated outside its regime keeps its raw
+                (possibly >1 or <0) value so the trend line stays plottable,
+                and carries 'asymptote-regime-invalid'
+    provenance: 'analytic', 'asymptotic' or 'monte-carlo'
+    trials:     Monte Carlo trials behind the estimate (None for closed forms)
+    stderr:     binomial standard error (None for closed forms)
+    flags:      quality notes, e.g. 'clamp-drift', 'saturated', 'asymptote-regime-invalid'
+    """
+
+    value: float
+    provenance: str
+    trials: int | None = None
+    stderr: float | None = None
+    flags: tuple[str, ...] = ()

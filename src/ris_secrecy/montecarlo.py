@@ -30,13 +30,12 @@ SystemParams, its per-block SINR and outage arrays.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import model
-from .analytic import SopEstimate
-from .model import SystemParams
+from .model import SopEstimate, SystemParams
 
 __all__ = [
     "BLOCK",
@@ -77,9 +76,8 @@ class ChannelDraw:
     ip_eve: np.ndarray
 
 
-# the per-trial arrays of a ChannelDraw
-_ARRAYS = ("cascaded_gain_n", "cascaded_gain_f", "cascaded_gain_e", "norm_n", "norm_f",
-           "norm_e", "ip_user", "ip_eve")
+# every ChannelDraw field is a per-trial array
+_ARRAYS = tuple(f.name for f in fields(ChannelDraw))
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:

@@ -6,8 +6,8 @@ the full acceptance report.  Criteria:
 
 1. closed forms agree with 10^7-trial Monte Carlo at three budget
    points for all six scenario/SIC combinations, max(3 sigma, 15%)
-   (passive perfect-SIC cells tighten to max(3 sigma, 2%)), under five
-   minutes;
+   (passive perfect-SIC cells tighten to max(3 sigma, 2%); the rule is
+   cli.sop_tolerance, which validate applies too), under five minutes;
 2. the three legitimate-user SINR CDFs track 10^7-draw empirical CDFs
    within 0.005 absolute at 20 quantile points, and the four wiretap
    densities normalize to 1 within 1e-4 and match their CDFs' finite
@@ -45,7 +45,7 @@ from ris_secrecy import analytic as an
 from ris_secrecy import cli
 from ris_secrecy.analytic import default_table, diversity_order, secrecy_throughput
 from ris_secrecy.config import load_preset, parse_config, realize_point
-from ris_secrecy.model import SystemParams, derive
+from ris_secrecy.model import SystemParams, derive, scenario_rate
 from ris_secrecy.montecarlo import DRAW_FIELDS, empirical_sinr_cdfs, estimate_sop_grid
 from ris_secrecy.specfun import gauss_laguerre, kdist_cdf, log_bessel_k
 
@@ -90,9 +90,7 @@ def test_criterion_1_closed_form_vs_monte_carlo():
     for (budget_dbm, mode, scenario, sic), (params, _, _), res in zip(meta, cases, results):
         a = an.sop(params, scenario, sic).value
         m = res.value
-        ref = max(a, m)
-        rel = 0.02 if (mode, sic) == ("pris", "psic") else 0.15
-        tol = max(3.0 * res.stderr, rel * ref)
+        tol = cli.sop_tolerance(a, m, res.stderr, mode, sic, scenario_rate(params, scenario))
         gap = abs(a - m)
         ok = gap <= tol
         if not ok:

@@ -22,7 +22,6 @@ from ris_secrecy import analytic as an
 from ris_secrecy import config
 from ris_secrecy.analytic import (
     DegenerateCurveError,
-    SopEstimate,
     UnsupportedScenarioError,
     cdf_user_f,
     cdf_user_n_ipsic,
@@ -42,7 +41,7 @@ from ris_secrecy.analytic import (
 )
 from ris_secrecy import model
 from ris_secrecy.model import (
-    SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, derive, scenario_rate,
+    SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, SopEstimate, derive, scenario_rate,
 )
 from ris_secrecy.specfun import gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
 
@@ -124,7 +123,7 @@ def test_law_registry_resolves():
             assert np.all(np.isfinite(value)) and np.all(np.asarray(value) > 0.0), (family, sic)
             # a quadrature axis exactly where the residual power enters
             assert np.ndim(value) == int(fam.takes_sic and sic == "ipsic"), (family, sic)
-        assert callable(getattr(model, fam.function)) and fam.distance in p.__dataclass_fields__
+        assert callable(getattr(model, "sinr_" + family)) and fam.distance in p.__dataclass_fields__
     # every single-event scenario resolves to registry families and a closed form
     for scenario, events in SCENARIOS.items():
         if len(events) > 1:
@@ -434,6 +433,10 @@ def test_secrecy_throughput():
         secrecy_throughput(1.2, 0.1)
     with pytest.raises(ValueError):
         secrecy_throughput(0.5, -0.1)
+    # a NaN or infinite rate is no rate: (1 - SOP) * nan would pass NaN on
+    for rate in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            secrecy_throughput(0.5, rate)
 
 
 def test_scenario_rate():

@@ -29,7 +29,7 @@ import pytest
 
 from ris_secrecy import analytic as an
 from ris_secrecy import cli, montecarlo
-from ris_secrecy.analytic import SopEstimate, UnsupportedScenarioError
+from ris_secrecy.analytic import UnsupportedScenarioError
 from ris_secrecy.budget import BudgetInfeasibleError
 from ris_secrecy.config import (
     ConfigError,
@@ -41,7 +41,7 @@ from ris_secrecy.config import (
     parse_config,
     realize_point,
 )
-from ris_secrecy.model import scenario_rate
+from ris_secrecy.model import SopEstimate, scenario_rate
 from ris_secrecy.montecarlo import DRAW_FIELDS, estimate_sop
 from ris_secrecy.specfun import gauss_laguerre
 
@@ -553,6 +553,20 @@ def test_validate_passes_at_exact_zero_rate(capsys):
     assert code == cli.EXIT_OK, shown
     assert "0 failures" in shown
     assert "PASS" in shown and "SKIP" in shown
+
+
+def test_sop_tolerance_branches():
+    # zero rate with a zero closed form: exact, whatever the Monte Carlo spread
+    assert cli.sop_tolerance(0.0, 0.01, 0.003, "aris", "psic", 0.0) == 0.0
+    # a zero rate alone is not exact
+    assert cli.sop_tolerance(0.2, 0.2, 0.0, "aris", "psic", 0.0) == pytest.approx(0.03)
+    # passive perfect SIC: max(3 sigma, 2 percent of the larger estimate)
+    assert cli.sop_tolerance(0.5, 0.4, 0.001, "pris", "psic", 0.1) == pytest.approx(0.01)
+    assert cli.sop_tolerance(0.5, 0.4, 0.01, "pris", "psic", 0.1) == pytest.approx(0.03)
+    # every other branch: max(3 sigma, 15 percent of the larger estimate)
+    for mode, sic in (("aris", "psic"), ("aris", "ipsic"), ("pris", "ipsic")):
+        assert cli.sop_tolerance(0.4, 0.5, 0.001, mode, sic, 0.1) == pytest.approx(0.075)
+        assert cli.sop_tolerance(0.01, 0.02, 0.002, mode, sic, 0.1) == pytest.approx(0.006)
 
 
 def test_validate_detects_disagreement(tmp_path, monkeypatch, capsys):

@@ -192,7 +192,7 @@ def test_registry_dispatches_to_the_sinr_functions():
     d = _draw(cascaded_gain_n=2e-9, cascaded_gain_f=3e-10, cascaded_gain_e=5e-10,
               norm_n=3e-6, norm_f=4e-6, norm_e=6e-6, ip_user=1e-7, ip_eve=2e-7)
     for family, fam in SINR_FAMILIES.items():
-        fn = getattr(model, fam.function)
+        fn = getattr(model, "sinr_" + family)
         for sic in ("ipsic", "psic"):
             want = fn(p, d, sic) if fam.takes_sic else fn(p, d)
             assert sinr(family, p, d, sic) == want, (family, sic)
