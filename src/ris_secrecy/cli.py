@@ -115,25 +115,26 @@ def _parse_engines(text: str) -> tuple[str, ...]:
     return tuple(engines)
 
 
-def _load(args) -> ScenarioConfig:
+def _load(args, engines=()) -> ScenarioConfig:
+    """The named config with the command line's overrides; `engines` stand in
+    for the config's unless --engines is given."""
     if getattr(args, "preset", None):
         cfg = load_preset(args.preset)
     else:
         cfg = load_config(args.config)
-    overrides = {}
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "engines", None):
+    overrides = {k: getattr(args, k) for k in ("trials", "seed")
+                 if getattr(args, k, None) is not None}
+    if getattr(args, "engines", None) is not None:
         overrides["engines"] = _parse_engines(args.engines)
+    elif engines:
+        overrides["engines"] = engines
     if overrides:
         cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, **overrides))
     return cfg
 
 
-def _meta_line(cfg: ScenarioConfig, point: str) -> str:
-    meta = {
+def _meta(cfg: ScenarioConfig, point: str) -> dict:
+    return {
         "budget": dataclasses.asdict(cfg.budget),
         "metric": cfg.metric,
         "name": cfg.name,
@@ -143,12 +144,11 @@ def _meta_line(cfg: ScenarioConfig, point: str) -> str:
         "sweep": dataclasses.asdict(cfg.sweep),
         "version": __version__,
     }
-    return "# meta " + json.dumps(meta, sort_keys=True)
 
 
 def _rows_to_csv(cfg: ScenarioConfig, rows: list[dict], point: str) -> str:
     buf = io.StringIO()
-    buf.write(_meta_line(cfg, point) + "\n")
+    buf.write("# meta " + json.dumps(_meta(cfg, point), sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
@@ -164,11 +164,7 @@ def _write_text(path, text: str):
             fh.write(text)
 
 
-def _write_json(path, cfg: ScenarioConfig, rows: list[dict], point: str):
-    doc = {
-        "meta": json.loads(_meta_line(cfg, point)[len("# meta ") :]),
-        "rows": rows,
-    }
+def _write_json(path, doc: dict):
     _write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
@@ -205,11 +201,13 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
     estimates match individual estimate_sop calls bit for bit.  `workers` is
     accepted for compatibility and ignored: every run is serial.
     """
-    return _run_cells(cfg, cfg.sweep.values, cfg.sweep.variable)
+    return [row for row, _, _ in _run_cells(cfg, cfg.sweep.values, cfg.sweep.variable)]
 
 
-def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[dict]:
-    """Rows for every (value, scenario row, engine) cell; value None is the base point.
+def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[list]:
+    """[row, point, estimate] for every (value, scenario row, engine) cell; value None
+    is the base point.  point is the realized SystemParams or the BudgetInfeasibleError
+    realizing it raised; estimate is the SopEstimate, None if the cell has no value.
     Each (value, mode) point is realized, and each closed-form cell evaluated, once."""
     sweep = cfg.sweep
     cells = []
@@ -219,39 +217,39 @@ def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[dict]:
             if mode not in points:
                 try:
                     points[mode] = realize_point(cfg, value, mode)
-                except BudgetInfeasibleError:
-                    points[mode] = None
-            params = points[mode]
+                except BudgetInfeasibleError as exc:
+                    points[mode] = exc
+            infeasible = isinstance(points[mode], BudgetInfeasibleError)
             for engine in sweep.engines:
                 row = {
                     "sweep_var": sweep_var, "value": None if value is None else float(value),
                     "scenario": scenario, "sic": sic, "mode": mode,
                     "engine": engine, "metric": cfg.metric,
                     "estimate": None, "stderr": None, "trials": None, "seed": None,
-                    "flags": "" if params is not None else "infeasible",
+                    "flags": "infeasible" if infeasible else "",
                 }
-                cells.append((row, params))
+                cells.append([row, points[mode], None])
 
-    mc_cells = [i for i, (row, params) in enumerate(cells)
-                if row["engine"] == "montecarlo" and params is not None]
-    cases = [(cells[i][1], cells[i][0]["scenario"], cells[i][0]["sic"]) for i in mc_cells]
+    feasible = [cell for cell in cells if cell[0]["flags"] != "infeasible"]
+    mc_cells = [cell for cell in feasible if cell[0]["engine"] == "montecarlo"]
+    cases = [(params, row["scenario"], row["sic"]) for row, params, _ in mc_cells]
     # no grid call without Monte Carlo cells: the traced benchmark counts grid calls
-    mc = dict(zip(mc_cells, estimate_sop_grid(cases, sweep.trials, sweep.seed))) if cases else {}
+    for cell, est in zip(mc_cells, estimate_sop_grid(cases, sweep.trials, sweep.seed) if cases else ()):
+        cell[2] = est
 
     memo = {}
-    for i, (row, params) in enumerate(cells):
-        if params is None:
-            continue
+    for cell in feasible:
+        row, params, est = cell
         try:
-            est = mc.get(i) or _closed_form_estimate(memo, params, row["scenario"], row["sic"],
-                                                     row["engine"])
+            est = cell[2] = est or _closed_form_estimate(memo, params, row["scenario"], row["sic"],
+                                                         row["engine"])
         except UnsupportedScenarioError:
             row["flags"] = "unsupported"
             continue
         value, err = _metric_fields(cfg, params, row["scenario"], est)
         row.update(estimate=value, stderr=err, trials=est.trials, flags="|".join(est.flags),
                    seed=None if est.trials is None else sweep.seed)
-    return [row for row, _ in cells]
+    return cells
 
 
 def _all_infeasible(rows: list[dict]) -> bool:
@@ -275,30 +273,19 @@ def _print_table(rows: list[dict]):
         sys.stdout.write("  ".join(cells).rstrip() + "\n")
 
 
-def _cmd_point(args, engines_default) -> int:
-    cfg = _load(args)
-    engines = cfg.sweep.engines if getattr(args, "engines", None) else engines_default
-    cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, engines=engines))
-    # bypass the sweep variable entirely: realize the base point as-is
-    rows = _run_cells(cfg, (None,), "")
-
-    if args.out:
-        _write_text(args.out, _rows_to_csv(cfg, rows, point="base"))
+def _cmd_table(args, engines=()) -> int:
+    """sweep tables the configured sweep; analytic and simulate pass their default
+    engines and table the base point as-is, bypassing the sweep variable.  Without
+    --out or --json, sweep writes CSV to stdout and the point commands a table."""
+    cfg = _load(args, engines)
+    point = "base" if engines else "sweep"
+    rows = [row for row, _, _ in _run_cells(cfg, (None,), "")] if engines else run_sweep(cfg)
     if args.json:
-        _write_json(args.json, cfg, rows, point="base")
-    if not args.out and not args.json:
+        _write_json(args.json, {"meta": _meta(cfg, point), "rows": rows})
+    if args.out or not (engines or args.json):
+        _write_text(args.out, _rows_to_csv(cfg, rows, point))
+    elif not args.json:
         _print_table(rows)
-    return EXIT_INFEASIBLE if _all_infeasible(rows) else EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load(args)
-    rows = run_sweep(cfg)
-    text = _rows_to_csv(cfg, rows, point="sweep")
-    if args.json:
-        _write_json(args.json, cfg, rows, point="sweep")
-    if args.out or not args.json:
-        _write_text(args.out, text)
     return EXIT_INFEASIBLE if _all_infeasible(rows) else EXIT_OK
 
 
@@ -337,28 +324,33 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     interval.  SOP tolerances are sop_tolerance's; CDFs get 3 sigma + 0.005
     absolute, densities 3 sigma + 2.5 percent of the interval mass, sigma
     the binomial error.  Wiretap checks whose receiver has zero
-    mean gain are reported as skipped.  All SOP rows share one draw stream,
-    and the CDF and density checks of each surface mode share another; the
-    pilots of each mode are scored on one draw of that stream's first trials.
+    mean gain are reported as skipped.  The SOP checks read both engines'
+    cells from _run_cells at the base point, so all SOP rows share one draw
+    stream and each surface mode is realized once; the CDF and density checks
+    of each mode share another stream, and the pilots of each mode are scored
+    on one draw of that stream's first trials.
     """
-    checks, sop_rows, pending, pilots = [], [], {}, {}
-    seen = set()
-    for scenario, sic, mode in cfg.sweep.scenarios:
+    sweep = dataclasses.replace(cfg.sweep, engines=("montecarlo", "analytic"), trials=trials,
+                                seed=seed)
+    cells = _run_cells(dataclasses.replace(cfg, metric="sop", sweep=sweep), (None,), "")
+    checks, pending, pilots, seen = [], {}, {}, set()
+    for (row, params, mres), (_, _, ares) in zip(cells[::2], cells[1::2]):
+        scenario, sic, mode = row["scenario"], row["sic"], row["mode"]
+        base = {"check": "sop", "scenario": scenario, "sic": sic, "mode": mode}
         events = model.SCENARIOS[scenario]
         if len(events) > 1:
-            checks.append({"check": "sop", "scenario": scenario, "sic": sic,
-                           "mode": mode, "status": "skip",
+            checks.append({**base, "status": "skip",
                            "detail": "composed quantity; per-user rows cover it"})
             continue
-        try:
-            params = realize_point(cfg, None, mode)
-        except BudgetInfeasibleError as exc:
-            checks.append({"check": "sop", "scenario": scenario, "sic": sic,
-                           "mode": mode, "status": "skip",
-                           "detail": f"infeasible: {exc}"})
+        if isinstance(params, BudgetInfeasibleError):
+            checks.append({**base, "status": "skip", "detail": f"infeasible: {params}"})
             continue
-        sop_rows.append((len(checks), params, scenario, sic, mode))
-        checks.append(None)
+        a, m = ares.value, mres.value
+        gap = abs(a - m)
+        tol = sop_tolerance(a, m, mres.stderr, mode, sic, scenario_rate(params, scenario))
+        checks.append({**base, "status": "pass" if gap <= tol else "fail",
+                       "analytic": a, "montecarlo": m, "gap": gap, "tolerance": tol,
+                       "detail": f"analytic={a:.6g} mc={m:.6g} tol={tol:.3g}"})
         if mode not in pilots:
             pilots[mode] = sample_draw(params, min(trials, 1 << 16), seed)
 
@@ -378,20 +370,8 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
                 continue
             pending.setdefault(mode, (params, []))[1].append((len(checks), points, finish))
             checks.append(base)
-    pilots = gamma = None  # release the pilot draws before the scoring passes
+    pilots = gamma = None  # release the pilot draws before the empirical pass
 
-    results = estimate_sop_grid([row[1:4] for row in sop_rows], trials, seed)
-    for (i, params, scenario, sic, mode), mres in zip(sop_rows, results):
-        a = sop(params, scenario, sic)
-        m = mres.value
-        gap = abs(a.value - m)
-        tol = sop_tolerance(a.value, m, mres.stderr, mode, sic, scenario_rate(params, scenario))
-        checks[i] = {
-            "check": "sop", "scenario": scenario, "sic": sic, "mode": mode,
-            "status": "pass" if gap <= tol else "fail",
-            "analytic": a.value, "montecarlo": m, "gap": gap, "tolerance": tol,
-            "detail": f"analytic={a.value:.6g} mc={m:.6g} tol={tol:.3g}",
-        }
     for params, rows in pending.values():
         requests = [(checks[i]["scenario"], checks[i]["sic"], points) for i, points, _ in rows]
         emps = empirical_sinr_cdfs(params, requests, trials, seed)
@@ -473,7 +453,7 @@ def _cmd_validate(args) -> int:
         )
     sys.stdout.write(f"{len(checks)} checks, {failures} failures\n")
     if args.json:
-        _write_text(args.json, json.dumps({"checks": checks}, sort_keys=True, indent=1) + "\n")
+        _write_json(args.json, {"checks": checks})
     return EXIT_VALIDATION if failures else EXIT_OK
 
 
@@ -487,7 +467,7 @@ def _cmd_quadrature_dump(args) -> int:
         "nodes": [float(x) for x in table.nodes],
         "weights": [float(w) for w in table.weights],
     }
-    _write_text(args.out, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _write_json(args.out, doc)
     return EXIT_OK
 
 
@@ -513,15 +493,15 @@ def _build_parser() -> _Parser:
 
     sub = subs.add_parser("analytic", help="closed forms at the base operating point")
     _add_common(sub, trials=False)
-    sub.set_defaults(func=lambda args: _cmd_point(args, ("analytic",)))
+    sub.set_defaults(func=lambda args: _cmd_table(args, ("analytic",)))
 
     sub = subs.add_parser("simulate", help="Monte Carlo at the base operating point")
     _add_common(sub)
-    sub.set_defaults(func=lambda args: _cmd_point(args, ("montecarlo",)))
+    sub.set_defaults(func=lambda args: _cmd_table(args, ("montecarlo",)))
 
     sub = subs.add_parser("sweep", help="curve table over the configured sweep")
     _add_common(sub)
-    sub.set_defaults(func=_cmd_sweep)
+    sub.set_defaults(func=_cmd_table)
 
     sub = subs.add_parser("validate", help="closed-form vs Monte Carlo agreement report")
     _add_common(sub, table=False)

@@ -315,6 +315,8 @@ def load_config(path) -> ScenarioConfig:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError("<json>", f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("<file>", f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     return parse_config(doc, name=str(path))
 
 

@@ -594,19 +594,53 @@ def test_validate_rejects_table_flags(tmp_path, monkeypatch, capsys, flag, value
     assert list(tmp_path.iterdir()) == []
 
 
-def test_validate_draws_each_pilot_stream_once_per_mode(monkeypatch):
-    # one mode and trials within one block: one pilot draw, one SOP pass and
-    # one empirical pass, however many families the rows check
-    calls = []
-    original = montecarlo._draw_block
+def test_validate_draws_each_pilot_stream_once_per_mode(tmp_path, monkeypatch):
+    # one mode and trials within one block: one realized point, one pilot
+    # draw, one SOP pass and one empirical pass, however many families the
+    # rows check
+    calls, realized = [], []
+    original, realize = montecarlo._draw_block, cli.realize_point
     monkeypatch.setattr(montecarlo, "_draw_block",
                         lambda *args: calls.append(args[1:]) or original(*args))
+    monkeypatch.setattr(cli, "realize_point",
+                        lambda *args: realized.append(args[1:]) or realize(*args))
     rows = [["external_n", "psic", "aris"], ["external_f", "psic", "aris"],
             ["internal", "ipsic", "aris"]]
-    cfg = parse_config(doc(**{"sweep.scenarios": rows, "sweep.trials": 3000}))
+    d = doc(**{"sweep.scenarios": rows, "sweep.trials": 3000})
+    cfg = parse_config(d)
     checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
     assert [c["check"] for c in checks] == ["sop", "cdf", "pdf"] * 3
     assert len(calls) == 3
+    assert realized == [(None, "aris")]
+
+    # each SOP check holds the analytic and simulate commands' base-point rows
+    path = write_doc(tmp_path, d)
+    estimates = {}
+    for command in ("analytic", "simulate"):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, "--config", str(path), "--json", str(out)]) == cli.EXIT_OK
+        for row in json.loads(out.read_text())["rows"]:
+            estimates[row["scenario"], row["engine"]] = row["estimate"]
+    for c in checks[::3]:
+        assert c["analytic"] == estimates[c["scenario"], "analytic"]
+        assert c["montecarlo"] == estimates[c["scenario"], "montecarlo"]
+
+
+def test_validate_skips_infeasible_rows_with_the_budget_message():
+    # 10 W per phase shifter dwarfs the base budget in both surface modes
+    rows = [["external_n", "psic", "aris"], ["internal", "ipsic", "pris"],
+            ["system_external", "psic", "aris"]]
+    d = doc(**{"budget.p_ps_dbm": 40.0, "budget.p_dc_dbm": 40.0, "sweep.scenarios": rows})
+    cfg = parse_config(d)
+    checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
+    assert [(c["check"], c["scenario"], c["status"]) for c in checks] == [
+        ("sop", "external_n", "skip"), ("sop", "internal", "skip"),
+        ("sop", "system_external", "skip")]
+    for c in checks[:2]:
+        with pytest.raises(BudgetInfeasibleError) as info:
+            realize_point(cfg, None, c["mode"])
+        assert c["detail"] == f"infeasible: {info.value}"
+    assert checks[2]["detail"] == "composed quantity; per-user rows cover it"
 
 
 SCIPY_SPECIAL_PROBE = """
@@ -688,6 +722,17 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(path),
                      "--preset", "fig2"]) == cli.EXIT_CONFIG  # mutually exclusive
     capsys.readouterr()  # drain usage noise
+    # a directory or a file that is not UTF-8 is a configuration error naming the file
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"name": "caf\xe9"}')
+    for source in (tmp_path, undecodable):
+        assert cli.main(["analytic", "--config", str(source)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(source) in err
+    # an empty engine list is given, not absent
+    for command in ("sweep", "analytic"):
+        assert cli.main([command, "--config", str(path), "--engines", ""]) == cli.EXIT_CONFIG
+        assert "'engines'" in capsys.readouterr().err
 
 
 NAN = float("nan")
