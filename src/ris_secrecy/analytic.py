@@ -313,7 +313,9 @@ def sop_asymptotic(params, scenario: str, sic: str) -> SopEstimate:
     thresholds = _thresholds(dc, scenario, sic, table)
     if scenario == "external_n" and sic == "ipsic":
         p = dc.params
-        floor_scale = p.omega_ipu / (p.a_n * p.kappa**2 * dc.omega_br * dc.omega_rn)
+        den = p.a_n * p.kappa**2 * dc.omega_br * dc.omega_rn
+        # no near-user signal (a_n = 0, an unreachable hop): the floor is outage
+        floor_scale = p.omega_ipu / den if den > 0.0 else math.inf
         value, _ = _outage(dc, scenario, sic, thresholds, table, floor_scale * table.nodes)
         return _clamped(value, "asymptotic")
     u, _, capped = _law(dc, SINR_FAMILIES[SCENARIOS[scenario][0][0]], sic, thresholds[0], table)

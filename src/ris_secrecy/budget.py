@@ -9,6 +9,7 @@ station keep whatever the surface does not consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import SURFACE_MODES
@@ -26,7 +27,7 @@ class BudgetInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class PowerBudget:
-    """Budget decomposition, all in watts.
+    """Budget decomposition, all in finite watts.
 
     p_tot:  total budget
     p_ris:  amplifier supply power (active mode only)
@@ -45,8 +46,8 @@ class PowerBudget:
         if self.mode not in SURFACE_MODES:
             raise ValueError(f"mode must be one of {SURFACE_MODES}")
         for name in ("p_tot", "p_ris", "p_ps", "p_dc"):
-            if getattr(self, name) != getattr(self, name):
-                raise ValueError(f"{name} must not be NaN")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.p_tot <= 0.0:
             raise ValueError("p_tot must be positive")
         for name in ("p_ris", "p_ps", "p_dc"):

@@ -156,16 +156,20 @@ def _rows_to_csv(cfg: ScenarioConfig, rows: list[dict], point: str) -> str:
     return buf.getvalue()
 
 
-def _write_text(path, text: str):
+def _write_text(option: str, path, text: str):
+    """Write to the file the command-line option names, or stdout for None or '-'."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(option, f"{path}: {exc.strerror or exc}") from exc
 
 
-def _write_json(path, doc: dict):
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+def _write_json(option: str, path, doc: dict):
+    _write_text(option, path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def _closed_form_estimate(memo: dict, params, scenario, sic, engine):
@@ -281,9 +285,9 @@ def _cmd_table(args, engines=()) -> int:
     point = "base" if engines else "sweep"
     rows = [row for row, _, _ in _run_cells(cfg, (None,), "")] if engines else run_sweep(cfg)
     if args.json:
-        _write_json(args.json, {"meta": _meta(cfg, point), "rows": rows})
+        _write_json("--json", args.json, {"meta": _meta(cfg, point), "rows": rows})
     if args.out or not (engines or args.json):
-        _write_text(args.out, _rows_to_csv(cfg, rows, point))
+        _write_text("--out", args.out, _rows_to_csv(cfg, rows, point))
     elif not args.json:
         _print_table(rows)
     return EXIT_INFEASIBLE if _all_infeasible(rows) else EXIT_OK
@@ -453,7 +457,11 @@ def _cmd_validate(args) -> int:
         )
     sys.stdout.write(f"{len(checks)} checks, {failures} failures\n")
     if args.json:
-        _write_json(args.json, {"checks": checks})
+        _write_json("--json", args.json, {"checks": checks})
+    # a single-event SOP row is skipped only when its point is infeasible
+    sop_rows = [c for c in checks if c["check"] == "sop" and len(model.SCENARIOS[c["scenario"]]) == 1]
+    if sop_rows and all(c["status"] == "skip" for c in sop_rows):
+        return EXIT_INFEASIBLE
     return EXIT_VALIDATION if failures else EXIT_OK
 
 
@@ -467,7 +475,7 @@ def _cmd_quadrature_dump(args) -> int:
         "nodes": [float(x) for x in table.nodes],
         "weights": [float(w) for w in table.weights],
     }
-    _write_json(args.out, doc)
+    _write_json("--out", args.out, doc)
     return EXIT_OK
 
 
@@ -520,7 +528,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_CliArgumentError, ConfigError, FileNotFoundError) as exc:
+    except (_CliArgumentError, ConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

@@ -25,8 +25,9 @@ A field is given once: under its plain name, taken as already linear, or
 under its suffixed name, converted to linear watts/ratios here, exactly
 once; the rest of the package never sees decibels.  One block parser,
 ``_block``, applies that table and rejects unknown keys.  The budget's own
-rules (positive total, nonnegative terms, surface mode) are PowerBudget's,
-and the per-variable sweep rules are ``_with_sweep_value``'s.
+rules (positive finite total, nonnegative terms, surface mode) are
+PowerBudget's, the sweep block's rules and defaults are SweepSpec's, and the
+per-value sweep rules are ``_with_sweep_value``'s.
 
 Naming note: ``params.alpha_p`` is the path-loss exponent.  The *sweep
 variable* ``alpha_p`` is the power-offset factor instead: it sets the NOMA
@@ -71,7 +72,8 @@ _PARAM_FIELDS = {
     "a_f": "", "a_n": "", "r_f": "", "r_n": "", "varpi": "",
     "omega_ipu": "_db", "omega_ipe": "_db",
 }
-_BUDGET_FIELDS = {"p_tot": "_dbm", "p_ris": "_dbm", "p_ps": "_dbm", "p_dc": "_dbm"}
+_BUDGET_FIELDS = {"p_tot": "_dbm", "p_ris": "_dbm", "p_ps": "_dbm", "p_dc": "_dbm",
+                  "ris_fraction": ""}
 
 
 class ConfigError(ValueError):
@@ -83,13 +85,20 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(value_db: float) -> float:
-    """dB ratio to linear ratio."""
-    return 10.0 ** (value_db / 10.0)
+    """dB ratio to linear ratio; +inf where the ratio overflows a float."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def dbm_to_watts(value_dbm: float) -> float:
     """dBm power to watts."""
-    return 10.0 ** (value_dbm / 10.0) / 1000.0
+    return db_to_linear(value_dbm) / 1000.0
+
+
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
 
 
 @dataclass(frozen=True)
@@ -98,50 +107,66 @@ class SweepSpec:
 
     variable:  one of SWEEP_VARIABLES ('rate' sets both target rates,
                'alpha_p' sets the power split a_f = value)
-    values:    strictly monotone, nonempty
-    scenarios: (scenario, sic, mode) triples; mode 'pris' pins kappa = 1
+    values:    finite numbers, strictly monotone, nonempty
+    scenarios: nonempty [scenario, sic, mode] rows; mode 'pris' pins kappa = 1
                and sigma2_t = 0 for that row
-    engines:   subset of ENGINES
+    engines:   nonempty subset of ENGINES
+    trials, seed: Monte Carlo trials per cell (>= 1) and 64-bit seed, integers
     hold:      for n_elements sweeps, which side of M = P*Q stays fixed
                ('n_active' or 'n_groups')
+
+    A config file's sweep block, a command-line override and a spec built
+    in Python pass the same checks; lists are stored as tuples.
     """
 
     variable: str
     values: tuple[float, ...]
     scenarios: tuple[tuple[str, str, str], ...]
-    engines: tuple[str, ...]
-    trials: int
-    seed: int
+    engines: tuple[str, ...] = ("analytic",)
+    trials: int = 100000
+    seed: int = 0
     hold: str = "n_active"
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigError("sweep.variable", f"must be one of {SWEEP_VARIABLES}")
-        if len(self.values) == 0:
-            raise ConfigError("sweep.values", "must be nonempty")
-        diffs = [b - a for a, b in zip(self.values, self.values[1:])]
+        values = self.values
+        if not isinstance(values, (list, tuple)) or not values or not all(
+                _is_number(v) and math.isfinite(v) for v in values):
+            raise ConfigError("sweep.values", "must be a nonempty list of finite numbers")
+        values = tuple(float(v) for v in values)
+        diffs = [b - a for a, b in zip(values, values[1:])]
         if any(d <= 0 for d in diffs) and any(d >= 0 for d in diffs):
             raise ConfigError("sweep.values", "must be strictly monotone")
-        if not self.scenarios:
-            raise ConfigError("sweep.scenarios", "must be nonempty")
-        for scenario, sic, mode in self.scenarios:
-            if scenario not in SCENARIOS:
-                raise ConfigError("sweep.scenarios", f"unknown scenario {scenario!r}")
-            if sic not in SIC_MODES:
-                raise ConfigError("sweep.scenarios", f"unknown sic {sic!r}")
-            if mode not in SURFACE_MODES:
-                raise ConfigError("sweep.scenarios", f"unknown mode {mode!r}")
-        if not self.engines:
-            raise ConfigError("sweep.engines", "must be nonempty")
-        for engine in self.engines:
+        rows = self.scenarios
+        if not isinstance(rows, (list, tuple)) or not rows or not all(
+                isinstance(row, (list, tuple)) and len(row) == 3 for row in rows):
+            raise ConfigError("sweep.scenarios", "must be a nonempty list of [scenario, sic, mode]")
+        rows = tuple(tuple(str(x) for x in row) for row in rows)
+        for row in rows:
+            for what, x, known in zip(("scenario", "sic", "mode"), row,
+                                      (SCENARIOS, SIC_MODES, SURFACE_MODES)):
+                if x not in known:
+                    raise ConfigError("sweep.scenarios", f"unknown {what} {x!r}")
+        engines = self.engines
+        if not isinstance(engines, (list, tuple)) or not engines:
+            raise ConfigError("sweep.engines", "must be a nonempty list")
+        engines = tuple(str(e) for e in engines)
+        for engine in engines:
             if engine not in ENGINES:
                 raise ConfigError("sweep.engines", f"unknown engine {engine!r}")
+        for name in ("trials", "seed"):
+            if not isinstance(getattr(self, name), int) or isinstance(getattr(self, name), bool):
+                raise ConfigError(f"sweep.{name}", "must be an integer")
         if self.trials < 1:
             raise ConfigError("sweep.trials", "must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("sweep.seed", "must be a 64-bit value")
         if self.hold not in ("n_active", "n_groups"):
             raise ConfigError("sweep.hold", "must be 'n_active' or 'n_groups'")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "scenarios", rows)
+        object.__setattr__(self, "engines", engines)
 
 
 @dataclass(frozen=True)
@@ -182,18 +207,12 @@ def _block(doc: dict, name: str, fields: dict, extra_keys=()) -> dict:
         if not given:
             continue
         raw = block[given[0]]
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        if not _is_number(raw):
             raise ConfigError(given[0], "must be a number")
         if math.isnan(raw):
             raise ConfigError(given[0], "must not be NaN")
         out[field] = _TO_LINEAR[given[0][len(field):]](float(raw))
     return out
-
-
-def _finite(field: str, raw) -> float:
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not math.isfinite(raw):
-        raise ConfigError(field, "finite numbers only")
-    return float(raw)
 
 
 def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
@@ -230,7 +249,7 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
     if missing:
         raise ConfigError(f"params.{missing[0]}", "required field missing")
 
-    b = _block(doc, "budget", _BUDGET_FIELDS, ("mode", "ris_fraction"))
+    b = _block(doc, "budget", _BUDGET_FIELDS, ("mode",))
     if "p_tot" not in b:
         raise ConfigError("budget.p_tot", "required field missing")
     p_ris, ris_fraction = b.get("p_ris"), b.get("ris_fraction")
@@ -239,9 +258,8 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
     if p_ris is None and ris_fraction is None:
         ris_fraction = 0.2  # default split of the total budget to the amplifiers
     if ris_fraction is not None:
-        if not isinstance(ris_fraction, (int, float)) or not 0.0 <= ris_fraction < 1.0:
+        if not 0.0 <= ris_fraction < 1.0:
             raise ConfigError("budget.ris_fraction", "must lie in [0, 1)")
-        ris_fraction = float(ris_fraction)
         p_ris = ris_fraction * b["p_tot"]
     try:
         budget = PowerBudget(p_tot=b["p_tot"], p_ris=p_ris, p_ps=b.get("p_ps") or 0.0,
@@ -253,39 +271,12 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
     if metric not in ("sop", "throughput"):
         raise ConfigError("metric", "must be 'sop' or 'throughput'")
 
-    s = _block(doc, "sweep", {}, [f.name for f in dataclasses.fields(SweepSpec)])
-    if "values" not in s:
-        raise ConfigError("sweep.values", "required field missing")
-    if not isinstance(s["values"], list):
-        raise ConfigError("sweep.values", "must be a list")
-    sweep_values = tuple(_finite("sweep.values", v) for v in s["values"])
-
-    scenarios = s.get("scenarios")
-    if not isinstance(scenarios, list):
-        raise ConfigError("sweep.scenarios", "must be a list of [scenario, sic, mode]")
-    parsed_rows = []
-    for row in scenarios:
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            raise ConfigError("sweep.scenarios", "each row must be [scenario, sic, mode]")
-        parsed_rows.append((str(row[0]), str(row[1]), str(row[2])))
-    engines = s.get("engines", ["analytic"])
-    if not isinstance(engines, list):
-        raise ConfigError("sweep.engines", "must be a list")
-    trials = s.get("trials", 100000)
-    seed = s.get("seed", 0)
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise ConfigError("sweep.trials", "must be an integer")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("sweep.seed", "must be an integer")
-    sweep = SweepSpec(
-        variable=str(s.get("variable", "")),
-        values=sweep_values,
-        scenarios=tuple(parsed_rows),
-        engines=tuple(str(e) for e in engines),
-        trials=trials,
-        seed=seed,
-        hold=str(s.get("hold", "n_active")),
-    )
+    sweep_fields = dataclasses.fields(SweepSpec)
+    s = _block(doc, "sweep", {}, [f.name for f in sweep_fields])
+    missing = [f.name for f in sweep_fields if f.default is dataclasses.MISSING and f.name not in s]
+    if missing:
+        raise ConfigError(f"sweep.{missing[0]}", "required field missing")
+    sweep = SweepSpec(**s)
 
     try:
         params = SystemParams(p_bs=1.0, **values)
@@ -322,11 +313,8 @@ def load_config(path) -> ScenarioConfig:
 
 def list_presets() -> list[str]:
     """Names of the shipped figure-parameterization presets."""
-    out = []
-    for entry in resources.files(__package__).joinpath("presets").iterdir():
-        if entry.name.endswith(".json"):
-            out.append(entry.name[: -len(".json")])
-    return sorted(out)
+    entries = resources.files(__package__).joinpath("presets").iterdir()
+    return sorted(e.name[: -len(".json")] for e in entries if e.name.endswith(".json"))
 
 
 def load_preset(name: str) -> ScenarioConfig:
@@ -387,10 +375,7 @@ def realize_point(cfg: ScenarioConfig, value: float | None, mode: str) -> System
     the hardware terms exceed the total) and pins the passive degenerate
     values kappa = 1, sigma2_t = 0 for PRIS rows.
     """
-    if value is None:
-        params, budget = cfg.params, cfg.budget
-    else:
-        params, budget = _with_sweep_value(cfg, value)
+    params, budget = (cfg.params, cfg.budget) if value is None else _with_sweep_value(cfg, value)
     if mode not in SURFACE_MODES:
         raise ConfigError("mode", f"must be one of {SURFACE_MODES}")
     budget = dataclasses.replace(budget, mode=mode, p_ris=budget.p_ris if mode == "aris" else 0.0)

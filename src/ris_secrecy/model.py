@@ -129,7 +129,8 @@ def mean_channel_gain(distance_m: float, alpha_p: float, beta0: float) -> float:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Full system operating point (all linear units: watts, meters, ratios).
+    """Full system operating point (all linear units: watts, meters, ratios;
+    every field but the distances finite).
 
     d_br, d_rn, d_rf, d_re:   BS-RIS and RIS-to-{near, far, eve} distances (m);
                               +inf models an unreachable receiver (zero mean gain)
@@ -142,7 +143,7 @@ class SystemParams:
     a_f, a_n:                 NOMA power split, a_f + a_n = 1 with a_f > a_n
     r_f, r_n:                 target secrecy rates (bits per channel use)
     varpi:                    residual interference level after imperfect SIC, in [0, 1]
-    omega_ipu, omega_ipe:     mean gains of the residual-interference channels (finite)
+    omega_ipu, omega_ipe:     mean gains of the residual-interference channels
     p_bs:                     base-station transmit power (W)
     """
 
@@ -170,18 +171,19 @@ class SystemParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) != getattr(self, f.name):
+            value = getattr(self, f.name)
+            if value != value:
                 raise ValueError(f"{f.name} must not be NaN")
+            # only a distance may be infinite (an unreachable receiver); an
+            # infinite residual gain has no residual-free pSIC limit (0 * inf)
+            if math.isinf(value) and not f.name.startswith("d_"):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("d_br", "d_rn", "d_rf", "d_re", "beta0", "sigma2", "sigma2_e", "p_bs"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("alpha_p", "sigma2_t", "r_f", "r_n"):
+        for name in ("alpha_p", "sigma2_t", "r_f", "r_n", "omega_ipu", "omega_ipe"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-        # an infinite residual gain has no residual-free pSIC limit (0 * inf)
-        for name in ("omega_ipu", "omega_ipe"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
         if self.n_elements != self.n_groups * self.n_active:
             raise ValueError("element counts must satisfy n_elements = n_groups * n_active")
         if min(self.n_groups, self.n_active) < 1:

@@ -150,6 +150,13 @@ def _as_float_array(z):
     return arr
 
 
+def _log_k_form(q: int, nu: int, z: np.ndarray) -> np.ndarray:
+    """ln[(2/Gamma(q)) z^{nu/2} K_nu(2 sqrt z)] at z > 0: the survival function
+    (nu = q) and the density (nu = q - 1) of the cascade power."""
+    x = 2.0 * np.sqrt(z)
+    return math.log(2.0) - math.lgamma(q) + (nu / 2.0) * np.log(z) + log_bessel_k(nu, x)
+
+
 def kdist_logsf(q: int, z) -> np.ndarray | float:
     """ln of the cascade-power survival function (2/Gamma(q)) z^{q/2} K_q(2 sqrt z).
 
@@ -180,14 +187,7 @@ def kdist_logsf(q: int, z) -> np.ndarray | float:
             out[small] = np.log1p(-zs / (q - 1.0))
     rest = ~small & ~unbounded
     if np.any(rest):
-        zl = arr[rest]
-        x = 2.0 * np.sqrt(zl)
-        out[rest] = (
-            math.log(2.0)
-            - math.lgamma(q)
-            + (q / 2.0) * np.log(zl)
-            + log_bessel_k(q, x)
-        )
+        out[rest] = _log_k_form(q, q, arr[rest])
     out = np.minimum(out, 0.0)
     return float(out[0]) if scalar else out.reshape(np.shape(np.asarray(z)))
 
@@ -262,14 +262,6 @@ def kdist_pdf(q: int, z) -> np.ndarray | float:
     out[unbounded] = 0.0
     pos = ~zero & ~unbounded
     if np.any(pos):
-        zp = arr[pos]
-        x = 2.0 * np.sqrt(zp)
-        logpdf = (
-            math.log(2.0)
-            - math.lgamma(q)
-            + ((q - 1.0) / 2.0) * np.log(zp)
-            + log_bessel_k(q - 1, x)
-        )
         with np.errstate(under="ignore"):
-            out[pos] = np.exp(logpdf)
+            out[pos] = np.exp(_log_k_form(q, q - 1, arr[pos]))
     return float(out[0]) if scalar else out.reshape(np.shape(np.asarray(z)))

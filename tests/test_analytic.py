@@ -397,6 +397,16 @@ def test_asymptote_flags_out_of_regime():
     assert "asymptote-regime-invalid" in est.flags
 
 
+@pytest.mark.parametrize("edits", [{"a_n": 0.0, "a_f": 1.0}, {"d_br": math.inf}, {"d_rn": math.inf}],
+                         ids=["a_n=0", "d_br=inf", "d_rn=inf"])
+def test_ipsic_floor_asymptote_without_near_user_signal(edits):
+    # no signal reaches the near user: the floor's scale is infinite and the
+    # asymptote is certain outage, as the exact closed form gives
+    p = make_params(**edits)
+    exact = sop(p, "external_n", "ipsic").value
+    assert sop_asymptotic(p, "external_n", "ipsic").value == exact == pytest.approx(1.0, abs=1e-12)
+
+
 def test_asymptote_internal_ipsic_unsupported():
     with pytest.raises(UnsupportedScenarioError):
         sop_asymptotic(make_params(), "internal", "ipsic")

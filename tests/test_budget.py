@@ -72,6 +72,13 @@ def test_budget_validation():
 
 
 @pytest.mark.parametrize("name", ["p_tot", "p_ris", "p_ps", "p_dc"])
+def test_budget_rejects_infinite_power(name):
+    fields = dict(p_tot=1e-4, p_ris=0.0, p_ps=0.0, p_dc=0.0, mode="aris")
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PowerBudget(**{**fields, name: float("inf")})
+
+
+@pytest.mark.parametrize("name", ["p_tot", "p_ris", "p_ps", "p_dc"])
 def test_budget_rejects_nan(name):
     fields = dict(p_tot=1e-4, p_ris=0.0, p_ps=0.0, p_dc=0.0, mode="aris")
     with pytest.raises(ValueError, match=name):

@@ -8,8 +8,8 @@ grid call per run over any number of draw laws; row agreement with
 direct engine calls; closed-form cells and realized points shared within
 one sweep, never across sweeps; infeasible and unsupported row marking; the
 validation report and its exit code; quadrature dump; JSON mirrors;
-command line error handling; NaN and out-of-domain input rejected at the
-config boundary.
+command line error handling; NaN, infinite and out-of-domain input
+rejected at the config boundary.
 """
 
 import copy
@@ -33,6 +33,7 @@ from ris_secrecy.analytic import UnsupportedScenarioError
 from ris_secrecy.budget import BudgetInfeasibleError
 from ris_secrecy.config import (
     ConfigError,
+    SweepSpec,
     db_to_linear,
     dbm_to_watts,
     list_presets,
@@ -179,6 +180,8 @@ def test_budget_rules():
         parse_config(doc(**{"budget.p_ris_dbm": 0.0}))
     with pytest.raises(ConfigError, match="ris_fraction"):
         parse_config(doc(**{"budget.ris_fraction": 1.0}))
+    with pytest.raises(ConfigError, match="'ris_fraction': must be a number"):
+        parse_config(doc(**{"budget.ris_fraction": False}))
     with pytest.raises(ConfigError, match="mode"):
         parse_config(doc(**{"budget.mode": "hybrid"}))
     explicit = parse_config(doc(**{"budget.ris_fraction": ..., "budget.p_ris_dbm": 0.0}))
@@ -217,6 +220,22 @@ def test_sweep_validation():
         parse_config(doc(**{"sweep.variable": "alpha_p", "sweep.values": [0.4, 0.6]}))
     with pytest.raises(ConfigError, match="divisible"):
         parse_config(doc(**{"sweep.variable": "n_elements", "sweep.values": [20.0, 50.0]}))
+
+
+def test_sweep_spec_built_in_python_passes_the_config_checks():
+    # lists become tuples, so a spec from Python hashes like a parsed one
+    rows = [["internal", "psic", "aris"]]
+    spec = SweepSpec("kappa", [1.0, 2], rows)
+    assert spec.values == (1.0, 2.0) and spec.scenarios == (("internal", "psic", "aris"),)
+    parsed = parse_config(doc(sweep={"variable": "kappa", "values": [1.0, 2], "scenarios": rows}))
+    assert parsed.sweep == spec and hash(parsed.sweep) == hash(spec)
+    assert (spec.engines, spec.trials, spec.seed, spec.hold) == (("analytic",), 100000, 0, "n_active")
+    for field, value in (("trials", True), ("seed", 1.0), ("engines", "analytic"),
+                         ("values", [1.0, math.inf]), ("scenarios", [["internal", "psic"]])):
+        with pytest.raises(ConfigError, match=f"sweep.{field}"):
+            SweepSpec(**{"variable": "kappa", "values": [1.0, 2.0], "scenarios": rows, field: value})
+    with pytest.raises(ConfigError, match="'sweep.variable': required field missing"):
+        parse_config(doc(**{"sweep.variable": ...}))
 
 
 def test_load_config_reports_json_errors(tmp_path):
@@ -626,7 +645,7 @@ def test_validate_draws_each_pilot_stream_once_per_mode(tmp_path, monkeypatch):
         assert c["montecarlo"] == estimates[c["scenario"], "montecarlo"]
 
 
-def test_validate_skips_infeasible_rows_with_the_budget_message():
+def test_validate_skips_infeasible_rows_with_the_budget_message(tmp_path):
     # 10 W per phase shifter dwarfs the base budget in both surface modes
     rows = [["external_n", "psic", "aris"], ["internal", "ipsic", "pris"],
             ["system_external", "psic", "aris"]]
@@ -641,6 +660,9 @@ def test_validate_skips_infeasible_rows_with_the_budget_message():
             realize_point(cfg, None, c["mode"])
         assert c["detail"] == f"infeasible: {info.value}"
     assert checks[2]["detail"] == "composed quantity; per-user rows cover it"
+    # every checked point infeasible: the command exits as analytic and sweep do
+    path = write_doc(tmp_path, d)
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INFEASIBLE
 
 
 SCIPY_SPECIAL_PROBE = """
@@ -733,6 +755,13 @@ def test_cli_error_paths(tmp_path, capsys):
     for command in ("sweep", "analytic"):
         assert cli.main([command, "--config", str(path), "--engines", ""]) == cli.EXIT_CONFIG
         assert "'engines'" in capsys.readouterr().err
+    # an output path that cannot be written is a configuration error naming the option
+    for option in ("--out", "--json"):
+        assert cli.main(["analytic", "--config", str(path), option, str(tmp_path)]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{option}': {tmp_path}: ")
+        assert err.count("\n") == 1
 
 
 NAN = float("nan")
@@ -745,7 +774,8 @@ def assert_config_error(tmp_path, capsys, d, field):
     path = write_doc(tmp_path, d)
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) \
         == cli.EXIT_CONFIG
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS + ["params.a_n", "budget.p_ris_dbm"])
@@ -771,12 +801,29 @@ def test_budget_power_out_of_domain_fails_at_the_boundary(tmp_path, capsys, key,
     assert_config_error(tmp_path, capsys, d, key)
 
 
-@pytest.mark.parametrize("key", ["omega_ipu", "omega_ipe"])
-def test_infinite_residual_gain_fails_at_the_boundary(tmp_path, capsys, key):
-    d = doc(**{f"params.{key}_db": math.inf})
-    with pytest.raises(ConfigError, match=key):
-        parse_config(d)
-    assert_config_error(tmp_path, capsys, d, key)
+# id -> (edits, the field the error names): JSON Infinity, and decibel
+# values whose linear value overflows a float
+INFINITE_INPUTS = {
+    "omega_ipu": ({"params.omega_ipu_db": math.inf}, "omega_ipu"),
+    "omega_ipe": ({"params.omega_ipe_db": math.inf}, "omega_ipe"),
+    "kappa": ({"params.kappa": math.inf}, "kappa"),
+    "beta0": ({"params.beta0_db": math.inf}, "beta0"),
+    "alpha_p": ({"params.alpha_p": math.inf}, "alpha_p"),
+    "p_tot": ({"budget.p_tot_dbm": math.inf}, "p_tot"),
+    "sigma2_4000db": ({"params.sigma2_dbm": 4000.0}, "sigma2"),
+    "p_tot_4000db": ({"budget.p_tot_dbm": 4000.0}, "p_tot"),
+    "sweep_p_tot_4000db": ({"sweep.values": [10.0, 4000.0]}, "sweep.values"),
+    "sweep_sigma2_t_4000db": ({"sweep.variable": "sigma2_t_dbm", "sweep.values": [4000.0]},
+                              "sweep.values"),
+}
+
+
+@pytest.mark.parametrize("key", INFINITE_INPUTS)
+def test_infinite_input_fails_at_the_boundary(tmp_path, capsys, key):
+    edits, field = INFINITE_INPUTS[key]
+    with pytest.raises(ConfigError, match=field):
+        parse_config(doc(**edits))
+    assert_config_error(tmp_path, capsys, doc(**edits), field)
 
 
 @pytest.mark.parametrize("variable, good", [

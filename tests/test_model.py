@@ -7,7 +7,7 @@ straight-line SINR oracles on synthetic draws; the per-family hand formulas
 the registry replaced, matched bit for bit on seeded operating points;
 structural SINR facts (far-user ceiling, SIC ordering, power monotonicity);
 the scenario registry; dataclass invariant enforcement, NaN in every float
-field included.
+field and infinity outside the distances included.
 """
 
 import dataclasses
@@ -505,6 +505,15 @@ def test_params_reject_infinite_residual_gain(name):
 
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(SystemParams) if f.type in (float, "float")]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_params_allow_infinity_only_in_distances(name):
+    if name.startswith("d_"):
+        make_params(**{name: math.inf})
+    else:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_params(**{name: math.inf})
 
 
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
