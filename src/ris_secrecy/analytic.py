@@ -121,11 +121,16 @@ def _law(dc: DerivedConstants, fam: SinrFamily, sic: str, x, table: QuadratureTa
     return _scaled_arg(x[:, None] if np.ndim(scale) else x, scale), scale, np.zeros(x.shape, bool)
 
 
+def _average(terms, weights):
+    """Quadrature average over the last axis; 1.0 where all terms are, whatever the weight round-off."""
+    return np.where(np.all(terms == 1.0, axis=-1), 1.0, terms @ weights)
+
+
 def _cdf(dc: DerivedConstants, z, capped, table: QuadratureTable):
     """Unclipped CDF at the arguments of _law, averaged over a quadrature axis."""
     if z.ndim == 2:
         # accumulate outage mass, not survival: a zero argument stays exactly 0
-        return kdist_cdf(dc.params.n_active, z) @ table.weights
+        return _average(kdist_cdf(dc.params.n_active, z), table.weights)
     out = 1.0 - kdist_sf(dc.params.n_active, z)
     out[capped] = 1.0
     return out
@@ -242,7 +247,7 @@ def _outage(dc: DerivedConstants, scenario: str, sic: str, thresholds, inner, sc
     if (scenario, sic) in _LEGIT_SCALE:
         fam = fam._replace(residual=_LEGIT_SCALE[scenario, sic])
     z, _, capped = _law(dc, fam, sic, tau, inner, scale)
-    return float(w @ _cdf(dc, z, capped, inner)), bool(np.all(capped))
+    return float(_average(_cdf(dc, z, capped, inner), w)), bool(np.all(capped))
 
 
 def sop(params, scenario: str, sic: str, *, table: QuadratureTable | None = None) -> SopEstimate:

@@ -53,8 +53,7 @@ from .analytic import (
 from .budget import BudgetInfeasibleError
 from .config import ConfigError, ScenarioConfig, load_config, load_preset, list_presets, realize_point
 from .model import scenario_rate
-# sinr_samples is unused here; perfbench/spans.py wraps it by this name
-from .montecarlo import empirical_sinr_cdfs, estimate_sop_grid, sample_draw, sinr_samples
+from .montecarlo import empirical_sinr_cdfs, estimate_sop_grid, sinr_samples
 from .specfun import gauss_laguerre
 
 __all__ = ["main", "run_sweep", "sop_tolerance", "validate_point"]
@@ -256,10 +255,6 @@ def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[list]:
     return cells
 
 
-def _all_infeasible(rows: list[dict]) -> bool:
-    return bool(rows) and all(r["flags"] == "infeasible" for r in rows)
-
-
 def _print_table(rows: list[dict]):
     header = [c for c in CSV_COLUMNS if c not in ("sweep_var",)]
     widths = {c: max(len(c), 12) for c in header}
@@ -290,7 +285,7 @@ def _cmd_table(args, engines=()) -> int:
         _write_text("--out", args.out, _rows_to_csv(cfg, rows, point))
     elif not args.json:
         _print_table(rows)
-    return EXIT_INFEASIBLE if _all_infeasible(rows) else EXIT_OK
+    return EXIT_INFEASIBLE if rows and all(r["flags"] == "infeasible" for r in rows) else EXIT_OK
 
 
 # closed forms keyed by (SINR family, sic); x-first call convention
@@ -330,24 +325,22 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     the binomial error.  Wiretap checks whose receiver has zero
     mean gain are reported as skipped.  The SOP checks read both engines'
     cells from _run_cells at the base point, so all SOP rows share one draw
-    stream and each surface mode is realized once; the CDF and density checks
-    of each mode share another stream, and the pilots of each mode are scored
-    on one draw of that stream's first trials.
+    stream and each surface mode is realized once.  Per mode, one sinr_samples
+    draw of a second stream's first trials gives the pilots, and one
+    empirical_sinr_cdfs pass over that stream scores the CDF and density checks.
     """
     sweep = dataclasses.replace(cfg.sweep, engines=("montecarlo", "analytic"), trials=trials,
                                 seed=seed)
     cells = _run_cells(dataclasses.replace(cfg, metric="sop", sweep=sweep), (None,), "")
-    checks, pending, pilots, seen = [], {}, {}, set()
+    checks, modes = [], {}
     for (row, params, mres), (_, _, ares) in zip(cells[::2], cells[1::2]):
         scenario, sic, mode = row["scenario"], row["sic"], row["mode"]
         base = {"check": "sop", "scenario": scenario, "sic": sic, "mode": mode}
         events = model.SCENARIOS[scenario]
-        if len(events) > 1:
-            checks.append({**base, "status": "skip",
-                           "detail": "composed quantity; per-user rows cover it"})
-            continue
-        if isinstance(params, BudgetInfeasibleError):
-            checks.append({**base, "status": "skip", "detail": f"infeasible: {params}"})
+        composed = len(events) > 1
+        if composed or isinstance(params, BudgetInfeasibleError):
+            why = "composed quantity; per-user rows cover it" if composed else f"infeasible: {params}"
+            checks.append({**base, "status": "skip", "detail": why})
             continue
         a, m = ares.value, mres.value
         gap = abs(a - m)
@@ -355,32 +348,30 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
         checks.append({**base, "status": "pass" if gap <= tol else "fail",
                        "analytic": a, "montecarlo": m, "gap": gap, "tolerance": tol,
                        "detail": f"analytic={a:.6g} mc={m:.6g} tol={tol:.3g}"})
-        if mode not in pilots:
-            pilots[mode] = sample_draw(params, min(trials, 1 << 16), seed)
-
+        # families the SIC mode does not enter are checked once, under psic
+        planned = modes.setdefault(mode, (params, {}))[1]
         legit, eve, _ = events[0]
         for kind, family, plan, finish in (("cdf", legit, _cdf_plan, _cdf_result),
                                            ("pdf", eve, _pdf_plan, _pdf_result)):
-            # families the SIC mode does not enter are checked once, under psic
-            family_sic = model.SINR_FAMILIES[family].sic_for(sic)
-            if (family, family_sic, mode) in seen:
-                continue
-            seen.add((family, family_sic, mode))
-            base = {"check": kind, "scenario": family, "sic": family_sic, "mode": mode}
-            gamma = model.sinr(family, params, pilots[mode], family_sic)
-            points, why = plan(params, family, gamma)
-            if points is None:
-                checks.append({**base, "status": "skip", "detail": why})
-                continue
-            pending.setdefault(mode, (params, []))[1].append((len(checks), points, finish))
-            checks.append(base)
-    pilots = gamma = None  # release the pilot draws before the empirical pass
+            key = (family, model.SINR_FAMILIES[family].sic_for(sic))
+            if key not in planned:
+                planned[key] = (len(checks), plan, finish)
+                checks.append({"check": kind, "scenario": family, "sic": key[1], "mode": mode})
 
-    for params, rows in pending.values():
-        requests = [(checks[i]["scenario"], checks[i]["sic"], points) for i, points, _ in rows]
-        emps = empirical_sinr_cdfs(params, requests, trials, seed)
-        for (i, points, finish), emp in zip(rows, emps):
-            checks[i] = finish(checks[i], params, points, emp, trials)
+    for params, planned in modes.values():
+        pilots = sinr_samples(params, list(planned), min(trials, 1 << 16), seed)
+        pending = []
+        for (key, (i, plan, finish)), gamma in zip(planned.items(), pilots):
+            points, why = plan(params, key[0], gamma)
+            if points is None:
+                checks[i] = {**checks[i], "status": "skip", "detail": why}
+            else:
+                pending.append((i, (*key, points), finish))
+        pilots = gamma = None  # release the pilots before the empirical pass
+        if pending:
+            emps = empirical_sinr_cdfs(params, [request for _, request, _ in pending], trials, seed)
+            for (i, (_, _, points), finish), emp in zip(pending, emps):
+                checks[i] = finish(checks[i], params, points, emp, trials)
     return checks
 
 

@@ -382,4 +382,7 @@ def realize_point(cfg: ScenarioConfig, value: float | None, mode: str) -> System
     if mode == "pris":
         params = dataclasses.replace(params, kappa=1.0, sigma2_t=0.0)
     p_bs = solve_bs_power(budget, n_elements=params.n_elements, n_active=params.n_active)
-    return dataclasses.replace(params, p_bs=p_bs)
+    try:
+        return dataclasses.replace(params, p_bs=p_bs)
+    except ValueError as exc:
+        raise ConfigError("budget.p_tot", f"base-station power {p_bs:.6g} W: {exc}") from exc

@@ -117,14 +117,17 @@ SCENARIOS = {
 
 
 def mean_channel_gain(distance_m: float, alpha_p: float, beta0: float) -> float:
-    """Mean per-hop channel gain beta0 * d^-alpha_p.
+    """Mean per-hop channel gain beta0 * d^-alpha_p; +inf where it overflows a float.
 
     beta0 is the reference gain at 1 m (linear, not dB); e.g. 1e-3 at 20 m
     with exponent 2 gives 2.5e-6.
     """
     if distance_m <= 0.0:
         raise ValueError("distance must be positive")
-    return beta0 * distance_m ** (-alpha_p)
+    try:
+        return beta0 * distance_m ** (-alpha_p)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -196,6 +199,15 @@ class SystemParams:
             raise ValueError("far user must get the larger power share (a_f > a_n >= 0)")
         if not 0.0 <= self.varpi <= 1.0:
             raise ValueError("varpi must lie in [0, 1]")
+        # the engines form p_bs kappa^2 / noise, 2^rate and each mean hop gain as floats
+        if math.isinf(self.kappa * self.kappa * self.p_bs / min(self.sigma2, self.sigma2_e)):
+            raise ValueError("kappa must keep p_bs * kappa**2 / sigma2 and / sigma2_e finite")
+        for name in ("r_f", "r_n"):
+            if getattr(self, name) >= 1024.0:
+                raise ValueError(f"{name} must be below 1024 (2**{name} finite)")
+        for name in ("d_br", "d_rn", "d_rf", "d_re"):
+            if math.isinf(mean_channel_gain(getattr(self, name), self.alpha_p, self.beta0)):
+                raise ValueError(f"{name} must keep the mean gain beta0 * {name}**-alpha_p finite")
 
 
 @dataclass(frozen=True)

@@ -219,20 +219,22 @@ def estimate_sop(params: SystemParams, scenario: str, sic: str, trials: int,
     return estimate_sop_grid([(params, scenario, sic)], trials, seed)[0]
 
 
-def empirical_sinr_cdfs(params: SystemParams, requests, trials: int, seed: int) -> list[np.ndarray]:
-    """Empirical CDFs of several SINR families over one shared draw stream.
-
-    requests: list of (which, sic, thresholds) with which a key of
-    model.SINR_FAMILIES.  Returns, per
-    request, P[SINR <= x] for each threshold x.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    prepared = []
-    for which, sic, thresholds in requests:
+def _checked(requests):
+    """The requests, once every (which, sic, ...) names a SINR family and a SIC mode."""
+    for which, sic, *_ in requests:
         if which not in model.SINR_FAMILIES:
             raise ValueError(f"unknown SINR family {which!r}")
-        prepared.append((which, sic, np.asarray(thresholds, dtype=float)))
+        model.SINR_FAMILIES[which].sic_for(sic)  # raises on an unknown SIC mode
+    return requests
+
+
+def empirical_sinr_cdfs(params: SystemParams, requests, trials: int, seed: int) -> list[np.ndarray]:
+    """Empirical CDFs of several SINR families over one shared draw stream: per
+    (which, sic, thresholds) request, which a key of model.SINR_FAMILIES,
+    P[SINR <= x] for each threshold x."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    prepared = [(which, sic, np.asarray(t, dtype=float)) for which, sic, t in _checked(requests)]
     counts = [np.zeros(len(t), dtype=np.int64) for _, _, t in prepared]
     for draw in _iter_blocks(params, trials, seed, False):
         for j, (which, sic, thresholds) in enumerate(prepared):
@@ -241,10 +243,9 @@ def empirical_sinr_cdfs(params: SystemParams, requests, trials: int, seed: int) 
     return [c / trials for c in counts]
 
 
-def sinr_samples(params: SystemParams, which: str, trials: int, seed: int, *,
-                 sic: str = "psic") -> np.ndarray:
-    """Exact SINR samples of one family (names as in empirical_sinr_cdfs)."""
-    if which not in model.SINR_FAMILIES:
-        raise ValueError(f"unknown SINR family {which!r}")
+def sinr_samples(params: SystemParams, requests, trials: int, seed: int) -> list[np.ndarray]:
+    """Exact SINR samples of several families over one shared draw: per (which, sic)
+    request, as in empirical_sinr_cdfs, the SINR of each of the first `trials` trials."""
+    _checked(requests)
     draw = sample_draw(params, trials, seed)
-    return np.asarray(model.sinr(which, params, draw, sic), dtype=float)
+    return [model.sinr(which, params, draw, sic) for which, sic in requests]

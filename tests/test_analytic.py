@@ -407,6 +407,17 @@ def test_ipsic_floor_asymptote_without_near_user_signal(edits):
     assert sop_asymptotic(p, "external_n", "ipsic").value == exact == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("edits", [{"a_n": 0.0, "a_f": 1.0}, {"d_br": math.inf}, {"d_rn": math.inf}],
+                         ids=["a_n=0", "d_br=inf", "d_rn=inf"])
+def test_certain_outage_reads_exactly_one(edits):
+    # every quadrature term is 1.0 here, while the order-64 weights sum to
+    # 1 - 1e-16: the averages must give Monte Carlo's exact 1.0
+    p = make_params(**edits)
+    assert cdf_user_n_ipsic(1.0, p) == 1.0
+    assert sop(p, "external_n", "ipsic").value == 1.0
+    assert sop_asymptotic(p, "external_n", "ipsic").value == 1.0
+
+
 def test_asymptote_internal_ipsic_unsupported():
     with pytest.raises(UnsupportedScenarioError):
         sop_asymptotic(make_params(), "internal", "ipsic")

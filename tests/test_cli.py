@@ -617,12 +617,16 @@ def test_validate_draws_each_pilot_stream_once_per_mode(tmp_path, monkeypatch):
     # one mode and trials within one block: one realized point, one pilot
     # draw, one SOP pass and one empirical pass, however many families the
     # rows check
-    calls, realized = [], []
+    calls, realized, streams = [], [], []
     original, realize = montecarlo._draw_block, cli.realize_point
     monkeypatch.setattr(montecarlo, "_draw_block",
                         lambda *args: calls.append(args[1:]) or original(*args))
     monkeypatch.setattr(cli, "realize_point",
                         lambda *args: realized.append(args[1:]) or realize(*args))
+    # each engine stream function cli calls, with the trials it asks for
+    for name in ("estimate_sop_grid", "sinr_samples", "empirical_sinr_cdfs"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, _fn=getattr(cli, name):
+                            streams.append((_name, args[-2])) or _fn(*args))
     rows = [["external_n", "psic", "aris"], ["external_f", "psic", "aris"],
             ["internal", "ipsic", "aris"]]
     d = doc(**{"sweep.scenarios": rows, "sweep.trials": 3000})
@@ -631,6 +635,10 @@ def test_validate_draws_each_pilot_stream_once_per_mode(tmp_path, monkeypatch):
     assert [c["check"] for c in checks] == ["sop", "cdf", "pdf"] * 3
     assert len(calls) == 3
     assert realized == [(None, "aris")]
+    # the three stream functions, once each, draw every block validate draws
+    assert sorted(name for name, _ in streams) == [
+        "empirical_sinr_cdfs", "estimate_sop_grid", "sinr_samples"]
+    assert sum(-(-trials // montecarlo.BLOCK) for _, trials in streams) == len(calls)
 
     # each SOP check holds the analytic and simulate commands' base-point rows
     path = write_doc(tmp_path, d)
@@ -824,6 +832,29 @@ def test_infinite_input_fails_at_the_boundary(tmp_path, capsys, key):
     with pytest.raises(ConfigError, match=field):
         parse_config(doc(**edits))
     assert_config_error(tmp_path, capsys, doc(**edits), field)
+
+
+# id -> (edits, the field the error names): finite inputs from which the
+# engines would form a float beyond range (kappa^2 p_bs / noise, 2^rate, a
+# mean hop gain), at the base point, a sweep value or the realized p_bs
+OVERFLOWING_INPUTS = {
+    "kappa_1e155": ({"params.kappa": 1e155}, "kappa"),
+    "r_n_1100": ({"params.r_n": 1100.0}, "r_n"),
+    "d_br_1e-200": ({"params.d_br": 1e-200}, "d_br"),
+    "kappa_1e150_p_tot_300dbm": ({"params.kappa": 1e150, "budget.p_tot_dbm": 300.0}, "kappa"),
+    "realized_p_bs": ({"params.kappa": 1e140, "budget.p_tot_dbm": 300.0}, "budget.p_tot"),
+    "sweep_rate_1100": ({"sweep.variable": "rate", "sweep.values": [0.1, 1100.0]}, "sweep.values"),
+}
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+@pytest.mark.parametrize("key", OVERFLOWING_INPUTS)
+def test_overflowing_input_fails_at_the_boundary(tmp_path, capsys, key, command):
+    edits, field = OVERFLOWING_INPUTS[key]
+    path = write_doc(tmp_path, doc(**edits))
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and field in err
 
 
 @pytest.mark.parametrize("variable, good", [

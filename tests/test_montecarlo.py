@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from scipy.stats import ks_2samp
 
 from ris_secrecy import analytic as an
-from ris_secrecy import config, model
+from ris_secrecy import config, model, montecarlo
 from ris_secrecy.montecarlo import (
     BLOCK,
     ChannelDraw,
@@ -349,14 +349,13 @@ def test_distinct_seeds_are_distinct_but_consistent():
 
 def test_far_user_ceiling_never_exceeded():
     p = make_params()
-    vals = sinr_samples(p, "user_f", 50_000, SEED)
+    [vals] = sinr_samples(p, [("user_f", "psic")], 50_000, SEED)
     assert vals.max() < p.a_f / p.a_n
 
 
 def test_trialwise_sic_ordering():
     p = make_params()
-    ip = sinr_samples(p, "user_n", 20_000, SEED, sic="ipsic")
-    ps = sinr_samples(p, "user_n", 20_000, SEED, sic="psic")
+    ip, ps = sinr_samples(p, [("user_n", "ipsic"), ("user_n", "psic")], 20_000, SEED)
     assert np.all(ip <= ps)
     assert np.any(ip < ps)
 
@@ -429,7 +428,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         estimate_sop(p, "external_n", "genie", 100, SEED)
     with pytest.raises(ValueError):
-        sinr_samples(p, "nobody", 100, SEED)
+        sinr_samples(p, [("nobody", "psic")], 100, SEED)
     with pytest.raises(ValueError):
         empirical_sinr_cdfs(p, [("nobody", "psic", [1.0])], 100, SEED)
 
@@ -439,5 +438,27 @@ def test_unknown_sic_rejected_for_families_without_sic():
     with pytest.raises(ValueError, match="sic"):
         empirical_sinr_cdfs(p, [("user_f", "genie", [1.0])], 10, SEED)
     with pytest.raises(ValueError, match="sic"):
-        sinr_samples(p, "eve_f", 10, SEED, sic="genie")
+        sinr_samples(p, [("eve_f", "genie")], 10, SEED)
 
+
+
+def test_stream_functions_check_every_request_before_drawing(monkeypatch):
+    p = make_params()
+    drawn = []
+    real = montecarlo._draw_block
+    monkeypatch.setattr(montecarlo, "_draw_block", lambda *a: drawn.append(a[2]) or real(*a))
+    for bad in (("nobody", "psic"), ("eve_f", "genie")):
+        with pytest.raises(ValueError):
+            sinr_samples(p, [("user_n", "psic"), bad], 100, SEED)
+        with pytest.raises(ValueError):
+            empirical_sinr_cdfs(p, [("user_n", "psic", [1.0]), (*bad, [1.0])], 100, SEED)
+    assert drawn == []
+
+    # one array per request, all scored on one draw of the stream's first trials
+    requests = [("user_n", "ipsic"), ("eve_f", "psic"), ("user_n", "psic")]
+    samples = sinr_samples(p, requests, BLOCK + 10, SEED)
+    assert drawn == [0, 1]
+    draw = sample_draw(p, BLOCK + 10, SEED)
+    assert len(samples) == len(requests)
+    for (which, sic), gamma in zip(requests, samples):
+        np.testing.assert_array_equal(gamma, model.sinr(which, p, draw, sic))
