@@ -23,15 +23,9 @@ from .specfun import QuadratureTable, gauss_laguerre, kdist_cdf, kdist_pdf, kdis
 __all__ = [
     "DegenerateCurveError",
     "UnsupportedScenarioError",
-    "cdf_user_f",
-    "cdf_user_n_ipsic",
-    "cdf_user_n_psic",
     "default_table",
     "diversity_order",
-    "pdf_eve_f",
-    "pdf_eve_n_ipsic",
-    "pdf_eve_n_psic",
-    "pdf_internal_f_to_n",
+    "law",
     "secrecy_throughput",
     "sop",
     "sop_asymptotic",
@@ -105,10 +99,10 @@ def _far_stream(x, scale, dc: DerivedConstants):
     return np.where(capped, 0.0, _scaled_arg(x_arr, scale) / safe), safe, capped
 
 
-def _law(dc: DerivedConstants, fam: SinrFamily, sic: str, x, table: QuadratureTable,
-         scale=None):
+def _cascade(dc: DerivedConstants, fam: SinrFamily, sic: str, x, table: QuadratureTable,
+             scale=None, *, density: bool = False):
     """Cascade argument z of one SINR_FAMILIES row at the 1-D points x, the slope
-    dz/dx and the mask of points at the NOMA ceiling.
+    dz/dx (None unless density) and the mask of points at the NOMA ceiling.
 
     scale defaults to dc.scale of the row: at the table nodes under ipSIC for a
     row that takes SIC, which gives z a trailing quadrature axis, else at 0.0.
@@ -117,7 +111,8 @@ def _law(dc: DerivedConstants, fam: SinrFamily, sic: str, x, table: QuadratureTa
         scale = dc.scale(fam, table.nodes if sic == "ipsic" else 0.0)
     if fam.capped:
         z, safe, capped = _far_stream(x, scale, dc)
-        return z, scale * dc.c_f / (safe * safe), capped
+        # the slope overflows at a large accepted kappa, where the CDF is still finite
+        return z, scale * dc.c_f / (safe * safe) if density else None, capped
     return _scaled_arg(x[:, None] if np.ndim(scale) else x, scale), scale, np.zeros(x.shape, bool)
 
 
@@ -127,7 +122,7 @@ def _average(terms, weights):
 
 
 def _cdf(dc: DerivedConstants, z, capped, table: QuadratureTable):
-    """Unclipped CDF at the arguments of _law, averaged over a quadrature axis."""
+    """Unclipped CDF at the arguments of _cascade, averaged over a quadrature axis."""
     if z.ndim == 2:
         # accumulate outage mass, not survival: a zero argument stays exactly 0
         return _average(kdist_cdf(dc.params.n_active, z), table.weights)
@@ -137,7 +132,7 @@ def _cdf(dc: DerivedConstants, z, capped, table: QuadratureTable):
 
 
 def _pdf(dc: DerivedConstants, z, slope, capped, table: QuadratureTable):
-    """Density at the arguments and slopes of _law, averaged over a quadrature axis."""
+    """Density at the arguments and slopes of _cascade, averaged over a quadrature axis."""
     # an infinite scale (unreachable receiver) sends x > 0 to z = inf, where
     # the density is 0, not inf * 0
     with np.errstate(invalid="ignore"):
@@ -148,65 +143,25 @@ def _pdf(dc: DerivedConstants, z, slope, capped, table: QuadratureTable):
     return np.where(capped, 0.0, out)
 
 
-def _form(x, params, family: str, sic: str, *, density: bool = False):
-    """CDF (clipped to [0, 1]) or density of one (family, SIC) law at scalar or array x."""
+def law(x, params, family: str, sic: str, *, density: bool = False):
+    """CDF (clipped to [0, 1]) or density of a SINR_FAMILIES key's SINR under `sic`
+    at scalar or array x >= 0; params is a SystemParams or its DerivedConstants.
+
+    Where the family takes SIC, ipSIC averages the conditional cascade law over
+    the exponential residual power on the default order-64 Gauss-Laguerre table.
+    The far-stream families saturate at the NOMA ceiling a_f/a_n: from there on
+    the CDF is exactly 1 and the density exactly 0.
+    """
     dc = _dc(params)
     table = default_table()
-    z, slope, capped = _law(dc, SINR_FAMILIES[family], sic, np.asarray(x, dtype=float).ravel(),
-                            table)
+    fam = SINR_FAMILIES[family]
+    z, slope, capped = _cascade(dc, fam, fam.sic_for(sic), np.asarray(x, dtype=float).ravel(),
+                                table, density=density)
     if density:
         out = _pdf(dc, z, slope, capped, table)
     else:
         out = np.clip(_cdf(dc, z, capped, table), 0.0, 1.0)
     return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
-
-
-def cdf_user_n_ipsic(x, params):
-    """CDF of the near user's SINR under imperfect SIC.
-
-    The residual-interference power is exponential, so the conditional
-    cascade CDF is averaged over the default order-64 Gauss-Laguerre table.
-    Accepts scalar or array x >= 0.
-    """
-    return _form(x, params, "user_n", "ipsic")
-
-
-def cdf_user_n_psic(x, params):
-    """CDF of the near user's SINR under perfect SIC."""
-    return _form(x, params, "user_n", "psic")
-
-
-def cdf_user_f(x, params):
-    """CDF of the far user's SINR; saturates to 1 at the NOMA ceiling a_f/a_n.
-
-    Below the ceiling the argument x * scale / (c_f - x c_n) blows up as x
-    approaches a_f/a_n; the guard hands those points the exact limit 1.
-    """
-    return _form(x, params, "user_f", "psic")
-
-
-def pdf_eve_n_ipsic(x, params):
-    """Density of the external eavesdropper's SINR on the near stream, ipSIC."""
-    return _form(x, params, "eve_n", "ipsic", density=True)
-
-
-def pdf_eve_n_psic(x, params):
-    """Density of the external eavesdropper's SINR on the near stream, pSIC."""
-    return _form(x, params, "eve_n", "psic", density=True)
-
-
-def pdf_eve_f(x, params):
-    """Density of the external eavesdropper's SINR on the far stream.
-
-    Supported on (0, a_f/a_n); zero beyond the ceiling where the CDF has
-    already saturated.
-    """
-    return _form(x, params, "eve_f", "psic", density=True)
-
-
-def pdf_internal_f_to_n(x, params):
-    """Density of the far user's wiretap SINR on the near stream."""
-    return _form(x, params, "internal_f_to_n", "psic", density=True)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +176,8 @@ def _thresholds(dc: DerivedConstants, scenario: str, sic: str, outer: Quadrature
     """
     events = SCENARIOS.get(scenario, ())
     if len(events) != 1:
-        raise ValueError(f"no closed form for scenario {scenario!r}")
+        raise ValueError(f"scenario {scenario!r} has no single-event closed form"
+                         + ("; sop_system_external composes the union" if events else ""))
     if sic not in SIC_MODES:
         raise ValueError(f"sic must be one of {SIC_MODES}")
     (_, wiretap, rate), = events
@@ -246,7 +202,7 @@ def _outage(dc: DerivedConstants, scenario: str, sic: str, thresholds, inner, sc
     fam = SINR_FAMILIES[SCENARIOS[scenario][0][0]]
     if (scenario, sic) in _LEGIT_SCALE:
         fam = fam._replace(residual=_LEGIT_SCALE[scenario, sic])
-    z, _, capped = _law(dc, fam, sic, tau, inner, scale)
+    z, _, capped = _cascade(dc, fam, sic, tau, inner, scale)
     return float(_average(_cdf(dc, z, capped, inner), w)), bool(np.all(capped))
 
 
@@ -323,7 +279,7 @@ def sop_asymptotic(params, scenario: str, sic: str) -> SopEstimate:
         floor_scale = p.omega_ipu / den if den > 0.0 else math.inf
         value, _ = _outage(dc, scenario, sic, thresholds, table, floor_scale * table.nodes)
         return _clamped(value, "asymptotic")
-    u, _, capped = _law(dc, SINR_FAMILIES[SCENARIOS[scenario][0][0]], sic, thresholds[0], table)
+    u, _, capped = _cascade(dc, SINR_FAMILIES[SCENARIOS[scenario][0][0]], sic, thresholds[0], table)
     if capped[0]:
         return SopEstimate(1.0, "asymptotic", flags=("saturated",))
     value, flags = _small_arg_asymptote(float(u[0]), dc.params.n_active)

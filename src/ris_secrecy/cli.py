@@ -4,7 +4,8 @@ Subcommands
     analytic         closed-form metrics at the config's base operating point
     simulate         Monte Carlo metrics at the base operating point
     sweep            full curve table over the configured sweep
-    validate         closed-form vs Monte Carlo agreement report (exit 3 on failure)
+    validate         closed-form vs Monte Carlo agreement report (exit 3 on failure,
+                     2 when every check is a skip)
     quadrature-dump  Gauss-Laguerre nodes and weights as JSON (order 1..256)
 
 Curve tables use a fixed CSV schema
@@ -20,7 +21,7 @@ byte-identical bytes.
 Infeasible operating points (hardware draw exceeding the budget) become
 rows flagged 'infeasible' with an empty estimate rather than aborting the
 sweep.  Exit codes: 0 success, 1 configuration error, 2 every requested
-point infeasible, 3 validation failures.
+point infeasible or, for validate, no check made, 3 validation failures.
 """
 
 from __future__ import annotations
@@ -38,13 +39,7 @@ import numpy as np
 from . import __version__, model
 from .analytic import (
     UnsupportedScenarioError,
-    cdf_user_f,
-    cdf_user_n_ipsic,
-    cdf_user_n_psic,
-    pdf_eve_f,
-    pdf_eve_n_ipsic,
-    pdf_eve_n_psic,
-    pdf_internal_f_to_n,
+    law,
     sop,
     sop_asymptotic,
     sop_system_external,  # unused here; perfbench/spans.py wraps it by this name
@@ -288,19 +283,24 @@ def _cmd_table(args, engines=()) -> int:
     return EXIT_INFEASIBLE if rows and all(r["flags"] == "infeasible" for r in rows) else EXIT_OK
 
 
-# closed forms keyed by (SINR family, sic); x-first call convention
-_CDF_FORMS = {
-    ("user_n", "ipsic"): cdf_user_n_ipsic,
-    ("user_n", "psic"): cdf_user_n_psic,
-    ("user_f", "psic"): cdf_user_f,
-}
+def _law_of(family: str, sic: str, density: bool):
+    """law at one (family, SIC) pair as a function of (x, params)."""
+    def law_at(x, params):
+        return law(x, params, family, sic, density=density)
+    return law_at
 
-_PDF_FORMS = {
-    ("eve_n", "ipsic"): pdf_eve_n_ipsic,
-    ("eve_n", "psic"): pdf_eve_n_psic,
-    ("eve_f", "psic"): pdf_eve_f,
-    ("internal_f_to_n", "psic"): pdf_internal_f_to_n,
-}
+
+def _forms(side: int, density: bool) -> dict:
+    """validate's closed forms, keyed by (SINR family, the SIC mode it reads), for
+    the legitimate (side 0) or wiretap (side 1) family of every scenario event.
+    validate looks entries up at call time, so a wrapper installed here sees each call."""
+    keys = {(event[side], model.SINR_FAMILIES[event[side]].sic_for(sic))
+            for events in model.SCENARIOS.values() for event in events for sic in model.SIC_MODES}
+    return {key: _law_of(*key, density) for key in sorted(keys)}
+
+
+_CDF_FORMS = _forms(0, density=False)
+_PDF_FORMS = _forms(1, density=True)
 
 
 def sop_tolerance(analytic: float, mc: float, stderr: float, mode: str, sic: str,
@@ -437,21 +437,17 @@ def _pdf_result(base, params, interval, emp, trials) -> dict:
 def _cmd_validate(args) -> int:
     cfg = _load(args)
     checks = validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
-    failures = 0
+    failures = sum(c["status"] == "fail" for c in checks)
     for c in checks:
-        status = c["status"].upper()
-        if c["status"] == "fail":
-            failures += 1
         sys.stdout.write(
-            f"{status:4s} {c['check']:3s} {c['scenario']:15s} {c['sic']:5s} "
+            f"{c['status'].upper():4s} {c['check']:3s} {c['scenario']:15s} {c['sic']:5s} "
             f"{c['mode']:4s} {c.get('detail', '')}\n"
         )
     sys.stdout.write(f"{len(checks)} checks, {failures} failures\n")
     if args.json:
         _write_json("--json", args.json, {"checks": checks})
-    # a single-event SOP row is skipped only when its point is infeasible
-    sop_rows = [c for c in checks if c["check"] == "sop" and len(model.SCENARIOS[c["scenario"]]) == 1]
-    if sop_rows and all(c["status"] == "skip" for c in sop_rows):
+    # only skips (infeasible points, composed rows): nothing was checked
+    if all(c["status"] == "skip" for c in checks):
         return EXIT_INFEASIBLE
     return EXIT_VALIDATION if failures else EXIT_OK
 

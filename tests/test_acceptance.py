@@ -118,9 +118,9 @@ def test_criterion_2_distribution_agreement():
 
     probs = np.linspace(0.04, 0.96, 20)
     user_forms = [
-        ("user_n", "ipsic", lambda x: an.cdf_user_n_ipsic(x, p)),
-        ("user_n", "psic", lambda x: an.cdf_user_n_psic(x, p)),
-        ("user_f", "psic", lambda x: an.cdf_user_f(x, p)),
+        ("user_n", "ipsic", lambda x: an.law(x, p, "user_n", "ipsic")),
+        ("user_n", "psic", lambda x: an.law(x, p, "user_n", "psic")),
+        ("user_f", "psic", lambda x: an.law(x, p, "user_f", "psic")),
     ]
     requests = []
     for which, sic, form in user_forms:
@@ -137,14 +137,14 @@ def test_criterion_2_distribution_agreement():
                      f"max|F_mc-F|={gap:.2e} tol=5.0e-03 over 20 quantiles")
 
     eve_forms = [
-        ("eve_n_ipsic", lambda x: an.pdf_eve_n_ipsic(x, p),
-         lambda x: an._form(x, dc, "eve_n", "ipsic"), 600.0 / dc.scale("eve_n", 0.0)),
-        ("eve_n_psic", lambda x: an.pdf_eve_n_psic(x, p),
-         lambda x: an._form(x, dc, "eve_n", "psic"), 600.0 / dc.scale("eve_n", 0.0)),
-        ("eve_f", lambda x: an.pdf_eve_f(x, p),
-         lambda x: an._form(x, dc, "eve_f", "psic"), p.a_f / p.a_n),
-        ("internal_f_to_n", lambda x: an.pdf_internal_f_to_n(x, p),
-         lambda x: an._form(x, dc, "internal_f_to_n", "psic"),
+        ("eve_n_ipsic", lambda x: an.law(x, p, "eve_n", "ipsic", density=True),
+         lambda x: an.law(x, dc, "eve_n", "ipsic"), 600.0 / dc.scale("eve_n", 0.0)),
+        ("eve_n_psic", lambda x: an.law(x, p, "eve_n", "psic", density=True),
+         lambda x: an.law(x, dc, "eve_n", "psic"), 600.0 / dc.scale("eve_n", 0.0)),
+        ("eve_f", lambda x: an.law(x, p, "eve_f", "psic", density=True),
+         lambda x: an.law(x, dc, "eve_f", "psic"), p.a_f / p.a_n),
+        ("internal_f_to_n", lambda x: an.law(x, p, "internal_f_to_n", "psic", density=True),
+         lambda x: an.law(x, dc, "internal_f_to_n", "psic"),
          600.0 / dc.scale("internal_f_to_n", 0.0)),
     ]
     for name, pdf, cdf, hi in eve_forms:
@@ -361,9 +361,10 @@ def test_criterion_7_consistency_identities():
 
     p0 = make_params(varpi=0.0)
     xs = np.logspace(-6, 2, 50)
-    worst = float(np.max(np.abs(an.cdf_user_n_ipsic(xs, p0) - an.cdf_user_n_psic(xs, p0))))
-    pdf_i = an.pdf_eve_n_ipsic(xs, p0)
-    pdf_p = an.pdf_eve_n_psic(xs, p0)
+    worst = float(np.max(np.abs(an.law(xs, p0, "user_n", "ipsic")
+                                - an.law(xs, p0, "user_n", "psic"))))
+    pdf_i = an.law(xs, p0, "eve_n", "ipsic", density=True)
+    pdf_p = an.law(xs, p0, "eve_n", "psic", density=True)
     scale = np.maximum(np.abs(pdf_p), 1.0)
     worst = max(worst, float(np.max(np.abs(pdf_i - pdf_p) / scale)))
     for scenario in ("external_n", "internal"):

@@ -23,15 +23,9 @@ from ris_secrecy import config
 from ris_secrecy.analytic import (
     DegenerateCurveError,
     UnsupportedScenarioError,
-    cdf_user_f,
-    cdf_user_n_ipsic,
-    cdf_user_n_psic,
     default_table,
     diversity_order,
-    pdf_eve_f,
-    pdf_eve_n_ipsic,
-    pdf_eve_n_psic,
-    pdf_internal_f_to_n,
+    law,
     secrecy_throughput,
     sop,
     sop_asymptotic,
@@ -48,9 +42,9 @@ from ris_secrecy.specfun import gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
 from conftest import make_params
 
 CDFS = {
-    "user_n_ipsic": lambda x, p: cdf_user_n_ipsic(x, p),
-    "user_n_psic": lambda x, p: cdf_user_n_psic(x, p),
-    "user_f": lambda x, p: cdf_user_f(x, p),
+    "user_n_ipsic": lambda x, p: law(x, p, "user_n", "ipsic"),
+    "user_n_psic": lambda x, p: law(x, p, "user_n", "psic"),
+    "user_f": lambda x, p: law(x, p, "user_f", "psic"),
 }
 
 
@@ -69,10 +63,10 @@ def test_cdf_shape(name):
 def test_far_user_cdf_saturates_at_ceiling():
     p = make_params()
     ceiling = p.a_f / p.a_n
-    assert cdf_user_f(ceiling, p) == 1.0
-    assert cdf_user_f(ceiling * 2.0, p) == 1.0
+    assert law(ceiling, p, "user_f", "psic") == 1.0
+    assert law(ceiling * 2.0, p, "user_f", "psic") == 1.0
     just_below = ceiling * (1.0 - 1e-9)
-    assert cdf_user_f(just_below, p) == pytest.approx(1.0, abs=1e-9)
+    assert law(just_below, p, "user_f", "psic") == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cdf_accepts_scalar_and_array():
@@ -96,8 +90,8 @@ WIRETAP_LAWS = sorted(name for name, (family, _) in LAWS.items()
 
 def _law_forms(name):
     family, sic = LAWS[name]
-    return (lambda x, p: an._form(x, p, family, sic, density=True),
-            lambda x, p: an._form(x, p, family, sic))
+    return (lambda x, p: law(x, p, family, sic, density=True),
+            lambda x, p: law(x, p, family, sic))
 
 
 def _support_cut(name, p):
@@ -133,15 +127,6 @@ def test_law_registry_resolves():
         for sic in SIC_MODES:
             est = sop(p, scenario, sic)
             assert 0.0 < est.value < 1.0 and est.provenance == "analytic", (scenario, sic)
-    # the public forms are their registry laws
-    xs = np.logspace(-6, 1, 40)
-    for form, family, sic, density in (
-        (cdf_user_n_ipsic, "user_n", "ipsic", False), (cdf_user_n_psic, "user_n", "psic", False),
-        (cdf_user_f, "user_f", "psic", False), (pdf_eve_n_ipsic, "eve_n", "ipsic", True),
-        (pdf_eve_n_psic, "eve_n", "psic", True), (pdf_eve_f, "eve_f", "psic", True),
-        (pdf_internal_f_to_n, "internal_f_to_n", "psic", True),
-    ):
-        assert np.array_equal(form(xs, p), an._form(xs, p, family, sic, density=density))
 
 
 @pytest.mark.parametrize("name", sorted(LAWS))
@@ -315,7 +300,7 @@ def test_perfect_sic_collapse():
     )
     xs = np.logspace(-6, 1, 30)
     np.testing.assert_allclose(
-        cdf_user_n_ipsic(xs, p), cdf_user_n_psic(xs, p), atol=1e-9
+        law(xs, p, "user_n", "ipsic"), law(xs, p, "user_n", "psic"), atol=1e-9
     )
 
 
@@ -413,7 +398,7 @@ def test_certain_outage_reads_exactly_one(edits):
     # every quadrature term is 1.0 here, while the order-64 weights sum to
     # 1 - 1e-16: the averages must give Monte Carlo's exact 1.0
     p = make_params(**edits)
-    assert cdf_user_n_ipsic(1.0, p) == 1.0
+    assert law(1.0, p, "user_n", "ipsic") == 1.0
     assert sop(p, "external_n", "ipsic").value == 1.0
     assert sop_asymptotic(p, "external_n", "ipsic").value == 1.0
 
@@ -470,6 +455,13 @@ def test_scenario_rate():
         scenario_rate(p, "uplink")
 
 
+def test_system_external_errors_name_its_closed_form():
+    # the union has a closed form, just not through the per-event entry points
+    for fn in (sop, sop_asymptotic):
+        with pytest.raises(ValueError, match="sop_system_external"):
+            fn(make_params(), "system_external", "psic")
+
+
 def test_dispatch_errors():
     p = make_params()
     with pytest.raises(ValueError):
@@ -482,3 +474,7 @@ def test_dispatch_errors():
         sop(p, "external_f", "genie")
     with pytest.raises(ValueError):
         sop_asymptotic(p, "sidelink", "psic")
+    with pytest.raises(ValueError):
+        law(0.3, p, "user_n", "genie")
+    with pytest.raises(ValueError):
+        law(0.3, p, "eve_f", "genie", density=True)

@@ -20,15 +20,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ris_secrecy import analytic as an
-from ris_secrecy import cli, montecarlo
+from ris_secrecy import cli, model, montecarlo
 from ris_secrecy.analytic import UnsupportedScenarioError
 from ris_secrecy.budget import BudgetInfeasibleError
 from ris_secrecy.config import (
@@ -673,6 +675,48 @@ def test_validate_skips_infeasible_rows_with_the_budget_message(tmp_path):
     assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INFEASIBLE
 
 
+def test_validate_that_checks_nothing_does_not_exit_ok(capsys):
+    # fig5 tables only system_external rows, which validate skips as composed:
+    # a run whose every check is a skip has verified nothing
+    code = cli.main(["validate", "--preset", "fig5", "--trials", "4000"])
+    shown = capsys.readouterr().out
+    assert code == cli.EXIT_INFEASIBLE, shown
+    assert shown.splitlines()[-1] == "2 checks, 0 failures"
+    assert all(line.startswith("SKIP sop system_external") for line in shown.splitlines()[:-1])
+
+
+def _registry_pairs(side):
+    return {(event[side], model.SINR_FAMILIES[event[side]].sic_for(sic))
+            for events in model.SCENARIOS.values() for event in events for sic in model.SIC_MODES}
+
+
+def test_validate_forms_are_the_registry_laws(monkeypatch):
+    # keys: the legitimate (CDF) and wiretap (density) family of every scenario
+    # event, with the SIC mode it reads; entries: law itself, bit for bit
+    assert set(cli._CDF_FORMS) == _registry_pairs(0)
+    assert set(cli._PDF_FORMS) == _registry_pairs(1)
+    p = realize_point(parse_config(doc()), None, "aris")
+    xs = np.logspace(-6, 1, 40)
+    for forms, density in ((cli._CDF_FORMS, False), (cli._PDF_FORMS, True)):
+        for key, form in forms.items():
+            assert np.array_equal(form(xs, p), an.law(xs, p, *key, density=density)), key
+            assert form(0.3, p) == an.law(0.3, p, *key, density=density), key
+
+    # validate_point looks every entry up at call time, so a wrapper installed
+    # in the tables (as the benchmark's traced pass installs one) sees each call
+    calls = Counter()
+    for forms in (cli._CDF_FORMS, cli._PDF_FORMS):
+        for key, form in list(forms.items()):
+            monkeypatch.setitem(forms, key, lambda x, params, _key=key, _form=form:
+                                calls.update([_key]) or _form(x, params))
+    rows = [["external_n", "ipsic", "aris"], ["external_n", "psic", "aris"],
+            ["external_f", "psic", "aris"], ["internal", "psic", "aris"]]
+    cfg = parse_config(doc(**{"sweep.scenarios": rows, "sweep.trials": 3000}))
+    checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
+    assert sum(c["check"] != "sop" and c["status"] != "skip" for c in checks) == 7
+    assert calls == Counter(set(cli._CDF_FORMS) | set(cli._PDF_FORMS))
+
+
 SCIPY_SPECIAL_PROBE = """
 import json, sys
 from ris_secrecy import analytic, cli
@@ -689,18 +733,41 @@ print(json.dumps(loaded))
 """
 
 
-def test_monte_carlo_path_never_imports_scipy_special():
-    # only the closed forms call scipy.special; a fresh process that
-    # simulates and sweeps by Monte Carlo alone must never load it
+def _run_python(*args):
+    """A fresh interpreter on this checkout's package, with its output captured."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_monte_carlo_path_never_imports_scipy_special():
+    # only the closed forms call scipy.special; a fresh process that
+    # simulates and sweeps by Monte Carlo alone must never load it
     mc_only = doc(**{"sweep.engines": ["montecarlo"], "sweep.trials": 2000})
-    proc = subprocess.run([sys.executable, "-c", SCIPY_SPECIAL_PROBE, json.dumps(mc_only)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = _run_python("-c", SCIPY_SPECIAL_PROBE, json.dumps(mc_only))
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert loaded == {"import": False, "simulate": False, "sweep": False, "sop": True}
+
+
+def test_large_accepted_kappa_warns_nothing(tmp_path):
+    # fig2 (p_tot_dbm 0) at kappa 1e100: the far stream's density slope
+    # overflows a float there, and no SOP, which needs only CDFs, computes it
+    d = json.loads(resources.files("ris_secrecy").joinpath("presets/fig2.json").read_text())
+    d["params"]["kappa"] = 1e100
+    cfg = parse_config(d)
+    single = [s for s, events in model.SCENARIOS.items() if len(events) == 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("aris", "pris"):
+            params = realize_point(cfg, None, mode)
+            for scenario in single:
+                for sic in model.SIC_MODES:
+                    assert 0.0 <= an.sop(params, scenario, sic).value <= 1.0
+    proc = _run_python("-m", "ris_secrecy.cli", "analytic", "--config", str(write_doc(tmp_path, d)))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_simpson_matches_scipy():

@@ -190,10 +190,10 @@ def test_empirical_cdfs_match_closed_forms():
     trials = 200_000
     probs = np.linspace(0.1, 0.9, 9)
     cases = [
-        ("user_n", "psic", lambda x, pp: an.cdf_user_n_psic(x, pp)),
-        ("user_n", "ipsic", lambda x, pp: an.cdf_user_n_ipsic(x, pp)),
-        ("user_f", "psic", lambda x, pp: an.cdf_user_f(x, pp)),
-        ("internal_f_to_n", "psic", lambda x, pp: an._form(x, pp, "internal_f_to_n", "psic")),
+        ("user_n", "psic", lambda x, pp: an.law(x, pp, "user_n", "psic")),
+        ("user_n", "ipsic", lambda x, pp: an.law(x, pp, "user_n", "ipsic")),
+        ("user_f", "psic", lambda x, pp: an.law(x, pp, "user_f", "psic")),
+        ("internal_f_to_n", "psic", lambda x, pp: an.law(x, pp, "internal_f_to_n", "psic")),
     ]
     requests = []
     for which, sic, form in cases:
