@@ -4,9 +4,9 @@ The cascaded BS-RIS-receiver power is K-distributed; every CDF/PDF below is
 that law at an SINR-dependent argument, with exponential residual-interference
 power integrated out by Gauss-Laguerre quadrature.  Every SOP is one kernel:
 the legitimate SINR CDF averaged over outage thresholds 2^R (1 + gamma_E) - 1,
-where gamma_E is the eavesdropper's mean-field SINR.  The Monte Carlo engine
-deliberately does not share that step, which is what the cross-engine
-tolerances in the tests measure.
+where gamma_E is the eavesdropper's mean-field SINR.  Monte Carlo shares the
+threshold (model.secrecy_threshold) but deliberately not that mean-field step,
+which is what the cross-engine tolerances in the tests measure.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .model import (SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, SinrFamily, SopEstimate,
-                    derive)
+from .model import (SCENARIOS, SINR_FAMILIES, DerivedConstants, SinrFamily, SopEstimate, derive,
+                    secrecy_threshold)
+# kdist_sf is unused here; it stays only because perfbench/spans.py wraps it by this name
 from .specfun import QuadratureTable, gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
 
 __all__ = [
@@ -47,7 +48,7 @@ class UnsupportedScenarioError(ValueError):
 
 
 class DegenerateCurveError(ValueError):
-    """Diversity slope undefined (too few points, zero SOP, or repeated abscissa)."""
+    """Diversity slope undefined (too few or non-finite points, zero SOP, or repeated abscissa)."""
 
 
 _TABLES: dict[int, QuadratureTable] = {}
@@ -69,51 +70,35 @@ def _clamped(value: float, provenance: str, extra_flags: tuple[str, ...] = ()) -
     return SopEstimate(value=float(min(max(value, 0.0), 1.0)), provenance=provenance, flags=flags)
 
 
-def _dc(params_or_dc) -> DerivedConstants:
-    if isinstance(params_or_dc, DerivedConstants):
-        return params_or_dc
-    return derive(params_or_dc)
-
-
-def _scaled_arg(x, scale):
-    # degenerate configs make scale = +inf while a zero threshold keeps x = 0;
-    # the distribution argument is then 0, not 0 * inf
-    x_arr = np.asarray(x, dtype=float)
-    with np.errstate(invalid="ignore"):
-        z = x_arr * scale
-    return np.where(x_arr == 0.0, 0.0, z)
-
-
 # ---------------------------------------------------------------------------
 # the cascade law of every SINR family, and its CDF and density
-
-
-def _far_stream(x, scale, dc: DerivedConstants):
-    """Far-stream argument x * scale / (c_f - x c_n), its safe denominator and the
-    mask of points at the NOMA ceiling a_f/a_n (argument 0, denominator 1 there).
-    """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    denom = dc.c_f - x_arr * dc.c_n
-    capped = denom <= _CEILING_GUARD * dc.c_f
-    safe = np.where(capped, 1.0, denom)
-    return np.where(capped, 0.0, _scaled_arg(x_arr, scale) / safe), safe, capped
 
 
 def _cascade(dc: DerivedConstants, fam: SinrFamily, sic: str, x, table: QuadratureTable,
              scale=None, *, density: bool = False):
     """Cascade argument z of one SINR_FAMILIES row at the 1-D points x, the slope
-    dz/dx (None unless density) and the mask of points at the NOMA ceiling.
+    dz/dx (None unless density) and the mask of points at the NOMA ceiling a_f/a_n.
 
-    scale defaults to dc.scale of the row: at the table nodes under ipSIC for a
-    row that takes SIC, which gives z a trailing quadrature axis, else at 0.0.
+    scale defaults to dc.scale of the row, at the table nodes where the row reads
+    ipSIC (z then has a trailing quadrature axis), else at 0.0.  A capped row's
+    argument x * scale / (c_f - x c_n), c_x = a_x p_bs kappa^2, reads 0 at the ceiling.
     """
     if scale is None:
-        scale = dc.scale(fam, table.nodes if sic == "ipsic" else 0.0)
-    if fam.capped:
-        z, safe, capped = _far_stream(x, scale, dc)
-        # the slope overflows at a large accepted kappa, where the CDF is still finite
-        return z, scale * dc.c_f / (safe * safe) if density else None, capped
-    return _scaled_arg(x[:, None] if np.ndim(scale) else x, scale), scale, np.zeros(x.shape, bool)
+        scale = dc.scale(fam, table.nodes if fam.sic_for(sic) == "ipsic" else 0.0)
+    xs = x[:, None] if np.ndim(scale) else x
+    # degenerate configs make scale = +inf while a zero threshold keeps x = 0;
+    # the distribution argument is then 0, not 0 * inf
+    with np.errstate(invalid="ignore"):
+        z = np.where(xs == 0.0, 0.0, xs * scale)
+    if not fam.capped:
+        return z, scale, np.zeros(x.shape, bool)
+    p = dc.params
+    c_n, c_f = p.a_n * p.p_bs * p.kappa**2, p.a_f * p.p_bs * p.kappa**2
+    denom = c_f - x * c_n
+    capped = denom <= _CEILING_GUARD * c_f
+    safe = np.where(capped, 1.0, denom)
+    # the slope overflows at a large accepted kappa, where the CDF is still finite
+    return np.where(capped, 0.0, z / safe), scale * c_f / (safe * safe) if density else None, capped
 
 
 def _average(terms, weights):
@@ -122,13 +107,11 @@ def _average(terms, weights):
 
 
 def _cdf(dc: DerivedConstants, z, capped, table: QuadratureTable):
-    """Unclipped CDF at the arguments of _cascade, averaged over a quadrature axis."""
-    if z.ndim == 2:
-        # accumulate outage mass, not survival: a zero argument stays exactly 0
-        return _average(kdist_cdf(dc.params.n_active, z), table.weights)
-    out = 1.0 - kdist_sf(dc.params.n_active, z)
-    out[capped] = 1.0
-    return out
+    """Unclipped CDF at the arguments of _cascade, averaged over a quadrature axis;
+    exactly 1 at the NOMA ceiling."""
+    # outage mass, not 1 - survival: it keeps its relative accuracy in the tail
+    out = kdist_cdf(dc.params.n_active, z)
+    return np.where(capped, 1.0, _average(out, table.weights) if z.ndim == 2 else out)
 
 
 def _pdf(dc: DerivedConstants, z, slope, capped, table: QuadratureTable):
@@ -145,17 +128,15 @@ def _pdf(dc: DerivedConstants, z, slope, capped, table: QuadratureTable):
 
 def law(x, params, family: str, sic: str, *, density: bool = False):
     """CDF (clipped to [0, 1]) or density of a SINR_FAMILIES key's SINR under `sic`
-    at scalar or array x >= 0; params is a SystemParams or its DerivedConstants.
+    at scalar or array x >= 0 for the SystemParams params.
 
     Where the family takes SIC, ipSIC averages the conditional cascade law over
     the exponential residual power on the default order-64 Gauss-Laguerre table.
     The far-stream families saturate at the NOMA ceiling a_f/a_n: from there on
     the CDF is exactly 1 and the density exactly 0.
     """
-    dc = _dc(params)
-    table = default_table()
-    fam = SINR_FAMILIES[family]
-    z, slope, capped = _cascade(dc, fam, fam.sic_for(sic), np.asarray(x, dtype=float).ravel(),
+    dc, table = derive(params), default_table()
+    z, slope, capped = _cascade(dc, SINR_FAMILIES[family], sic, np.asarray(x, dtype=float).ravel(),
                                 table, density=density)
     if density:
         out = _pdf(dc, z, slope, capped, table)
@@ -178,13 +159,10 @@ def _thresholds(dc: DerivedConstants, scenario: str, sic: str, outer: Quadrature
     if len(events) != 1:
         raise ValueError(f"scenario {scenario!r} has no single-event closed form"
                          + ("; sop_system_external composes the union" if events else ""))
-    if sic not in SIC_MODES:
-        raise ValueError(f"sic must be one of {SIC_MODES}")
     (_, wiretap, rate), = events
     fam = SINR_FAMILIES[wiretap]
-    zeta, w = (outer.nodes, outer.weights) if fam.takes_sic and sic == "ipsic" else (0.0, np.ones(1))
-    tau = 2.0 ** getattr(dc.params, rate) * (1.0 + dc.mean_sinr(fam, zeta)) - 1.0
-    return np.atleast_1d(tau), w
+    zeta, w = (outer.nodes, outer.weights) if fam.sic_for(sic) == "ipsic" else (0.0, np.ones(1))
+    return np.atleast_1d(secrecy_threshold(dc.params, rate, dc.mean_sinr(fam, zeta))), w
 
 
 # legitimate-family residual-gain overrides: the cited internal/ipSIC closed
@@ -215,7 +193,7 @@ def sop(params, scenario: str, sic: str, *, table: QuadratureTable | None = None
     both over `table` (default order 64); a far-user threshold at the NOMA
     ceiling gives 1, 'saturated'.
     """
-    dc = _dc(params)
+    dc = derive(params)
     table = table or default_table()
     value, saturated = _outage(dc, scenario, sic, _thresholds(dc, scenario, sic, table), table)
     return _clamped(value, "analytic", ("saturated",) if saturated else ())
@@ -269,8 +247,7 @@ def sop_asymptotic(params, scenario: str, sic: str) -> SopEstimate:
             "internal + ipsic has no closed-form asymptote (the residual floor "
             "couples both quadratures); evaluate sop directly"
         )
-    dc = _dc(params)
-    table = default_table()
+    dc, table = derive(params), default_table()
     thresholds = _thresholds(dc, scenario, sic, table)
     if scenario == "external_n" and sic == "ipsic":
         p = dc.params
@@ -296,7 +273,7 @@ def sop_curve_fixed_eavesdropper(params, scenario: str, sic: str, p_bs_values) -
     its legitimate CDF from each p_bs; returns one SOP per p_bs value.
     """
     table = default_table()
-    thresholds = _thresholds(_dc(params), scenario, sic, table)
+    thresholds = _thresholds(derive(params), scenario, sic, table)
     out = np.empty(len(p_bs_values), dtype=float)
     for i, p_bs in enumerate(p_bs_values):
         dc = derive(replace(params, p_bs=float(p_bs)))
@@ -312,13 +289,15 @@ def diversity_order(curve) -> float:
     """Negative log-log slope through the two highest-power points of a curve.
 
     curve: sequence of (rho, sop) pairs, rho ascending.  Raises
-    DegenerateCurveError when fewer than two points are given, when either
-    SOP is nonpositive (already below double precision: no slope left to
-    measure), or when the two abscissas coincide.
+    DegenerateCurveError when fewer than two points are given, when any rho
+    or SOP is not finite, when either SOP is nonpositive (already below double
+    precision: no slope left to measure), or when the two abscissas coincide.
     """
     pts = [(float(r), float(s)) for r, s in curve]
     if len(pts) < 2:
         raise DegenerateCurveError("need at least two (rho, sop) points")
+    if not all(math.isfinite(v) for pt in pts for v in pt):
+        raise DegenerateCurveError("every rho and SOP must be finite")
     (r1, s1), (r2, s2) = pts[-2], pts[-1]
     if r1 <= 0.0 or r2 <= 0.0 or r1 == r2:
         raise DegenerateCurveError("abscissas must be positive and distinct")

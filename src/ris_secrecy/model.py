@@ -34,6 +34,7 @@ __all__ = [
     "derive",
     "mean_channel_gain",
     "scenario_rate",
+    "secrecy_threshold",
     "sinr",
     "sinr_eve_f",
     "sinr_eve_n",
@@ -215,7 +216,6 @@ class DerivedConstants:
     """Derived quantities shared by the closed-form expressions.
 
     omega_*:  mean per-hop gains for the four links
-    c_n, c_f: amplified signal-power coefficients a_x * p_bs * kappa^2
 
     scale and mean_sinr evaluate a family (a SINR_FAMILIES key or row) at
     mean-field norms ||h||^2 -> Q omega_r and residual power I -> residual
@@ -227,13 +227,11 @@ class DerivedConstants:
     omega_rn: float
     omega_rf: float
     omega_re: float
-    c_n: float
-    c_f: float
 
     def scale(self, family, zeta):
         """Argument scale of the family's K-distributed cascade law: the SINR
         is below x when g / (omega_br omega_r) is below x * scale, or below
-        x * scale / (c_f - x c_n) for a capped row."""
+        x * scale / (c_f - x c_n) for a capped row, c_x = a_x p_bs kappa^2."""
         fam, p = _row(family), self.params
         omega_r = getattr(self, "omega_r" + fam.receiver)
         num = p.kappa**2 * p.sigma2_t * p.n_active * omega_r + getattr(p, fam.noise)
@@ -265,16 +263,19 @@ class DerivedConstants:
 
 def derive(params: SystemParams) -> DerivedConstants:
     """Compute the derived constants for one operating point."""
-    k2 = params.kappa**2
     return DerivedConstants(
         params=params,
         omega_br=mean_channel_gain(params.d_br, params.alpha_p, params.beta0),
         omega_rn=mean_channel_gain(params.d_rn, params.alpha_p, params.beta0),
         omega_rf=mean_channel_gain(params.d_rf, params.alpha_p, params.beta0),
         omega_re=mean_channel_gain(params.d_re, params.alpha_p, params.beta0),
-        c_n=params.a_n * params.p_bs * k2,
-        c_f=params.a_f * params.p_bs * k2,
     )
+
+
+def secrecy_threshold(params: SystemParams, rate: str, gamma_e):
+    """2^R (1 + gamma_e) - 1, R the `rate` field: the outage threshold on the
+    legitimate SINR against wiretap SINR gamma_e, in both engines."""
+    return 2.0 ** getattr(params, rate) * (1.0 + gamma_e) - 1.0
 
 
 # the residual-interference power of a ChannelDraw behind each residual gain

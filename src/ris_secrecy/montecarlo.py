@@ -80,6 +80,14 @@ class ChannelDraw:
 _ARRAYS = tuple(f.name for f in fields(ChannelDraw))
 
 
+def _checked_run(trials, seed) -> None:
+    """Raise unless trials >= 1 and 0 <= seed < 2**64 are integers (numpy's too, not bools)."""
+    for name, value, low, high in (("trials", trials, 1, np.inf), ("seed", seed, 0, 2**64)):
+        integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (integral and low <= int(value) < high):
+            raise ValueError(f"{name} must be an integer in [{low}, {high}), not {value!r}")
+
+
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=[int(seed), int(block_index)])
     return np.random.Generator(np.random.Philox(seed=ss))
@@ -144,8 +152,7 @@ def sample_draw(
     (correlated wiretap); the default draws an independent BS-RIS vector per
     receiver, matching the closed-form independence assumption.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _checked_run(trials, seed)
     parts = list(_iter_blocks(params, trials, seed, shared_hbr))
     if len(parts) == 1:
         return parts[0]
@@ -163,7 +170,7 @@ def _outage_counts(params, cells, draw: ChannelDraw) -> list[int]:
 
     @functools.cache
     def fired(legit, eve, rate, sic_legit, sic_eve):
-        return gamma(legit, sic_legit) < 2.0 ** getattr(params, rate) * (1.0 + gamma(eve, sic_eve)) - 1.0
+        return gamma(legit, sic_legit) < model.secrecy_threshold(params, rate, gamma(eve, sic_eve))
 
     reads = {(f, s): fam.sic_for(s) for f, fam in model.SINR_FAMILIES.items() for s in model.SIC_MODES}
     counts = []
@@ -186,10 +193,9 @@ def estimate_sop_grid(cases, trials: int, seed: int) -> list[SopEstimate]:
     with trials and binomial standard error) come back in input order, each
     bit-identical to a lone estimate_sop call with the same seed.
     """
+    _checked_run(trials, seed)
     if not cases:
         return []
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     laws: dict[tuple, dict[SystemParams, list[int]]] = {}
     for j, (p, scenario, sic) in enumerate(cases):
         if scenario not in model.SCENARIOS:
@@ -232,8 +238,7 @@ def empirical_sinr_cdfs(params: SystemParams, requests, trials: int, seed: int) 
     """Empirical CDFs of several SINR families over one shared draw stream: per
     (which, sic, thresholds) request, which a key of model.SINR_FAMILIES,
     P[SINR <= x] for each threshold x."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _checked_run(trials, seed)
     prepared = [(which, sic, np.asarray(t, dtype=float)) for which, sic, t in _checked(requests)]
     counts = [np.zeros(len(t), dtype=np.int64) for _, _, t in prepared]
     for draw in _iter_blocks(params, trials, seed, False):

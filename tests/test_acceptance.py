@@ -138,13 +138,13 @@ def test_criterion_2_distribution_agreement():
 
     eve_forms = [
         ("eve_n_ipsic", lambda x: an.law(x, p, "eve_n", "ipsic", density=True),
-         lambda x: an.law(x, dc, "eve_n", "ipsic"), 600.0 / dc.scale("eve_n", 0.0)),
+         lambda x: an.law(x, p, "eve_n", "ipsic"), 600.0 / dc.scale("eve_n", 0.0)),
         ("eve_n_psic", lambda x: an.law(x, p, "eve_n", "psic", density=True),
-         lambda x: an.law(x, dc, "eve_n", "psic"), 600.0 / dc.scale("eve_n", 0.0)),
+         lambda x: an.law(x, p, "eve_n", "psic"), 600.0 / dc.scale("eve_n", 0.0)),
         ("eve_f", lambda x: an.law(x, p, "eve_f", "psic", density=True),
-         lambda x: an.law(x, dc, "eve_f", "psic"), p.a_f / p.a_n),
+         lambda x: an.law(x, p, "eve_f", "psic"), p.a_f / p.a_n),
         ("internal_f_to_n", lambda x: an.law(x, p, "internal_f_to_n", "psic", density=True),
-         lambda x: an.law(x, dc, "internal_f_to_n", "psic"),
+         lambda x: an.law(x, p, "internal_f_to_n", "psic"),
          600.0 / dc.scale("internal_f_to_n", 0.0)),
     ]
     for name, pdf, cdf, hi in eve_forms:

@@ -204,11 +204,23 @@ def test_external_n_ipsic_rederived_by_double_loop():
     assert sop(p, "external_n", "ipsic").value == pytest.approx(total, rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [2, 20])
+def test_psic_tail_keeps_relative_accuracy(q):
+    # an unreachable eavesdropper and a 1e-15 rate put the threshold 2^r_n - 1
+    # deep in the tail, where the CDF is z / (Q - 1) to double precision
+    p = make_params(n_elements=2 * q, n_active=q, d_re=math.inf, r_n=1e-15, r_f=1e-15)
+    x = 2.0**p.r_n - 1.0
+    want = x * derive(p).scale("user_n", 0.0) / (q - 1)
+    assert sop(p, "external_n", "psic").value == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert law(x, p, "user_n", "psic") == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_external_f_rederived():
     p = make_params()
     dc = derive(p)
     eps = _threshold(dc, "eve_f", p.r_f, 0.0)
-    want = 1.0 - kdist_sf(p.n_active, eps * dc.scale("user_f", 0.0) / (dc.c_f - eps * dc.c_n))
+    c_n, c_f = p.a_n * p.p_bs * p.kappa**2, p.a_f * p.p_bs * p.kappa**2
+    want = 1.0 - kdist_sf(p.n_active, eps * dc.scale("user_f", 0.0) / (c_f - eps * c_n))
     assert sop(p, "external_f", "psic").value == pytest.approx(want, rel=1e-14)
 
 
@@ -429,6 +441,16 @@ def test_diversity_order_error_paths():
         diversity_order([(1e3, 0.1), (1e4, 0.0)])
     with pytest.raises(DegenerateCurveError):
         diversity_order([(-1.0, 0.1), (1e4, 0.05)])
+
+
+@pytest.mark.parametrize("curve", [[(1.0, 0.1), (math.inf, 0.01)],
+                                   [(1e3, 0.1), (1e4, math.nan)],
+                                   [(math.nan, 0.1), (1e3, 0.1), (1e4, 0.01)],
+                                   [(1e3, math.inf), (1e4, 0.01)]],
+                         ids=["rho-inf", "sop-nan", "rho-nan-early", "sop-inf"])
+def test_diversity_order_rejects_non_finite_points(curve):
+    with pytest.raises(DegenerateCurveError):
+        diversity_order(curve)
 
 
 def test_secrecy_throughput():

@@ -64,35 +64,35 @@ def test_derive_hand_values():
     w_rf = p.beta0 * p.d_rf ** (-p.alpha_p)
     w_re = p.beta0 * p.d_re ** (-p.alpha_p)
     assert dc.omega_br == pytest.approx(w_br, rel=1e-15)
-    assert dc.c_n == pytest.approx(p.a_n * p.p_bs * k2, rel=1e-15)
-    assert dc.c_f == pytest.approx(p.a_f * p.p_bs * k2, rel=1e-15)
     # mean-field noise: RIS thermal noise over the Q active elements + receiver noise
     v_n = k2 * p.sigma2_t * p.n_active * w_rn + p.sigma2
     v_f = k2 * p.sigma2_t * p.n_active * w_rf + p.sigma2
     v_e1 = k2 * p.sigma2_t * p.n_active * w_re + p.sigma2_e
     v_e2 = k2 * p.sigma2_t * p.n_active * w_rf + p.sigma2_e
     assert dc.scale("user_f", 0.0) == pytest.approx(v_f / (w_br * w_rf), rel=1e-14)
-    assert dc.scale("eve_n", 0.0) == pytest.approx(v_e1 / (dc.c_n * w_br * w_re), rel=1e-14)
+    c_n = p.a_n * p.p_bs * k2
+    assert dc.scale("eve_n", 0.0) == pytest.approx(v_e1 / (c_n * w_br * w_re), rel=1e-14)
     assert dc.scale("eve_f", 0.0) == pytest.approx(v_e1 / (w_br * w_re), rel=1e-14)
     assert dc.scale("internal_f_to_n", 0.0) == pytest.approx(
-        v_e2 / (dc.c_n * w_br * w_rf), rel=1e-14)
-    assert dc.scale("user_n", 0.0) == pytest.approx(v_n / (dc.c_n * w_br * w_rn), rel=1e-14)
+        v_e2 / (c_n * w_br * w_rf), rel=1e-14)
+    assert dc.scale("user_n", 0.0) == pytest.approx(v_n / (c_n * w_br * w_rn), rel=1e-14)
 
 
 def test_amplification_scales_quadratically():
-    base = derive(make_params())
-    boosted = derive(make_params(kappa=2 * BASELINE["kappa"]))
-    assert boosted.c_n == pytest.approx(4.0 * base.c_n, rel=1e-15)
-    assert boosted.c_f == pytest.approx(4.0 * base.c_f, rel=1e-15)
+    # without RIS thermal noise the near-user scale is sigma2 / (a_n p_bs kappa^2 omega_br omega_rn)
+    base = derive(make_params(sigma2_t=0.0)).scale("user_n", 0.0)
+    boosted = derive(make_params(sigma2_t=0.0, kappa=2 * BASELINE["kappa"])).scale("user_n", 0.0)
+    assert boosted == pytest.approx(base / 4.0, rel=1e-15)
 
 
 def test_passive_noise_is_receiver_only():
     dc = derive(make_passive())
     p = dc.params
-    assert dc.scale("user_n", 0.0) == p.sigma2 / (dc.c_n * dc.omega_br * dc.omega_rn)
+    c_n = p.a_n * p.p_bs * p.kappa**2
+    assert dc.scale("user_n", 0.0) == p.sigma2 / (c_n * dc.omega_br * dc.omega_rn)
     assert dc.scale("user_f", 0.0) == p.sigma2 / (dc.omega_br * dc.omega_rf)
-    assert dc.scale("eve_n", 0.0) == p.sigma2_e / (dc.c_n * dc.omega_br * dc.omega_re)
-    assert dc.scale("internal_f_to_n", 0.0) == p.sigma2_e / (dc.c_n * dc.omega_br * dc.omega_rf)
+    assert dc.scale("eve_n", 0.0) == p.sigma2_e / (c_n * dc.omega_br * dc.omega_re)
+    assert dc.scale("internal_f_to_n", 0.0) == p.sigma2_e / (c_n * dc.omega_br * dc.omega_rf)
 
 
 def test_threshold_hand_value():
@@ -121,7 +121,6 @@ def test_perfect_sic_collapses_residual_terms():
 
 def test_zero_near_share_saturates_scales():
     dc = derive(make_params(a_f=1.0, a_n=0.0))
-    assert dc.c_n == 0.0
     assert dc.scale("user_n", 0.0) == math.inf
     assert dc.scale("eve_n", 0.0) == math.inf
 
@@ -286,24 +285,24 @@ def ref_xi_e3(p, dc):
 
 
 def ref_xi_e4(p, dc):
-    return ref_ratio(ref_v_e2(p, dc), dc.c_n * dc.omega_br * dc.omega_rf)
+    return ref_ratio(ref_v_e2(p, dc), p.a_n * p.p_bs * p.kappa**2 * dc.omega_br * dc.omega_rf)
 
 
 def ref_xi_n(p, dc, zeta):
     num = ref_v_n(p, dc) + p.varpi * p.p_bs * p.omega_ipu * zeta
-    den = dc.c_n * dc.omega_br * dc.omega_rn
+    den = p.a_n * p.p_bs * p.kappa**2 * dc.omega_br * dc.omega_rn
     return num / den if den > 0.0 else num * math.inf
 
 
 def ref_xi_e1(p, dc, zeta):
     num = ref_v_e1(p, dc) + p.varpi * p.p_bs * p.omega_ipe * zeta
-    den = dc.c_n * dc.omega_br * dc.omega_re
+    den = p.a_n * p.p_bs * p.kappa**2 * dc.omega_br * dc.omega_re
     return num / den if den > 0.0 else num * math.inf
 
 
 def ref_xi_e5(p, dc, zeta):
     num = ref_v_n(p, dc) + p.varpi * p.p_bs * p.omega_ipe * zeta
-    den = dc.c_n * dc.omega_br * dc.omega_rn
+    den = p.a_n * p.p_bs * p.kappa**2 * dc.omega_br * dc.omega_rn
     return num / den if den > 0.0 else num * math.inf
 
 

@@ -12,6 +12,7 @@ one-probability corners); the throughput and union-event accounting;
 input validation.
 """
 
+import pickle
 import warnings
 from dataclasses import fields
 
@@ -431,6 +432,37 @@ def test_input_validation():
         sinr_samples(p, [("nobody", "psic")], 100, SEED)
     with pytest.raises(ValueError):
         empirical_sinr_cdfs(p, [("nobody", "psic", [1.0])], 100, SEED)
+
+
+# every public entry point as (params, trials, seed) -> its result, on one cell or request
+_ENTRY_POINTS = {
+    "estimate_sop_grid": lambda p, t, s: estimate_sop_grid([(p, "external_n", "psic")], t, s),
+    "estimate_sop": lambda p, t, s: estimate_sop(p, "external_n", "psic", t, s),
+    "sample_draw": sample_draw,
+    "empirical_sinr_cdfs": lambda p, t, s: empirical_sinr_cdfs(p, [("user_n", "psic", [1.0])], t, s),
+    "sinr_samples": lambda p, t, s: sinr_samples(p, [("user_n", "psic")], t, s),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_trials_and_seed_checked_before_drawing(entry, monkeypatch):
+    run, p = _ENTRY_POINTS[entry], make_params()
+    drawn = []
+    real = montecarlo._draw_block
+    monkeypatch.setattr(montecarlo, "_draw_block", lambda *a: drawn.append(a[2]) or real(*a))
+    # a bool, a float (even integral) or a string is no count; seeds are 64-bit
+    for trials, seed, name in ((True, SEED, "trials"), (1000.0, SEED, "trials"),
+                               (np.float64(10.0), SEED, "trials"), ("10", SEED, "trials"),
+                               (0, SEED, "trials"), (100, 1.5, "seed"), (100, True, "seed"),
+                               (100, np.bool_(True), "seed"), (100, -1, "seed"),
+                               (100, 2**64, "seed")):
+        with pytest.raises(ValueError, match=name):
+            run(p, trials, seed)
+    assert drawn == []
+    # numpy integers are integers, and run as their values
+    got = run(p, np.int64(100), np.uint64(SEED))
+    assert drawn == [0]
+    assert pickle.dumps(got) == pickle.dumps(run(p, 100, SEED))
 
 
 def test_unknown_sic_rejected_for_families_without_sic():
