@@ -293,11 +293,8 @@ def _sinr(family: str, params: SystemParams, draw, sic: str):
     den = k2 * params.sigma2_t * getattr(draw, "norm_" + fam.receiver)
     if fam.capped:
         den += params.a_n * params.p_bs * k2 * gain
-    if fam.takes_sic:
-        if sic not in SIC_MODES:
-            raise ValueError(f"sic must be one of {SIC_MODES}")
-        if sic == "ipsic":
-            den += params.varpi * params.p_bs * getattr(draw, _RESIDUAL_DRAW[fam.residual])
+    if fam.sic_for(sic) == "ipsic":
+        den += params.varpi * params.p_bs * getattr(draw, _RESIDUAL_DRAW[fam.residual])
     den += getattr(params, fam.noise)
     num /= den
     return num

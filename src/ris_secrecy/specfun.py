@@ -8,6 +8,11 @@ survival function, CDF and density of the normalized cascaded-channel power
 Gaussians), evaluated in log space so that large quadrature arguments
 underflow gracefully instead of turning into inf*0.
 
+Each public function checks its arguments once, on entry, and raises ValueError on a bad
+one: the kdist_* functions through _checked (q a positive integer, not a bool; z >= 0 or
++inf, the saturated limit), log_bessel_k on its own domain (q >= 0; finite x > 0).  A
+scalar or 0-d argument gives a scalar back; an array gives an array of its own shape.
+
 scipy.special is imported at the first kve or roots_laguerre call: the Monte
 Carlo path never makes one, and the import costs about 0.3 s of CPU and 18 MB.
 """
@@ -32,13 +37,6 @@ __all__ = [
 _EULER_GAMMA = 0.5772156649015329
 
 
-def _check_bessel_domain(x):
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("modified Bessel K requires finite x > 0")
-    return arr
-
-
 def log_bessel_k(q: int, x) -> np.ndarray | float:
     """ln K_q(x) for integer order q >= 0, stable for arguments up to ~1e300.
 
@@ -49,11 +47,11 @@ def log_bessel_k(q: int, x) -> np.ndarray | float:
     1.07e9, where the expansion is already exact to well under double
     precision for any order this package uses).
     """
-    if q < 0 or q != int(q):
+    if isinstance(q, (bool, np.bool_)) or q < 0 or q != int(q):
         raise ValueError("order must be a nonnegative integer")
-    arr = _check_bessel_domain(x)
-    scalar = np.isscalar(x) or arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not (np.isfinite(arr) & (arr > 0.0)).all():
+        raise ValueError("modified Bessel K requires finite x > 0")
 
     from scipy.special import kve as scaled_k
     with np.errstate(over="ignore"):
@@ -65,22 +63,21 @@ def log_bessel_k(q: int, x) -> np.ndarray | float:
     # x beyond ~2^30.  K_q itself is representable in log form in both
     # regimes, so patch each analytically.
     bad = ~np.isfinite(out)
-    if np.any(bad):
+    if bad.any():
         xs = arr[bad]
         patched = np.empty_like(xs)
         huge = np.isnan(kve[bad])
-        if np.any(huge):
+        if huge.any():
             # relative truncation error of the two-term tail is < 1e-17 at
             # the 2^30 takeover point even for q = 64
             xh = xs[huge]
             mu = 4.0 * q * q
             a1 = (mu - 1.0) / 8.0
             a2 = a1 * (mu - 9.0) / 16.0
-            patched[huge] = (
-                0.5 * np.log(np.pi / (2.0 * xh)) - xh + np.log1p(a1 / xh + a2 / (xh * xh))
-            )
+            patched[huge] = (0.5 * np.log(np.pi / (2.0 * xh)) - xh
+                             + np.log1p(a1 / xh + a2 / (xh * xh)))
         tiny = ~huge
-        if np.any(tiny):
+        if tiny.any():
             xt = xs[tiny]
             if q == 0:
                 patched[tiny] = np.log(-np.log(xt / 2.0) - _EULER_GAMMA)
@@ -94,7 +91,7 @@ def log_bessel_k(q: int, x) -> np.ndarray | float:
                     lead[ok] += np.log1p(-corr[ok])
                 patched[tiny] = lead
         out[bad] = patched
-    return float(out[0]) if scalar else out
+    return _shaped(out, x)
 
 
 @dataclass(frozen=True)
@@ -142,12 +139,19 @@ def gauss_laguerre(order: int) -> QuadratureTable:
     return QuadratureTable(int(order), nodes, weights)
 
 
-def _as_float_array(z):
-    # +inf is a legitimate saturated argument (sf -> 0, pdf -> 0)
-    arr = np.asarray(z, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
+def _checked(q, z) -> np.ndarray:
+    """z as an at-least-1-D float array, once q and z are known to be in the domain."""
+    if isinstance(q, (bool, np.bool_)) or q < 1 or q != int(q):
+        raise ValueError("q must be a positive integer")
+    arr = np.atleast_1d(np.asarray(z, dtype=float))
+    if not (arr >= 0.0).all():
         raise ValueError("argument must be >= 0 (nan rejected)")
     return arr
+
+
+def _shaped(out: np.ndarray, z):
+    """Scalar in, float out; an array argument keeps its shape."""
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def _log_k_form(q: int, nu: int, z: np.ndarray) -> np.ndarray:
@@ -155,6 +159,25 @@ def _log_k_form(q: int, nu: int, z: np.ndarray) -> np.ndarray:
     (nu = q) and the density (nu = q - 1) of the cascade power."""
     x = 2.0 * np.sqrt(z)
     return math.log(2.0) - math.lgamma(q) + (nu / 2.0) * np.log(z) + log_bessel_k(nu, x)
+
+
+def _logsf(q: int, arr: np.ndarray) -> np.ndarray:
+    """kdist_logsf on a checked array of any shape."""
+    out = np.full_like(arr, -np.inf)  # ln sf at z = +inf
+    small = arr < 1e-12
+    if small.any():
+        zs = arr[small]
+        if q == 1:
+            # x K_1(x) = 1 + z ln z + (2*gamma - 1) z + O(z^2 ln z), x = 2 sqrt z
+            with np.errstate(divide="ignore", invalid="ignore"):
+                corr = np.where(zs > 0.0, zs * np.log(zs), 0.0)
+            out[small] = np.log1p(corr + (2.0 * _EULER_GAMMA - 1.0) * zs)
+        else:
+            out[small] = np.log1p(-zs / (q - 1.0))
+    rest = ~small & np.isfinite(arr)
+    if rest.any():
+        out[rest] = _log_k_form(q, q, arr[rest])
+    return np.minimum(out, 0.0)
 
 
 def kdist_logsf(q: int, z) -> np.ndarray | float:
@@ -166,37 +189,13 @@ def kdist_logsf(q: int, z) -> np.ndarray | float:
     without overflow by combining the scaled Bessel kernel with a
     small-argument series below z = 1e-12.
     """
-    if q < 1 or q != int(q):
-        raise ValueError("q must be a positive integer")
-    arr = _as_float_array(z)
-    scalar = np.isscalar(z) or arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    out = np.empty_like(arr)
-
-    unbounded = np.isinf(arr)
-    out[unbounded] = -np.inf
-    small = (arr < 1e-12) & ~unbounded
-    if np.any(small):
-        zs = arr[small]
-        if q == 1:
-            # x K_1(x) = 1 + z ln z + (2*gamma - 1) z + O(z^2 ln z), x = 2 sqrt z
-            with np.errstate(divide="ignore", invalid="ignore"):
-                corr = np.where(zs > 0.0, zs * np.log(zs), 0.0)
-            out[small] = np.log1p(corr + (2.0 * _EULER_GAMMA - 1.0) * zs)
-        else:
-            out[small] = np.log1p(-zs / (q - 1.0))
-    rest = ~small & ~unbounded
-    if np.any(rest):
-        out[rest] = _log_k_form(q, q, arr[rest])
-    out = np.minimum(out, 0.0)
-    return float(out[0]) if scalar else out.reshape(np.shape(np.asarray(z)))
+    return _shaped(_logsf(q, _checked(q, z)), z)
 
 
 def kdist_sf(q: int, z) -> np.ndarray | float:
     """Survival function of the normalized cascade power; see kdist_logsf."""
-    logsf = kdist_logsf(q, z)
     with np.errstate(under="ignore"):
-        return np.exp(logsf)
+        return np.exp(kdist_logsf(q, z))
 
 
 _SATURATED_LOGSF = -40.0
@@ -226,13 +225,13 @@ def kdist_cdf(q: int, z) -> np.ndarray | float:
     ~1e-12 error of kdist_logsf, so the result is bit for bit the one the
     survival function would give.
     """
-    arr = _as_float_array(z)
+    arr = _checked(q, z)
     out = np.ones(arr.shape)
     live = arr < _saturation_arg(q)
-    if np.any(live):
+    if live.any():
         with np.errstate(under="ignore"):
-            out[live] = -np.expm1(kdist_logsf(q, arr[live]))
-    return np.clip(out, 0.0, 1.0)
+            out[live] = -np.expm1(_logsf(q, arr[live]))
+    return np.clip(_shaped(out, z), 0.0, 1.0)
 
 
 def kdist_pdf(q: int, z) -> np.ndarray | float:
@@ -243,25 +242,11 @@ def kdist_pdf(q: int, z) -> np.ndarray | float:
     the three-Bessel forms that appear when the chain rule is written out
     term by term.  For q = 1 the density diverges logarithmically at 0.
     """
-    if q < 1 or q != int(q):
-        raise ValueError("q must be a positive integer")
-    arr = _as_float_array(z)
-    scalar = np.isscalar(z) or arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    out = np.empty_like(arr)
-
-    zero = arr == 0.0
-    if np.any(zero):
-        if q == 1:
-            out[zero] = np.inf
-        elif q == 2:
-            out[zero] = 1.0
-        else:
-            out[zero] = 1.0 / (q - 1.0)
-    unbounded = np.isinf(arr)
-    out[unbounded] = 0.0
-    pos = ~zero & ~unbounded
-    if np.any(pos):
+    arr = _checked(q, z)
+    out = np.zeros_like(arr)  # the density at z = +inf
+    out[arr == 0.0] = np.inf if q == 1 else 1.0 / (q - 1.0)
+    pos = (arr > 0.0) & np.isfinite(arr)
+    if pos.any():
         with np.errstate(under="ignore"):
             out[pos] = np.exp(_log_k_form(q, q - 1, arr[pos]))
-    return float(out[0]) if scalar else out.reshape(np.shape(np.asarray(z)))
+    return _shaped(out, z)

@@ -458,6 +458,10 @@ def test_sinr_rejects_unknown_sic_for_every_family(family):
         sinr(family, make_params(), d, "genie")
     with pytest.raises(ValueError, match="sic"):
         SINR_FAMILIES[family].sic_for("genie")
+    if SINR_FAMILIES[family].takes_sic:
+        # the direct wrappers sinr_user_n and sinr_eve_n read the mode by the same rule
+        with pytest.raises(ValueError, match="sic"):
+            getattr(model, "sinr_" + family)(make_params(), d, "genie")
 
 
 def test_effective_sic_is_psic_without_a_residual():

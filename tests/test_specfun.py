@@ -275,11 +275,48 @@ def test_pdf_normalizes(q):
     assert err < 1e-7
 
 
+KDIST = (kdist_cdf, kdist_logsf, kdist_pdf, kdist_sf)
+
+
 def test_kdist_domain_errors():
-    for bad_q in (0, -2, 1.5):
+    bad_zs = (-1.0, float("nan"), np.array([0.5, float("nan"), 2.0]))
+    for fn in KDIST:
+        for bad_q in (0, -2, 1.5, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                fn(bad_q, 1.0)
+        for bad_z in bad_zs:
+            with pytest.raises(ValueError, match="argument must be >= 0"):
+                fn(2, bad_z)
+    # log_bessel_k takes order 0 and rejects z = 0 (K diverges there)
+    for bad_q in (-2, 1.5, True):
+        with pytest.raises(ValueError, match="order"):
+            log_bessel_k(bad_q, 1.0)
+    for bad_x in bad_zs:
+        with pytest.raises(ValueError, match="finite x > 0"):
+            log_bessel_k(2, bad_x)
+
+
+def test_bool_order_is_rejected_not_read_as_one():
+    # True == 1 in Python, so an order check by value alone runs it as q = 1
+    for fn in (*KDIST, log_bessel_k):
         with pytest.raises(ValueError):
-            kdist_sf(bad_q, 1.0)
-    with pytest.raises(ValueError):
-        kdist_sf(2, -1.0)
-    with pytest.raises(ValueError):
-        kdist_pdf(2, float("nan"))
+            fn(True, 0.5)
+        with pytest.raises(ValueError):
+            fn(np.True_, 0.5)
+
+
+@pytest.mark.parametrize("fn", (*KDIST, log_bessel_k), ids=lambda fn: fn.__name__)
+def test_shapes_and_types_follow_the_argument(fn):
+    # scalar in, scalar out (float, or numpy.float64 where the result passes
+    # through a numpy ufunc); an array keeps its shape, element for element
+    scalar_type = np.float64 if fn in (kdist_cdf, kdist_sf) else float
+    q = 3
+    for z in (0.5, np.array(0.5)):
+        got = fn(q, z)
+        assert type(got) is scalar_type and got == fn(q, 0.5)
+    for z in (np.array([0.5, 2.0, 40.0]), np.geomspace(0.01, 100.0, 6).reshape(2, 3),
+              np.zeros(0), np.zeros((0, 3))):
+        got = fn(q, z)
+        assert type(got) is np.ndarray and got.shape == z.shape
+        want = np.array([fn(q, float(v)) for v in z.ravel()]).reshape(z.shape)
+        assert np.array_equal(got, want)
