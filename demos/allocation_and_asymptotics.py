@@ -29,7 +29,6 @@ from ris_secrecy import (
     secrecy_throughput,
     sop,
     sop_curve_fixed_eavesdropper,
-    sop_system_external,
 )
 
 print("1. splitting the budget between the NOMA users (30 dBm total)")
@@ -38,8 +37,8 @@ shares = list(cfg.sweep.values)
 print(f"{'far-user share':>14} {'system SOP, ipSIC':>18} {'system SOP, pSIC':>17}")
 for share in shares:
     params = realize_point(cfg, share, "aris")
-    ip = sop_system_external(params, "ipsic").value
-    ps = sop_system_external(params, "psic").value
+    ip = sop(params, "system_external", "ipsic").value
+    ps = sop(params, "system_external", "psic").value
     marker = "  <- ipSIC optimum" if share == 0.8 else ""
     print(f"{share:>14.2f} {ip:>18.4f} {ps:>17.4f}{marker}")
 print("residual interference scales with the near user's power, so past 0.8 the")

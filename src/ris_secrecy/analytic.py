@@ -11,6 +11,7 @@ which is what the cross-engine tolerances in the tests measure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -31,7 +32,6 @@ __all__ = [
     "sop",
     "sop_asymptotic",
     "sop_curve_fixed_eavesdropper",
-    "sop_system_external",
     "sop_union",
 ]
 
@@ -142,76 +142,72 @@ def law(x, params, family: str, sic: str, *, density: bool = False):
         out = _pdf(dc, z, slope, capped, table)
     else:
         out = np.clip(_cdf(dc, z, capped, table), 0.0, 1.0)
-    return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------
 # secrecy outage probabilities: SOP = sum_k w_k F_legit(tau_k)
 
-def _thresholds(dc: DerivedConstants, scenario: str, sic: str, outer: QuadratureTable):
-    """Outage thresholds tau_k = 2^R (1 + gamma_E) - 1 and their weights w_k.
-
-    gamma_E is the wiretap family's mean-field SINR (dc.mean_sinr): averaged
-    over its residual interference (outer table) when it takes SIC under
-    ipSIC, a point mass otherwise.
-    """
-    events = SCENARIOS.get(scenario, ())
-    if len(events) != 1:
-        raise ValueError(f"scenario {scenario!r} has no single-event closed form"
-                         + ("; sop_system_external composes the union" if events else ""))
-    (_, wiretap, rate), = events
+def _thresholds(dc: DerivedConstants, event: tuple, sic: str, outer: QuadratureTable):
+    """Outage thresholds tau_k = 2^R (1 + gamma_E) - 1 and weights w_k of one SCENARIOS
+    event (legit, wiretap, rate): gamma_E is the wiretap family's mean-field SINR
+    (dc.mean_sinr), averaged over its residual interference (outer table) when it
+    takes SIC under ipSIC, a point mass otherwise."""
+    _, wiretap, rate = event
     fam = SINR_FAMILIES[wiretap]
     zeta, w = (outer.nodes, outer.weights) if fam.sic_for(sic) == "ipsic" else (0.0, np.ones(1))
     return np.atleast_1d(secrecy_threshold(dc.params, rate, dc.mean_sinr(fam, zeta))), w
 
 
-# legitimate-family residual-gain overrides: the cited internal/ipSIC closed
-# form couples omega_ipe into the user branch
-_LEGIT_SCALE = {("internal", "ipsic"): "omega_ipe"}
+# legitimate-family residual-gain overrides by (wiretap family, SIC mode): the
+# cited internal/ipSIC closed form couples omega_ipe into the user branch
+_LEGIT_SCALE = {("internal_f_to_n", "ipsic"): "omega_ipe"}
 
 
-def _outage(dc: DerivedConstants, scenario: str, sic: str, thresholds, inner, scale=None):
-    """The outage kernel: the legitimate CDF averaged over the thresholds.
-
-    scale overrides the legitimate family's argument scale.  Also returns
-    whether every threshold sits at the NOMA ceiling (a certain event).
-    """
+def _outage(dc: DerivedConstants, event: tuple, sic: str, thresholds, inner, scale=None):
+    """The outage kernel of one SCENARIOS event: the legitimate CDF averaged over the
+    thresholds, scale overriding its argument scale, and whether every threshold
+    sits at the NOMA ceiling (a certain event)."""
     tau, w = thresholds
-    fam = SINR_FAMILIES[SCENARIOS[scenario][0][0]]
-    if (scenario, sic) in _LEGIT_SCALE:
-        fam = fam._replace(residual=_LEGIT_SCALE[scenario, sic])
+    fam = SINR_FAMILIES[event[0]]
+    if (event[1], sic) in _LEGIT_SCALE:
+        fam = fam._replace(residual=_LEGIT_SCALE[event[1], sic])
     z, _, capped = _cascade(dc, fam, sic, tau, inner, scale)
     return float(_average(_cdf(dc, z, capped, inner), w)), bool(np.all(capped))
 
 
-def sop(params, scenario: str, sic: str, *, table: QuadratureTable | None = None) -> SopEstimate:
-    """Closed-form secrecy outage of one scenario: the kernel value, clamped to [0, 1].
+def _single_event(scenario: str) -> tuple:
+    """The one event of a scenario; a union of several has no closed form but sop's."""
+    events = SCENARIOS[scenario]
+    if len(events) > 1:
+        raise UnsupportedScenarioError(f"{scenario!r} unions {len(events)} events; only sop takes it")
+    return events[0]
 
-    external_n and external_f pit the near and far user against the external
-    eavesdropper, internal the near user against the far user's wiretap.
+
+def sop(params, scenario: str, sic: str, *, table: QuadratureTable | None = None) -> SopEstimate:
+    """Closed-form secrecy outage of any SCENARIOS key: per event the kernel value
+    clamped to [0, 1], for several events their sop_union in registry order.
+
     ipSIC couples two residual-interference integrals (eavesdropper and user),
     both over `table` (default order 64); a far-user threshold at the NOMA
     ceiling gives 1, 'saturated'.
     """
-    dc = derive(params)
-    table = table or default_table()
-    value, saturated = _outage(dc, scenario, sic, _thresholds(dc, scenario, sic, table), table)
-    return _clamped(value, "analytic", ("saturated",) if saturated else ())
+    dc, table = derive(params), table or default_table()
+    estimates = []
+    for event in SCENARIOS[scenario]:
+        value, saturated = _outage(dc, event, sic, _thresholds(dc, event, sic, table), table)
+        estimates.append(_clamped(value, "analytic", ("saturated",) if saturated else ()))
+    return functools.reduce(sop_union, estimates)
 
 
 def sop_system_external(params, sic: str) -> SopEstimate:
-    """System-level outage against the external eavesdropper: either user leaks.
-
-    Composed as 1 - (1 - SOP_n)(1 - SOP_f), i.e. the union of the two
-    per-user outage events treated as independent (the same independence
-    the per-user closed forms already assume between the cascades).  This
-    is the quantity whose power-split ordering the sweep checks exercise.
-    """
-    return sop_union(sop(params, "external_n", sic), sop(params, "external_f", sic))
+    """sop of the union of both external events (the name cli imports)."""
+    return sop(params, "system_external", sic)
 
 
 def sop_union(est_n: SopEstimate, est_f: SopEstimate) -> SopEstimate:
-    """1 - (1 - SOP_n)(1 - SOP_f), carrying the flags of both in first-seen order."""
+    """1 - (1 - SOP_n)(1 - SOP_f): two outage events taken as independent (as the
+    closed forms take the cascades), with the flags of both in first-seen order."""
     value = 1.0 - (1.0 - est_n.value) * (1.0 - est_f.value)
     return _clamped(value, "analytic", tuple(dict.fromkeys(est_n.flags + est_f.flags)))
 
@@ -229,34 +225,31 @@ def _small_arg_asymptote(u: float, n_active: int) -> tuple[float, tuple[str, ...
 
 
 def sop_asymptotic(params, scenario: str, sic: str) -> SopEstimate:
-    """High-budget SOP asymptote on the kernel's thresholds and arguments.
+    """High-budget SOP asymptote of a one-event scenario on the kernel's thresholds.
 
-    external_n + ipsic:  residual-interference error floor (the kernel with
-                         the user-side scale cut to its residual term)
-    external_n + psic:   -u ln u (single active element) or u/(Q-1) at the
-                         legitimate argument u of the threshold
-    external_f:          same small-argument forms on the far-user argument
-    internal + psic:     same forms on the wiretap argument
-    internal + ipsic:    no closed-form asymptote exists; raises
-    The single-element logarithmic forms turn negative outside the
-    asymptotic regime, so estimates carry a validity flag requiring the
-    argument to sit below 0.1.
+    legitimate family under ipSIC:  residual-interference error floor (the kernel
+                                    with the user-side scale cut to its residual term)
+    otherwise:                      -u ln u (single active element) or u/(Q-1) at
+                                    the legitimate argument u of the threshold
+    A legitimate scale coupled to the wiretap's residual (internal + ipsic) and a
+    union of events have no asymptote: both raise UnsupportedScenarioError.  The
+    single-element logarithmic forms turn negative outside the asymptotic regime,
+    so estimates carry a validity flag requiring the argument to sit below 0.1.
     """
-    if scenario == "internal" and sic == "ipsic":
-        raise UnsupportedScenarioError(
-            "internal + ipsic has no closed-form asymptote (the residual floor "
-            "couples both quadratures); evaluate sop directly"
-        )
-    dc, table = derive(params), default_table()
-    thresholds = _thresholds(dc, scenario, sic, table)
-    if scenario == "external_n" and sic == "ipsic":
+    event = _single_event(scenario)
+    if (event[1], sic) in _LEGIT_SCALE:
+        raise UnsupportedScenarioError(f"{scenario} + {sic} has no closed-form asymptote (the residual "
+                                       "floor couples both quadratures); evaluate sop directly")
+    dc, table, fam = derive(params), default_table(), SINR_FAMILIES[event[0]]
+    thresholds = _thresholds(dc, event, sic, table)
+    if fam.sic_for(sic) == "ipsic":
         p = dc.params
-        den = p.a_n * p.kappa**2 * dc.omega_br * dc.omega_rn
-        # no near-user signal (a_n = 0, an unreachable hop): the floor is outage
-        floor_scale = p.omega_ipu / den if den > 0.0 else math.inf
-        value, _ = _outage(dc, scenario, sic, thresholds, table, floor_scale * table.nodes)
+        den = getattr(p, fam.share) * p.kappa**2 * dc.omega_br * getattr(dc, "omega_r" + fam.receiver)
+        # no legitimate signal (a zero share, an unreachable hop): the floor is outage
+        floor_scale = getattr(p, fam.residual) / den if den > 0.0 else math.inf
+        value, _ = _outage(dc, event, sic, thresholds, table, floor_scale * table.nodes)
         return _clamped(value, "asymptotic")
-    u, _, capped = _cascade(dc, SINR_FAMILIES[SCENARIOS[scenario][0][0]], sic, thresholds[0], table)
+    u, _, capped = _cascade(dc, fam, sic, thresholds[0], table)
     if capped[0]:
         return SopEstimate(1.0, "asymptotic", flags=("saturated",))
     value, flags = _small_arg_asymptote(float(u[0]), dc.params.n_active)
@@ -272,12 +265,12 @@ def sop_curve_fixed_eavesdropper(params, scenario: str, sic: str, p_bs_values) -
     instead of decaying.  The kernel takes its thresholds from params and
     its legitimate CDF from each p_bs; returns one SOP per p_bs value.
     """
-    table = default_table()
-    thresholds = _thresholds(derive(params), scenario, sic, table)
+    event, table = _single_event(scenario), default_table()
+    thresholds = _thresholds(derive(params), event, sic, table)
     out = np.empty(len(p_bs_values), dtype=float)
     for i, p_bs in enumerate(p_bs_values):
         dc = derive(replace(params, p_bs=float(p_bs)))
-        out[i], _ = _outage(dc, scenario, sic, thresholds, table)
+        out[i], _ = _outage(dc, event, sic, thresholds, table)
     return np.clip(out, 0.0, 1.0)
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -167,17 +168,20 @@ def _write_json(option: str, path, doc: dict):
 
 
 def _closed_form_estimate(memo: dict, params, scenario, sic, engine):
-    """One closed-form cell, evaluated once per memo; the system event is the
-    union of the memoized external_n and external_f cells."""
+    """One closed-form cell, evaluated once per memo.  A scenario of several events
+    is the union, in registry order, of the memoized cells of the single-event
+    scenarios holding its events, or sop itself where an event has none."""
     key = (params, scenario, sic, engine)
     if key not in memo:
-        if scenario != "system_external":
-            memo[key] = (sop_asymptotic if engine == "asymptotic" else sop)(params, scenario, sic)
-        elif engine == "asymptotic":
-            raise UnsupportedScenarioError("no closed-form asymptote for the system event")
+        events = model.SCENARIOS[scenario]
+        singles = {evs[0]: name for name, evs in model.SCENARIOS.items() if len(evs) == 1}
+        if len(events) > 1 and engine == "asymptotic":
+            raise UnsupportedScenarioError(f"no closed-form asymptote for the union {scenario!r}")
+        if len(events) > 1 and all(event in singles for event in events):
+            memo[key] = functools.reduce(sop_union, [
+                _closed_form_estimate(memo, params, singles[event], sic, engine) for event in events])
         else:
-            memo[key] = sop_union(*(_closed_form_estimate(memo, params, s, sic, engine)
-                                    for s in ("external_n", "external_f")))
+            memo[key] = (sop_asymptotic if engine == "asymptotic" else sop)(params, scenario, sic)
     return memo[key]
 
 
@@ -283,24 +287,17 @@ def _cmd_table(args, engines=()) -> int:
     return EXIT_INFEASIBLE if rows and all(r["flags"] == "infeasible" for r in rows) else EXIT_OK
 
 
-def _law_of(family: str, sic: str, density: bool):
-    """law at one (family, SIC) pair as a function of (x, params)."""
-    def law_at(x, params):
-        return law(x, params, family, sic, density=density)
-    return law_at
-
-
-def _forms(side: int, density: bool) -> dict:
-    """validate's closed forms, keyed by (SINR family, the SIC mode it reads), for
+def _forms(side: int) -> dict:
+    """validate's closed form, law, keyed by (SINR family, the SIC mode it reads) for
     the legitimate (side 0) or wiretap (side 1) family of every scenario event.
     validate looks entries up at call time, so a wrapper installed here sees each call."""
     keys = {(event[side], model.SINR_FAMILIES[event[side]].sic_for(sic))
             for events in model.SCENARIOS.values() for event in events for sic in model.SIC_MODES}
-    return {key: _law_of(*key, density) for key in sorted(keys)}
+    return dict.fromkeys(sorted(keys), law)
 
 
-_CDF_FORMS = _forms(0, density=False)
-_PDF_FORMS = _forms(1, density=True)
+_CDF_FORMS = _forms(0)
+_PDF_FORMS = _forms(1)
 
 
 def sop_tolerance(analytic: float, mc: float, stderr: float, mode: str, sic: str,
@@ -326,8 +323,9 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     mean gain are reported as skipped.  The SOP checks read both engines'
     cells from _run_cells at the base point, so all SOP rows share one draw
     stream and each surface mode is realized once.  Per mode, one sinr_samples
-    draw of a second stream's first trials gives the pilots, and one
-    empirical_sinr_cdfs pass over that stream scores the CDF and density checks.
+    draw of the first min(trials, 2**16) trials gives the pilots, and one
+    empirical_sinr_cdfs pass scores the CDF and density checks; both read the
+    same seed's stream as the SOP cells, so the pilots are scored trials.
     """
     sweep = dataclasses.replace(cfg.sweep, engines=("montecarlo", "analytic"), trials=trials,
                                 seed=seed)
@@ -386,8 +384,8 @@ def _cdf_plan(params, family, gamma):
 
 
 def _cdf_result(base, params, thresholds, emp, trials) -> dict:
-    form = _CDF_FORMS[(base["scenario"], base["sic"])]
-    closed = np.asarray(form(thresholds, params), dtype=float)
+    key = (base["scenario"], base["sic"])
+    closed = np.asarray(_CDF_FORMS[key](thresholds, params, *key), dtype=float)
     tol = 3.0 * np.sqrt(np.maximum(closed * (1.0 - closed), 1e-12) / trials) + 0.005
     gap = np.abs(emp - closed)
     worst = int(np.argmax(gap - tol))
@@ -421,7 +419,8 @@ def _pdf_plan(params, family, gamma):
 def _pdf_result(base, params, interval, emp, trials) -> dict:
     lo, hi = (float(x) for x in interval)
     grid = np.linspace(lo, hi, 513)
-    pdf = np.asarray(_PDF_FORMS[(base["scenario"], base["sic"])](grid, params), dtype=float)
+    key = (base["scenario"], base["sic"])
+    pdf = np.asarray(_PDF_FORMS[key](grid, params, *key, density=True), dtype=float)
     mass = _simpson(pdf, grid[1] - grid[0])
     emp_mass = float(emp[1] - emp[0])
     tol = 3.0 * math.sqrt(max(emp_mass * (1.0 - emp_mass), 1e-12) / trials) + 0.025 * max(emp_mass, mass)

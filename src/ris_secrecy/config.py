@@ -378,7 +378,7 @@ def realize_point(cfg: ScenarioConfig, value: float | None, mode: str) -> System
     params, budget = (cfg.params, cfg.budget) if value is None else _with_sweep_value(cfg, value)
     if mode not in SURFACE_MODES:
         raise ConfigError("mode", f"must be one of {SURFACE_MODES}")
-    budget = dataclasses.replace(budget, mode=mode, p_ris=budget.p_ris if mode == "aris" else 0.0)
+    budget = dataclasses.replace(budget, mode=mode)
     if mode == "pris":
         params = dataclasses.replace(params, kappa=1.0, sigma2_t=0.0)
     p_bs = solve_bs_power(budget, n_elements=params.n_elements, n_active=params.n_active)

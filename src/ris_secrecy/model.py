@@ -91,14 +91,25 @@ class SinrFamily(NamedTuple):
         return "d_r" + self.receiver
 
 
-SINR_FAMILIES = {
+class _Registry(dict):
+    """A name -> entry table; an unknown name raises ValueError listing the known ones."""
+
+    def __init__(self, what: str, entries: dict):
+        super().__init__(entries)
+        self.what = what
+
+    def __missing__(self, name):
+        raise ValueError(f"unknown {self.what} {name!r}; known: {', '.join(self)}")
+
+
+SINR_FAMILIES = _Registry("SINR family", {
     "user_n": SinrFamily("a_n", "n", "sigma2", "omega_ipu", False),
     "user_f": SinrFamily("a_f", "f", "sigma2", None, True),
     "eve_n": SinrFamily("a_n", "e", "sigma2_e", "omega_ipe", False),
     "eve_f": SinrFamily("a_f", "e", "sigma2_e", None, True),
     # the far user wiretaps through an eavesdropper-grade front end
     "internal_f_to_n": SinrFamily("a_n", "f", "sigma2_e", None, False),
-}
+})
 
 
 def _row(family) -> SinrFamily:
@@ -109,12 +120,12 @@ def _row(family) -> SinrFamily:
 # A trial is in outage when any event fires, and the protected rate is the
 # sum of the event rates: system_external is the union of external_n and
 # external_f and secures r_n + r_f.
-SCENARIOS = {
+SCENARIOS = _Registry("scenario", {
     "external_n": (("user_n", "eve_n", "r_n"),),
     "external_f": (("user_f", "eve_f", "r_f"),),
     "internal": (("user_n", "internal_f_to_n", "r_n"),),
     "system_external": (("user_n", "eve_n", "r_n"), ("user_f", "eve_f", "r_f")),
-}
+})
 
 
 def mean_channel_gain(distance_m: float, alpha_p: float, beta0: float) -> float:
@@ -327,8 +338,6 @@ def sinr_internal_f_to_n(params: SystemParams, draw):
 
 def sinr(family: str, params: SystemParams, draw, sic: str):
     """Exact SINR of one family (a key of SINR_FAMILIES) over a batch of draws."""
-    if family not in SINR_FAMILIES:
-        raise ValueError(f"unknown SINR family {family!r}")
     fam = SINR_FAMILIES[family]
     sic = fam.sic_for(sic)
     # looked up at call time, so a wrapper installed on the module sees each call
@@ -342,8 +351,6 @@ def scenario_rate(params: SystemParams, scenario: str) -> float:
     The system-level external event protects both streams at once, so its
     secured rate is the sum r_n + r_f.
     """
-    if scenario not in SCENARIOS:
-        raise ValueError(f"scenario must be one of {tuple(SCENARIOS)}")
     return sum(getattr(params, rate) for _, _, rate in SCENARIOS[scenario])
 
 

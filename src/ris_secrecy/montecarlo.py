@@ -198,10 +198,8 @@ def estimate_sop_grid(cases, trials: int, seed: int) -> list[SopEstimate]:
         return []
     laws: dict[tuple, dict[SystemParams, list[int]]] = {}
     for j, (p, scenario, sic) in enumerate(cases):
-        if scenario not in model.SCENARIOS:
-            raise ValueError(f"unknown scenario {scenario!r}")
-        if sic not in model.SIC_MODES:
-            raise ValueError(f"sic must be one of {model.SIC_MODES}")
+        # the registries raise on an unknown scenario or SIC mode before any draw
+        model.SINR_FAMILIES[model.SCENARIOS[scenario][0][0]].sic_for(sic)
         laws.setdefault(tuple(getattr(p, name) for name in DRAW_FIELDS), {}).setdefault(p, []).append(j)
     counts = np.zeros(len(cases), dtype=np.int64)
     for points in laws.values():
@@ -228,9 +226,7 @@ def estimate_sop(params: SystemParams, scenario: str, sic: str, trials: int,
 def _checked(requests):
     """The requests, once every (which, sic, ...) names a SINR family and a SIC mode."""
     for which, sic, *_ in requests:
-        if which not in model.SINR_FAMILIES:
-            raise ValueError(f"unknown SINR family {which!r}")
-        model.SINR_FAMILIES[which].sic_for(sic)  # raises on an unknown SIC mode
+        model.SINR_FAMILIES[which].sic_for(sic)  # raises on an unknown family or SIC mode
     return requests
 
 

@@ -11,6 +11,7 @@ error paths.
 """
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -35,7 +36,10 @@ from ris_secrecy.analytic import (
 )
 from ris_secrecy import model
 from ris_secrecy.model import (
-    SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, SopEstimate, derive, scenario_rate,
+    SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, SopEstimate, derive, scenario_rate, sinr,
+)
+from ris_secrecy.montecarlo import (
+    empirical_sinr_cdfs, estimate_sop, estimate_sop_grid, sample_draw, sinr_samples,
 )
 from ris_secrecy.specfun import gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
 
@@ -77,6 +81,13 @@ def test_cdf_accepts_scalar_and_array():
         assert arr.shape == xs.shape
         for x, v in zip(xs, arr):
             assert form(float(x), p) == pytest.approx(v, rel=1e-14, abs=1e-300)
+    # a scalar or 0-d argument gives a float, as every specfun entry gives, for either side
+    for density in (False, True):
+        want = law(0.2, p, "user_n", "ipsic", density=density)
+        for x in (np.float64(0.2), np.array(0.2)):
+            got = law(x, p, "user_n", "ipsic", density=density)
+            assert type(got) is float and got == want
+        assert law(np.array([0.2]), p, "user_n", "ipsic", density=density).shape == (1,)
 
 
 # every (family, SIC) law of the registry, named family_sic where the SIC mode enters
@@ -252,9 +263,68 @@ def test_system_flags_keep_first_seen_order(monkeypatch):
     f = SopEstimate(0.5, "analytic", flags=("saturated", "clamp-drift"))
     assert sop_union(n, f) == SopEstimate(0.6, "analytic", flags=("clamp-drift", "saturated"))
     assert sop_union(f, n).flags == ("saturated", "clamp-drift")
-    per_user = {"external_n": n, "external_f": f}
-    monkeypatch.setattr(an, "sop", lambda params, scenario, sic: per_user[scenario])
-    assert sop_system_external(make_params(), "ipsic").flags == ("clamp-drift", "saturated")
+    # sop composes the union of its events' kernel values in registry order:
+    # the near event drifts below 0, the far one is saturated and drifts above 1
+    events = SCENARIOS["system_external"]
+    kernel = {events[0]: (-0.5, False), events[1]: (1.5, True)}
+    monkeypatch.setattr(an, "_outage", lambda dc, event, *a: kernel[event])
+    assert sop(make_params(), "system_external", "ipsic").flags == ("clamp-drift", "saturated")
+    monkeypatch.setitem(SCENARIOS, "system_external", events[::-1])
+    assert sop(make_params(), "system_external", "ipsic").flags == ("saturated", "clamp-drift")
+
+
+@pytest.mark.parametrize("sic", SIC_MODES)
+def test_sop_of_the_system_event_is_the_union_of_its_events_bit_for_bit(sic):
+    for p in (make_params(), make_params(a_f=0.9, a_n=0.1, r_f=4.0), make_params(n_active=1,
+              n_elements=2, n_groups=2)):
+        want = sop_union(sop(p, "external_n", sic), sop(p, "external_f", sic))
+        assert sop(p, "system_external", sic) == want
+        assert sop_system_external(p, sic) == want
+    # the far event at the NOMA ceiling: the union carries its flag
+    assert "saturated" in sop(make_params(a_f=0.9, a_n=0.1, r_f=4.0), "system_external", sic).flags
+
+
+def test_registry_extension_reaches_sop_and_estimate_sop(monkeypatch):
+    # a new composed scenario is one registry entry: no engine names it
+    near, internal = SCENARIOS["external_n"][0], SCENARIOS["internal"][0]
+    monkeypatch.setitem(SCENARIOS, "system_internal", (near, internal))
+    p = make_params()
+    for sic in SIC_MODES:
+        want = sop_union(sop(p, "external_n", sic), sop(p, "internal", sic))
+        assert sop(p, "system_internal", sic) == want
+    assert scenario_rate(p, "system_internal") == p.r_n + p.r_n
+    est = estimate_sop(p, "system_internal", "ipsic", 4000, 11)
+    draw = sample_draw(p, 4000, 11)
+    gamma = {f: sinr(f, p, draw, "ipsic") for f in ("user_n", "eve_n", "internal_f_to_n")}
+    fired = ((gamma["user_n"] < model.secrecy_threshold(p, "r_n", gamma["eve_n"]))
+             | (gamma["user_n"] < model.secrecy_threshold(p, "r_n", gamma["internal_f_to_n"])))
+    assert est.value == np.count_nonzero(fired) / 4000 and est.trials == 4000
+
+
+UNKNOWN_NAMES = {
+    "sop": ("scenario", lambda p: sop(p, "sidelink", "psic")),
+    "sop_asymptotic": ("scenario", lambda p: sop_asymptotic(p, "sidelink", "psic")),
+    "sop_curve_fixed_eavesdropper":
+        ("scenario", lambda p: sop_curve_fixed_eavesdropper(p, "sidelink", "psic", [p.p_bs])),
+    "scenario_rate": ("scenario", lambda p: scenario_rate(p, "sidelink")),
+    "estimate_sop": ("scenario", lambda p: estimate_sop(p, "sidelink", "psic", 100, 1)),
+    "estimate_sop_grid": ("scenario", lambda p: estimate_sop_grid([(p, "sidelink", "psic")], 100, 1)),
+    "law": ("SINR family", lambda p: law(0.3, p, "sidelink", "psic")),
+    "sinr": ("SINR family", lambda p: sinr("sidelink", p, sample_draw(p, 10, 1), "psic")),
+    "sinr_samples": ("SINR family", lambda p: sinr_samples(p, [("sidelink", "psic")], 100, 1)),
+    "empirical_sinr_cdfs":
+        ("SINR family", lambda p: empirical_sinr_cdfs(p, [("sidelink", "psic", [1.0])], 100, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNKNOWN_NAMES))
+def test_one_error_for_an_unknown_registry_name(entry):
+    # every engine entry point reports an unknown name through its registry
+    what, call = UNKNOWN_NAMES[entry]
+    known = SCENARIOS if what == "scenario" else SINR_FAMILIES
+    message = f"unknown {what} 'sidelink'; known: {', '.join(known)}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        call(make_params())
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +547,14 @@ def test_scenario_rate():
         scenario_rate(p, "uplink")
 
 
-def test_system_external_errors_name_its_closed_form():
-    # the union has a closed form, just not through the per-event entry points
-    for fn in (sop, sop_asymptotic):
-        with pytest.raises(ValueError, match="sop_system_external"):
-            fn(make_params(), "system_external", "psic")
+def test_a_union_of_events_has_no_asymptote():
+    # sop composes the union; the per-event asymptotes and fixed-eavesdropper curve do not
+    p = make_params()
+    for sic in SIC_MODES:
+        with pytest.raises(UnsupportedScenarioError, match="system_external"):
+            sop_asymptotic(p, "system_external", sic)
+        with pytest.raises(UnsupportedScenarioError, match="system_external"):
+            sop_curve_fixed_eavesdropper(p, "system_external", sic, [p.p_bs])
 
 
 def test_dispatch_errors():

@@ -428,13 +428,8 @@ def test_sweep_rows_match_direct_engine_calls(tmp_path):
 
 
 def closed_form_cell(params, scenario, sic, engine):
-    if engine == "analytic" and scenario == "system_external":
-        return an.sop_system_external(params, sic)
-    if engine == "analytic":
-        return an.sop(params, scenario, sic)
-    if scenario == "system_external":
-        raise UnsupportedScenarioError("no system asymptote")
-    return an.sop_asymptotic(params, scenario, sic)
+    # sop takes every scenario; sop_asymptotic raises on a union of events
+    return (an.sop if engine == "analytic" else an.sop_asymptotic)(params, scenario, sic)
 
 
 @pytest.mark.parametrize("preset", list_presets())
@@ -461,6 +456,35 @@ def test_closed_form_sweep_equals_cell_by_cell_calls(preset):
                 estimate, err = cli._metric_fields(cfg, params, scenario, est)
                 row.update(estimate=estimate, stderr=err, flags="|".join(est.flags))
     assert cli.run_sweep(cfg) == want
+
+
+@pytest.mark.parametrize("held", [True, False])
+def test_registry_extension_sweeps_like_direct_calls(monkeypatch, held):
+    # a new composed scenario is one registry entry; the sweep unions the memoized
+    # cells of the single-event scenarios holding its events, else calls sop on it
+    events = (model.SCENARIOS["external_n"][0], model.SCENARIOS["internal"][0])
+    monkeypatch.setitem(model.SCENARIOS, "system_internal", events)
+    if not held:
+        monkeypatch.delitem(model.SCENARIOS, "internal")
+    cfg = parse_config(doc(**{
+        "sweep.scenarios": [["system_internal", sic, "aris"] for sic in ("ipsic", "psic")],
+        "sweep.engines": ["analytic", "montecarlo", "asymptotic"]}))
+    called, real = [], cli.sop
+    monkeypatch.setattr(cli, "sop", lambda params, scenario, sic:
+                        called.append(scenario) or real(params, scenario, sic))
+    rows = cli.run_sweep(cfg)
+    assert len(rows) == len(cfg.sweep.values) * 2 * 3
+    for row in rows:
+        params = realize_point(cfg, row["value"], row["mode"])
+        if row["engine"] == "analytic":
+            want = an.sop(params, "system_internal", row["sic"])
+            assert (row["estimate"], row["flags"]) == (want.value, "|".join(want.flags)), row
+        elif row["engine"] == "montecarlo":
+            want = estimate_sop(params, "system_internal", row["sic"], cfg.sweep.trials, cfg.sweep.seed)
+            assert (row["estimate"], row["stderr"]) == (want.value, want.stderr), row
+        else:
+            assert (row["estimate"], row["flags"]) == (None, "unsupported"), row
+    assert set(called) == ({"external_n", "internal"} if held else {"system_internal"})
 
 
 def test_sweep_shares_points_and_closed_form_cells(monkeypatch):
@@ -692,29 +716,27 @@ def _registry_pairs(side):
 
 def test_validate_forms_are_the_registry_laws(monkeypatch):
     # keys: the legitimate (CDF) and wiretap (density) family of every scenario
-    # event, with the SIC mode it reads; entries: law itself, bit for bit
+    # event, with the SIC mode it reads; entries: law itself
     assert set(cli._CDF_FORMS) == _registry_pairs(0)
     assert set(cli._PDF_FORMS) == _registry_pairs(1)
-    p = realize_point(parse_config(doc()), None, "aris")
-    xs = np.logspace(-6, 1, 40)
-    for forms, density in ((cli._CDF_FORMS, False), (cli._PDF_FORMS, True)):
-        for key, form in forms.items():
-            assert np.array_equal(form(xs, p), an.law(xs, p, *key, density=density)), key
-            assert form(0.3, p) == an.law(0.3, p, *key, density=density), key
+    assert all(form is an.law for forms in (cli._CDF_FORMS, cli._PDF_FORMS) for form in forms.values())
 
     # validate_point looks every entry up at call time, so a wrapper installed
-    # in the tables (as the benchmark's traced pass installs one) sees each call
+    # in the tables (as the benchmark's traced pass installs one) sees each call;
+    # it passes the entry's key, and density=True for the density table only
     calls = Counter()
     for forms in (cli._CDF_FORMS, cli._PDF_FORMS):
         for key, form in list(forms.items()):
-            monkeypatch.setitem(forms, key, lambda x, params, _key=key, _form=form:
-                                calls.update([_key]) or _form(x, params))
+            monkeypatch.setitem(forms, key, lambda x, params, *args, _form=form, **kw:
+                                calls.update([(*args, kw.get("density", False))])
+                                or _form(x, params, *args, **kw))
     rows = [["external_n", "ipsic", "aris"], ["external_n", "psic", "aris"],
             ["external_f", "psic", "aris"], ["internal", "psic", "aris"]]
     cfg = parse_config(doc(**{"sweep.scenarios": rows, "sweep.trials": 3000}))
     checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
     assert sum(c["check"] != "sop" and c["status"] != "skip" for c in checks) == 7
-    assert calls == Counter(set(cli._CDF_FORMS) | set(cli._PDF_FORMS))
+    assert calls == Counter([(*key, False) for key in cli._CDF_FORMS]
+                            + [(*key, True) for key in cli._PDF_FORMS])
 
 
 SCIPY_SPECIAL_PROBE = """

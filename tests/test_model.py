@@ -401,7 +401,7 @@ def test_registry_formulas_match_the_hand_formulas_bit_for_bit():
                                     ("external_f", "psic", [ref_eps_f(p, dc)]),
                                     ("internal", "ipsic", [ref_eps_fn(p, dc)]),
                                     ("internal", "psic", [ref_eps_fn(p, dc)])):
-            tau, _ = _thresholds(dc, scenario, sic, table)
+            tau, _ = _thresholds(dc, SCENARIOS[scenario][0], sic, table)
             assert np.array_equal(tau, want), (scenario, sic, p)
         assert ref_eps_n1(p, dc, 0.0) == ref_eps_n2(p, dc)
 

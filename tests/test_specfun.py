@@ -233,7 +233,7 @@ def test_cdf_saturation_cutoff_is_bit_exact(q):
     # external_n/ipSIC thresholds through the user law: 64 x 64 arguments
     p = make_params(n_elements=2 * q, n_groups=2, n_active=q, d_re=2.0, p_bs=dbm(30.0))
     dc, table = an.derive(p), an.default_table()
-    thresholds, _ = an._thresholds(dc, "external_n", "ipsic", table)
+    thresholds, _ = an._thresholds(dc, an.SCENARIOS["external_n"][0], "ipsic", table)
     grid, _, _ = an._cascade(dc, an.SINR_FAMILIES["user_n"], "ipsic", thresholds, table)
     assert grid.shape == (64, 64) and 0.0 < np.mean(grid >= z_sat) < 1.0
     for z in (np.geomspace(1e-14, 1e8, 4001), near, np.array([0.0, np.inf]), grid):
