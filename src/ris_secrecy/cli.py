@@ -5,7 +5,7 @@ Subcommands
     simulate         Monte Carlo metrics at the base operating point
     sweep            full curve table over the configured sweep
     validate         closed-form vs Monte Carlo agreement report (exit 3 on failure,
-                     2 when every check is a skip)
+                     2 when every check is a skip); composed rows are skipped unscored
     quadrature-dump  Gauss-Laguerre nodes and weights as JSON (order 1..256)
 
 Curve tables use a fixed CSV schema
@@ -95,25 +95,19 @@ def _fmt(value) -> str:
 
 
 def _parse_engines(text: str) -> tuple[str, ...]:
-    engines = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
+    tokens = [token.strip().lower() for token in text.split(",") if token.strip()]
+    for token in tokens:
         if token not in _ENGINE_ALIASES:
             raise ConfigError("engines", f"unknown engine {token!r}")
-        name = _ENGINE_ALIASES[token]
-        if name not in engines:
-            engines.append(name)
-    if not engines:
+    if not tokens:
         raise ConfigError("engines", "no engine selected")
-    return tuple(engines)
+    return tuple(_ENGINE_ALIASES[token] for token in tokens)
 
 
 def _load(args, engines=()) -> ScenarioConfig:
     """The named config with the command line's overrides; `engines` stand in
     for the config's unless --engines is given."""
-    if getattr(args, "preset", None):
+    if getattr(args, "preset", None) is not None:
         cfg = load_preset(args.preset)
     else:
         cfg = load_config(args.config)
@@ -319,118 +313,106 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     pilot-quantile grid, and the wiretap-side density mass over a pilot
     interval.  SOP tolerances are sop_tolerance's; CDFs get 3 sigma + 0.005
     absolute, densities 3 sigma + 2.5 percent of the interval mass, sigma
-    the binomial error.  Wiretap checks whose receiver has zero
-    mean gain are reported as skipped.  The SOP checks read both engines'
-    cells from _run_cells at the base point, so all SOP rows share one draw
-    stream and each surface mode is realized once.  Per mode, one sinr_samples
-    draw of the first min(trials, 2**16) trials gives the pilots, and one
-    empirical_sinr_cdfs pass scores the CDF and density checks; both read the
-    same seed's stream as the SOP cells, so the pilots are scored trials.
+    the binomial error.  Wiretap checks whose receiver has zero mean gain
+    are skipped.  So are rows of several events (composed quantities), and
+    unscored: a config of only such rows realizes no point and draws nothing.
+    The other SOP checks read both engines' cells from one _run_cells call.
+    Per mode, one sinr_samples draw of the first min(trials, 2**16) trials
+    gives the pilots, and one empirical_sinr_cdfs pass scores the CDF and
+    density checks on the SOP cells' stream, so the pilots are scored trials.
     """
-    sweep = dataclasses.replace(cfg.sweep, engines=("montecarlo", "analytic"), trials=trials,
-                                seed=seed)
-    cells = _run_cells(dataclasses.replace(cfg, metric="sop", sweep=sweep), (None,), "")
+    singles = tuple(row for row in cfg.sweep.scenarios if len(model.SCENARIOS[row[0]]) == 1)
+    cells = _run_cells(dataclasses.replace(cfg, sweep=dataclasses.replace(
+        cfg.sweep, scenarios=singles, engines=("montecarlo", "analytic"), trials=trials,
+        seed=seed)), (None,), "") if singles else []
+    pairs = zip(cells[::2], cells[1::2])
     checks, modes = [], {}
-    for (row, params, mres), (_, _, ares) in zip(cells[::2], cells[1::2]):
-        scenario, sic, mode = row["scenario"], row["sic"], row["mode"]
+    for scenario, sic, mode in cfg.sweep.scenarios:
         base = {"check": "sop", "scenario": scenario, "sic": sic, "mode": mode}
         events = model.SCENARIOS[scenario]
-        composed = len(events) > 1
-        if composed or isinstance(params, BudgetInfeasibleError):
-            why = "composed quantity; per-user rows cover it" if composed else f"infeasible: {params}"
-            checks.append({**base, "status": "skip", "detail": why})
+        if len(events) > 1:
+            checks.append({**base, "status": "skip", "detail": "composed quantity; per-user rows cover it"})
+            continue
+        (_, params, mres), (_, _, ares) = next(pairs)
+        if isinstance(params, BudgetInfeasibleError):
+            checks.append({**base, "status": "skip", "detail": f"infeasible: {params}"})
             continue
         a, m = ares.value, mres.value
-        gap = abs(a - m)
         tol = sop_tolerance(a, m, mres.stderr, mode, sic, scenario_rate(params, scenario))
-        checks.append({**base, "status": "pass" if gap <= tol else "fail",
-                       "analytic": a, "montecarlo": m, "gap": gap, "tolerance": tol,
-                       "detail": f"analytic={a:.6g} mc={m:.6g} tol={tol:.3g}"})
-        # families the SIC mode does not enter are checked once, under psic
+        checks.append(_verdict(base, abs(a - m), tol, f"analytic={a:.6g} mc={m:.6g} tol={tol:.3g}",
+                               analytic=a, montecarlo=m))
+        # one check per mode and (family, SIC read); psic for families the SIC mode does not enter
         planned = modes.setdefault(mode, (params, {}))[1]
-        legit, eve, _ = events[0]
-        for kind, family, plan, finish in (("cdf", legit, _cdf_plan, _cdf_result),
-                                           ("pdf", eve, _pdf_plan, _pdf_result)):
+        for kind, family in zip(("cdf", "pdf"), events[0]):
             key = (family, model.SINR_FAMILIES[family].sic_for(sic))
             if key not in planned:
-                planned[key] = (len(checks), plan, finish)
+                planned[key] = len(checks)
                 checks.append({"check": kind, "scenario": family, "sic": key[1], "mode": mode})
 
     for params, planned in modes.values():
         pilots = sinr_samples(params, list(planned), min(trials, 1 << 16), seed)
-        pending = []
-        for (key, (i, plan, finish)), gamma in zip(planned.items(), pilots):
-            points, why = plan(params, key[0], gamma)
+        scored = {}
+        for (key, i), gamma in zip(planned.items(), pilots):
+            points, why = _pilot_points(checks[i]["check"], params, key[0], gamma)
             if points is None:
                 checks[i] = {**checks[i], "status": "skip", "detail": why}
             else:
-                pending.append((i, (*key, points), finish))
+                scored[i] = (*key, points)
         pilots = gamma = None  # release the pilots before the empirical pass
-        if pending:
-            emps = empirical_sinr_cdfs(params, [request for _, request, _ in pending], trials, seed)
-            for (i, (_, _, points), finish), emp in zip(pending, emps):
-                checks[i] = finish(checks[i], params, points, emp, trials)
+        if scored:
+            emps = empirical_sinr_cdfs(params, list(scored.values()), trials, seed)
+            for (i, (_, _, points)), emp in zip(scored.items(), emps):
+                checks[i] = _distribution_check(checks[i], params, points, emp, trials)
     return checks
 
 
-def _cdf_plan(params, family, gamma):
-    """Pilot-quantile thresholds of a CDF check, or None and the reason to skip it."""
-    if not np.all(np.isfinite(gamma)) or float(np.max(gamma)) <= 0.0:
-        return None, "degenerate SINR (zero mean gain)"
-    thresholds = np.quantile(gamma, np.linspace(0.1, 0.9, 9))
-    if np.min(thresholds) <= 0.0:
-        return None, "pilot quantiles hit zero"
-    return thresholds, ""
+def _verdict(check: dict, gap: float, tol: float, detail: str, **values) -> dict:
+    """A scored check: pass when the gap at its reported point is within tolerance."""
+    return {**check, "status": "pass" if gap <= tol else "fail", **values,
+            "gap": gap, "tolerance": tol, "detail": detail}
 
 
-def _cdf_result(base, params, thresholds, emp, trials) -> dict:
-    key = (base["scenario"], base["sic"])
-    closed = np.asarray(_CDF_FORMS[key](thresholds, params, *key), dtype=float)
-    tol = 3.0 * np.sqrt(np.maximum(closed * (1.0 - closed), 1e-12) / trials) + 0.005
-    gap = np.abs(emp - closed)
-    worst = int(np.argmax(gap - tol))
-    ok = bool(np.all(gap <= tol))
-    return {
-        **base,
-        "status": "pass" if ok else "fail",
-        "gap": float(gap[worst]), "tolerance": float(tol[worst]),
-        "detail": f"max|F_mc-F|={float(np.max(gap)):.4g} "
-                  f"at x={float(thresholds[worst]):.4g} tol={float(tol[worst]):.3g}",
-    }
+def _pilot_points(kind: str, params, family: str, gamma):
+    """The points a distribution check scores, from its pilot samples, or None and
+    the reason to skip it: nine pilot deciles for a CDF, the pilot interquartile
+    interval for a density."""
+    if kind == "cdf":
+        if not np.all(np.isfinite(gamma)) or float(np.max(gamma)) <= 0.0:
+            return None, "degenerate SINR (zero mean gain)"
+        points = np.quantile(gamma, np.linspace(0.1, 0.9, 9))
+        return (points, "") if np.min(points) > 0.0 else (None, "pilot quantiles hit zero")
+    # an infinitely distant wiretap receiver has zero mean gain
+    if not math.isfinite(getattr(params, model.SINR_FAMILIES[family].distance)):
+        return None, "zero mean gain at the wiretap"
+    points = np.quantile(gamma, [0.25, 0.75])
+    return (points, "") if 0.0 < points[0] < points[1] else (None, "degenerate pilot interval")
+
+
+def _distribution_check(check: dict, params, points, emp, trials: int) -> dict:
+    """A CDF check at its worst pilot decile (largest gap less tolerance), or a density
+    check of the closed-form mass over the pilot interval against the empirical mass."""
+    key = (check["scenario"], check["sic"])
+    if check["check"] == "cdf":
+        closed = np.asarray(_CDF_FORMS[key](points, params, *key), dtype=float)
+        tols = 3.0 * np.sqrt(np.maximum(closed * (1.0 - closed), 1e-12) / trials) + 0.005
+        gaps = np.abs(emp - closed)
+        worst = int(np.argmax(gaps - tols))
+        gap, tol = float(gaps[worst]), float(tols[worst])
+        return _verdict(check, gap, tol, f"max|F_mc-F|={float(np.max(gaps)):.4g} "
+                                         f"at x={float(points[worst]):.4g} tol={tol:.3g}")
+    lo, hi = (float(x) for x in points)
+    grid = np.linspace(lo, hi, 513)
+    pdf = np.asarray(_PDF_FORMS[key](grid, params, *key, density=True), dtype=float)
+    mass = _simpson(pdf, grid[1] - grid[0])
+    emp_mass = float(emp[1] - emp[0])
+    tol = 3.0 * math.sqrt(max(emp_mass * (1.0 - emp_mass), 1e-12) / trials) + 0.025 * max(emp_mass, mass)
+    return _verdict(check, abs(mass - emp_mass), tol,
+                    f"integral={mass:.6g} mc={emp_mass:.6g} on [{lo:.3g},{hi:.3g}] tol={tol:.3g}")
 
 
 def _simpson(y, h: float) -> float:
     """Composite Simpson rule over samples y of odd length on a uniform grid of step h."""
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
-
-
-def _pdf_plan(params, family, gamma):
-    """Pilot interquartile interval of a density check, or None and the reason to skip it."""
-    # an infinitely distant wiretap receiver has zero mean gain
-    dist = getattr(params, model.SINR_FAMILIES[family].distance)
-    if not math.isfinite(dist):
-        return None, "zero mean gain at the wiretap"
-    lo, hi = (float(q) for q in np.quantile(gamma, [0.25, 0.75]))
-    if not 0.0 < lo < hi:
-        return None, "degenerate pilot interval"
-    return np.array([lo, hi]), ""
-
-
-def _pdf_result(base, params, interval, emp, trials) -> dict:
-    lo, hi = (float(x) for x in interval)
-    grid = np.linspace(lo, hi, 513)
-    key = (base["scenario"], base["sic"])
-    pdf = np.asarray(_PDF_FORMS[key](grid, params, *key, density=True), dtype=float)
-    mass = _simpson(pdf, grid[1] - grid[0])
-    emp_mass = float(emp[1] - emp[0])
-    tol = 3.0 * math.sqrt(max(emp_mass * (1.0 - emp_mass), 1e-12) / trials) + 0.025 * max(emp_mass, mass)
-    gap = abs(mass - emp_mass)
-    return {
-        **base,
-        "status": "pass" if gap <= tol else "fail",
-        "gap": gap, "tolerance": tol,
-        "detail": f"integral={mass:.6g} mc={emp_mass:.6g} on [{lo:.3g},{hi:.3g}] tol={tol:.3g}",
-    }
 
 
 def _cmd_validate(args) -> int:

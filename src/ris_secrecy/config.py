@@ -110,7 +110,8 @@ class SweepSpec:
     values:    finite numbers, strictly monotone, nonempty
     scenarios: nonempty [scenario, sic, mode] rows; mode 'pris' pins kappa = 1
                and sigma2_t = 0 for that row
-    engines:   nonempty subset of ENGINES
+    engines:   nonempty list of ENGINES; a repeated engine runs once, where
+               it first appears
     trials, seed: Monte Carlo trials per cell (>= 1) and 64-bit seed, integers
     hold:      for n_elements sweeps, which side of M = P*Q stays fixed
                ('n_active' or 'n_groups')
@@ -151,7 +152,7 @@ class SweepSpec:
         engines = self.engines
         if not isinstance(engines, (list, tuple)) or not engines:
             raise ConfigError("sweep.engines", "must be a nonempty list")
-        engines = tuple(str(e) for e in engines)
+        engines = tuple(dict.fromkeys(str(e) for e in engines))
         for engine in engines:
             if engine not in ENGINES:
                 raise ConfigError("sweep.engines", f"unknown engine {engine!r}")
@@ -230,14 +231,9 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
     m, p, q = (values.get(k) for k in ("n_elements", "n_groups", "n_active"))
     if m is None and p is not None and q is not None:
         values["n_elements"] = p * q
-    elif p is None and m is not None and q is not None:
-        if q == 0 or m % q:
-            raise ConfigError("params.n_elements", f"{m} is not divisible by n_active={q}")
-        values["n_groups"] = m // q
-    elif q is None and m is not None and p is not None:
-        if p == 0 or m % p:
-            raise ConfigError("params.n_elements", f"{m} is not divisible by n_groups={p}")
-        values["n_active"] = m // p
+    elif m is not None and (p is None) != (q is None):
+        hold = "n_active" if p is None else "n_groups"
+        values.update(_elements_split("params.n_elements", m, hold, values[hold]))
 
     if "a_f" in values and "a_n" not in values:
         values["a_n"] = 1.0 - values["a_f"]
@@ -326,11 +322,19 @@ def load_preset(name: str) -> ScenarioConfig:
     return parse_config(doc, name=name)
 
 
+def _elements_split(field: str, m, hold: str, held: int) -> dict:
+    """n_elements = m and the other side of M = P*Q, given that side `hold` is `held`;
+    ConfigError(field) unless m is an integer that `held` divides."""
+    if not float(m).is_integer() or held == 0 or int(m) % held:
+        raise ConfigError(field, f"n_elements={m!r} is not an integer divisible by {hold}={held}")
+    return {"n_elements": int(m), "n_groups" if hold == "n_active" else "n_active": int(m) // held}
+
+
 def _with_sweep_value(cfg: ScenarioConfig, value: float) -> tuple[SystemParams, PowerBudget]:
     """Apply one sweep value; returns (params without p_bs fixed, budget).
 
     The sweep rules live here: an n_elements value must be an integer that
-    keeps M = P*Q divisible by the held side, and an alpha_p value must lie
+    the held side of M = P*Q divides (_elements_split), and an alpha_p value must lie
     in (0.5, 1).  A value breaking them or leaving the parameter domain
     raises ConfigError('sweep.values').
     """
@@ -344,13 +348,7 @@ def _with_sweep_value(cfg: ScenarioConfig, value: float) -> tuple[SystemParams, 
     elif var == "kappa":
         changes = {"kappa": float(value)}
     elif var == "n_elements":
-        m, held = int(value), getattr(params, hold)
-        if value != m or m % held:
-            raise ConfigError(
-                "sweep.values", f"{value} does not keep n_elements divisible by {hold}={held}"
-            )
-        other = {"n_active": "n_groups", "n_groups": "n_active"}[hold]
-        changes = {"n_elements": m, other: m // held}
+        changes = _elements_split("sweep.values", value, hold, getattr(params, hold))
     elif var == "alpha_p":
         if not 0.5 < value < 1.0:
             raise ConfigError(

@@ -168,6 +168,24 @@ def test_element_count_completion():
         parse_config(doc(**{"params.n_active": math.inf}))
 
 
+def test_element_split_is_one_rule_for_the_file_and_the_sweep():
+    # M = P*Q: the file's completion and an n_elements sweep value share one text
+    text = "n_elements={} is not an integer divisible by {}"
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc(**{"params.n_elements": 41}))
+    assert str(info.value) == "config field 'params.n_elements': " + text.format(41, "n_active=20")
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc(**{"params.n_active": ..., "params.n_groups": 3}))
+    assert str(info.value) == "config field 'params.n_elements': " + text.format(40, "n_groups=3")
+    for bad in (50.0, 40.5):
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc(**{"sweep.variable": "n_elements", "sweep.values": [bad]}))
+        assert str(info.value) == "config field 'sweep.values': " + text.format(bad, "n_active=20")
+    cfg = parse_config(doc(**{"sweep.variable": "n_elements", "sweep.values": [60.0],
+                              "sweep.hold": "n_groups"}))
+    assert realize_point(cfg, 60.0, "aris").n_active == 30
+
+
 def test_power_split_completion():
     cfg = parse_config(doc())
     assert cfg.params.a_n == pytest.approx(0.3, rel=1e-15)
@@ -591,6 +609,22 @@ def test_engine_alias_override(tmp_path):
     assert {r["engine"] for r in rows} == {"analytic", "asymptotic"}
 
 
+def test_repeated_engine_runs_once(tmp_path):
+    # a config file and --engines follow one rule: an engine runs once, where it first appears
+    spec = SweepSpec("kappa", [2.0], [["internal", "psic", "aris"]],
+                     engines=["analytic", "montecarlo", "analytic"])
+    assert spec.engines == ("analytic", "montecarlo")
+    d = json.loads(resources.files("ris_secrecy").joinpath("presets/zerorate.json").read_text())
+    d["sweep"]["engines"] = ["analytic", "analytic"]
+    path = write_doc(tmp_path, d)
+    for extra in ([], ["--engines", "a,analytic"]):
+        code, data = run_to_file(tmp_path, ["sweep", "--config", str(path), *extra], "out.csv")
+        assert code == cli.EXIT_OK
+        meta, rows = parse_csv(data)
+        assert meta["sweep"]["engines"] == ["analytic"]
+        assert [r["engine"] for r in rows] == ["analytic"] * len(d["sweep"]["scenarios"])
+
+
 def test_validate_passes_at_exact_zero_rate(capsys):
     code = cli.main(["validate", "--preset", "zerorate",
                      "--trials", "4000", "--seed", "7"])
@@ -707,6 +741,39 @@ def test_validate_that_checks_nothing_does_not_exit_ok(capsys):
     assert code == cli.EXIT_INFEASIBLE, shown
     assert shown.splitlines()[-1] == "2 checks, 0 failures"
     assert all(line.startswith("SKIP sop system_external") for line in shown.splitlines()[:-1])
+
+
+def test_validate_scores_no_composed_row(monkeypatch):
+    # a row of several events is skipped before any engine sees it: neither the
+    # union's Monte Carlo cell nor its missing per-user closed form is computed
+    calls = []
+    for name in ("estimate_sop_grid", "sop", "sop_asymptotic"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, _fn=getattr(cli, name):
+                            calls.append((_name, args)) or _fn(*args))
+    rows = [["external_n", "ipsic", "aris"], ["system_external", "ipsic", "aris"]]
+    cfg = parse_config(doc(**{"sweep.scenarios": rows, "sweep.trials": 3000}))
+    checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
+    assert [(c["check"], c["scenario"], c["status"] == "skip") for c in checks] == [
+        ("sop", "external_n", False), ("cdf", "user_n", False), ("pdf", "eve_n", False),
+        ("sop", "system_external", True)]
+    [cases] = [args[0] for name, args in calls if name == "estimate_sop_grid"]
+    assert [scenario for _, scenario, _ in cases] == ["external_n"]
+    assert [args[1] for name, args in calls if name != "estimate_sop_grid"] == ["external_n"]
+
+
+def test_validate_of_composed_rows_only_draws_nothing(monkeypatch, capsys):
+    # fig5 tables only system_external rows: validate realizes no point and draws nothing
+    touched = []
+    draw, realize = montecarlo._draw_block, cli.realize_point
+    monkeypatch.setattr(montecarlo, "_draw_block", lambda *args: touched.append("draw") or draw(*args))
+    monkeypatch.setattr(cli, "realize_point",
+                        lambda *args: touched.append("realize") or realize(*args))
+    cfg = load_preset("fig5")
+    checks = cli.validate_point(cfg, 4000, cfg.sweep.seed)
+    assert [(c["check"], c["scenario"], c["status"]) for c in checks] == [
+        ("sop", "system_external", "skip")] * 2
+    assert cli.main(["validate", "--preset", "fig5", "--trials", "4000"]) == cli.EXIT_INFEASIBLE
+    assert touched == []
 
 
 def _registry_pairs(side):
@@ -859,6 +926,13 @@ def test_cli_error_paths(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field '{option}': {tmp_path}: ")
         assert err.count("\n") == 1
+
+
+def test_empty_preset_name_is_a_config_error(capsys):
+    # an empty --preset is an unknown preset, not an absent one
+    assert cli.main(["analytic", "--preset", ""]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'preset': ") and err.count("\n") == 1
 
 
 NAN = float("nan")
