@@ -2,11 +2,13 @@
 
 Groups:
  1. Bessel K, evaluated in log form by log_bessel_k: mpmath oracle over
-    a (q, x) grid, pinned single values, vectorized vs scalar calls, domain
-    errors
+    a (q, x) grid and over every order the engines use from x = 1e-12 to
+    1e3, pinned single values, vectorized vs scalar calls, domain errors
  2. Gauss-Laguerre: closed forms at order 1 and 2, moment exactness
-    through degree 2D-1, table invariants, input validation
- 3. Cascade-power distribution: mpmath oracle, complementarity,
+    through degree 2D-1, scipy's tables as an independent oracle at every
+    order, table invariants, input validation
+ 3. Cascade-power distribution: mpmath oracle (the CDF's small-argument
+    tail included), complementarity,
     small-argument closure, density vs finite differences, normalization,
     saturated (+inf) arguments, the CDF's saturation cutoff is bit-exact
 """
@@ -65,9 +67,20 @@ def test_log_bessel_k_matches_mpmath_in_log_space():
         assert got == pytest.approx(want, rel=1e-10), (q, x)
 
 
+@pytest.mark.parametrize("q", [0, 1, 2, 3, 5, 20, 64, 128])
+def test_log_bessel_k_matches_mpmath_from_tiny_to_large_arguments(q):
+    # 1e-13 absolute in ln K, relative where |ln K| > 1; the grid crosses the
+    # series/Chebyshev switch at x = 2 and the rescaled recurrence past x = 700
+    xs = np.r_[np.geomspace(1e-12, 1e3, 61), 2.0 - 1e-15, 2.0, 699.0, 701.0]
+    got = log_bessel_k(q, xs)
+    for x, g in zip(xs, got):
+        want = _log_k(q, float(x))
+        assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), (q, x, g, want)
+
+
 def test_log_bessel_k_beyond_scaled_kernel_range():
-    # scipy's scaled kernel reports NaN past x ~ 2^30; the asymptotic
-    # takeover has to stay finite and accurate there.  At these magnitudes a
+    # from x = 2^30 on the Hankel expansion takes over from the recurrence;
+    # it has to stay finite and accurate there.  At these magnitudes a
     # double carries ln K only to ~x*eps absolute, so compare the x-free part
     # ln K + x against the oracle instead of ln K itself.
     for q in (1, 5, 41, 64):
@@ -148,6 +161,19 @@ def test_third_moment_at_order_64():
     assert float(table.weights @ table.nodes**3) == pytest.approx(6.0, rel=1e-12)
 
 
+def test_tables_match_scipy_at_every_order():
+    # scipy as an independent oracle: nodes within 1e-13 relative, and every
+    # weight scipy represents above 1e-280 within 1e-10 relative
+    from scipy.special import roots_laguerre
+
+    for order in range(1, 257):
+        table = gauss_laguerre(order)
+        nodes, weights = roots_laguerre(order)
+        assert np.max(np.abs(table.nodes / nodes - 1.0)) < 1e-13, order
+        big = weights > 1e-280
+        assert np.max(np.abs(table.weights[big] / weights[big] - 1.0)) < 1e-10, order
+
+
 def test_table_invariants_rejected():
     good = gauss_laguerre(4)
     with pytest.raises(ValueError):
@@ -183,10 +209,24 @@ def _oracle_sf(q, z):
     return float(2 / mpmath.gamma(q) * z ** (mpmath.mpf(q) / 2) * mpmath.besselk(q, 2 * mpmath.sqrt(z)))
 
 
+def _oracle_cdf(q, z):
+    z = mpmath.mpf(z)
+    return float(1 - 2 / mpmath.gamma(q) * z ** (mpmath.mpf(q) / 2) * mpmath.besselk(q, 2 * mpmath.sqrt(z)))
+
+
 @pytest.mark.parametrize("q", [1, 2, 5, 20])
 def test_sf_matches_mpmath(q):
     for z in 10.0 ** np.linspace(-10, 2, 25):
         assert kdist_sf(q, float(z)) == pytest.approx(_oracle_sf(q, float(z)), rel=1e-10)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 20, 64])
+def test_cdf_matches_mpmath_in_the_small_argument_tail(q):
+    # the CDF is 1 - sf; at z = 1e-5 and q = 64 it is about 1.6e-7, so this
+    # needs the survival function to about 1.6e-15 absolute there
+    for z in np.r_[np.geomspace(1e-5, 1e-2, 61), np.geomspace(1e-2, 1e3, 21)]:
+        # relative only: pytest.approx would also pass anything within 1e-12 absolute
+        assert abs(kdist_cdf(q, float(z)) / _oracle_cdf(q, float(z)) - 1.0) <= 1e-8, (q, z)
 
 
 def test_sf_cdf_complement_and_monotonicity():
