@@ -7,6 +7,9 @@ the legitimate SINR CDF averaged over outage thresholds 2^R (1 + gamma_E) - 1,
 where gamma_E is the eavesdropper's mean-field SINR.  Monte Carlo shares the
 threshold (model.secrecy_threshold) but deliberately not that mean-field step,
 which is what the cross-engine tolerances in the tests measure.
+
+One kdist_cdf call serves a realized point: the sweep executor plans all of its
+closed-form cells into one CascadeBatch, and a bare sop is a one-cell batch.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .model import (SCENARIOS, SINR_FAMILIES, DerivedConstants, SinrFamily, SopE
 from .specfun import QuadratureTable, gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
 
 __all__ = [
+    "CascadeBatch",
     "DegenerateCurveError",
     "UnsupportedScenarioError",
     "default_table",
@@ -106,12 +110,11 @@ def _average(terms, weights):
     return np.where(np.all(terms == 1.0, axis=-1), 1.0, terms @ weights)
 
 
-def _cdf(dc: DerivedConstants, z, capped, table: QuadratureTable):
-    """Unclipped CDF at the arguments of _cascade, averaged over a quadrature axis;
-    exactly 1 at the NOMA ceiling."""
-    # outage mass, not 1 - survival: it keeps its relative accuracy in the tail
-    out = kdist_cdf(dc.params.n_active, z)
-    return np.where(capped, 1.0, _average(out, table.weights) if z.ndim == 2 else out)
+def _cdf(out, capped, table: QuadratureTable):
+    """Unclipped CDF from the kdist_cdf values at the arguments of _cascade, averaged
+    over a quadrature axis; exactly 1 at the NOMA ceiling.  The outage mass, not
+    1 - survival, keeps its relative accuracy in the tail."""
+    return np.where(capped, 1.0, _average(out, table.weights) if out.ndim == 2 else out)
 
 
 def _pdf(dc: DerivedConstants, z, slope, capped, table: QuadratureTable):
@@ -141,7 +144,7 @@ def law(x, params, family: str, sic: str, *, density: bool = False):
     if density:
         out = _pdf(dc, z, slope, capped, table)
     else:
-        out = np.clip(_cdf(dc, z, capped, table), 0.0, 1.0)
+        out = np.clip(_cdf(kdist_cdf(dc.params.n_active, z), capped, table), 0.0, 1.0)
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
@@ -164,16 +167,57 @@ def _thresholds(dc: DerivedConstants, event: tuple, sic: str, outer: QuadratureT
 _LEGIT_SCALE = {("internal_f_to_n", "ipsic"): "omega_ipe"}
 
 
-def _outage(dc: DerivedConstants, event: tuple, sic: str, thresholds, inner, scale=None):
-    """The outage kernel of one SCENARIOS event: the legitimate CDF averaged over the
-    thresholds, scale overriding its argument scale, and whether every threshold
-    sits at the NOMA ceiling (a certain event)."""
-    tau, w = thresholds
-    fam = SINR_FAMILIES[event[0]]
-    if (event[1], sic) in _LEGIT_SCALE:
-        fam = fam._replace(residual=_LEGIT_SCALE[event[1], sic])
-    z, _, capped = _cascade(dc, fam, sic, tau, inner, scale)
-    return float(_average(_cdf(dc, z, capped, inner), w)), bool(np.all(capped))
+class CascadeBatch:
+    """Outage kernels of closed-form cells at one operating point and table.  The
+    first read of a plan evaluates every argument registered so far with one
+    kdist_cdf call, element-wise exact, so no value depends on its neighbours."""
+
+    def __init__(self, params, table: QuadratureTable | None = None):
+        self.dc, self.table = derive(params), table or default_table()
+        self._plans, self._pending, self._values = {}, [], []
+
+    def plan(self, scenario: str, sic: str, engine: str = "analytic") -> list:
+        """A cell's kernel plans, memoized per (event, SIC, engine): one per event for
+        'analytic'; for 'asymptotic' the floor sop_asymptotic reads, if any."""
+        events = SCENARIOS[scenario]
+        if engine == "asymptotic" and (len(events) > 1 or (events[0][1], sic) in _LEGIT_SCALE
+                                       or SINR_FAMILIES[events[0][0]].sic_for(sic) != "ipsic"):
+            return []
+        dc, table = self.dc, self.table
+        for event in events:
+            if (event, sic, engine) in self._plans:
+                continue
+            scale = None
+            if engine == "asymptotic":
+                p, fam = dc.params, SINR_FAMILIES[event[0]]
+                den = getattr(p, fam.share) * p.kappa**2 * dc.omega_br * getattr(dc, "omega_r" + fam.receiver)
+                # no legitimate signal (a zero share, an unreachable hop): the floor is outage
+                scale = (getattr(p, fam.residual) / den if den > 0.0 else math.inf) * table.nodes
+            self._plans[event, sic, engine] = self.register(dc, event, sic,
+                                                            _thresholds(dc, event, sic, table), scale)
+        return [self._plans[event, sic, engine] for event in events]
+
+    def register(self, dc: DerivedConstants, event: tuple, sic: str, thresholds, scale=None):
+        """Plan (slot, threshold weights, ceiling mask) of an event's legitimate CDF under
+        dc, a point of the batch's element count, scale overriding its argument scale."""
+        tau, w = thresholds
+        fam = SINR_FAMILIES[event[0]]
+        if (event[1], sic) in _LEGIT_SCALE:
+            fam = fam._replace(residual=_LEGIT_SCALE[event[1], sic])
+        z, _, capped = _cascade(dc, fam, sic, tau, self.table, scale)
+        self._pending.append(z)
+        return len(self._values) + len(self._pending) - 1, w, capped
+
+    def outage(self, plan) -> tuple[float, bool]:
+        """A plan's kernel value, the legitimate CDF averaged over the thresholds, and
+        whether every threshold sits at the NOMA ceiling (a certain event)."""
+        slot, w, capped = plan
+        if slot >= len(self._values):
+            pending, self._pending = self._pending, []
+            flat = kdist_cdf(self.dc.params.n_active, np.concatenate([z.ravel() for z in pending]))
+            parts = np.split(flat, np.cumsum([z.size for z in pending[:-1]]))
+            self._values += [part.reshape(z.shape) for part, z in zip(parts, pending)]
+        return float(_average(_cdf(self._values[slot], capped, self.table), w)), bool(np.all(capped))
 
 
 def _single_event(scenario: str) -> tuple:
@@ -184,19 +228,19 @@ def _single_event(scenario: str) -> tuple:
     return events[0]
 
 
-def sop(params, scenario: str, sic: str, *, table: QuadratureTable | None = None) -> SopEstimate:
+def sop(params, scenario: str, sic: str, *, table: QuadratureTable | None = None,
+        batch: CascadeBatch | None = None) -> SopEstimate:
     """Closed-form secrecy outage of any SCENARIOS key: per event the kernel value
     clamped to [0, 1], for several events their sop_union in registry order.
 
     ipSIC couples two residual-interference integrals (eavesdropper and user),
     both over `table` (default order 64); a far-user threshold at the NOMA
-    ceiling gives 1, 'saturated'.
+    ceiling gives 1, 'saturated'.  batch, a CascadeBatch of params (its own
+    table applies), shares its kernel call; by default the call makes its own.
     """
-    dc, table = derive(params), table or default_table()
-    estimates = []
-    for event in SCENARIOS[scenario]:
-        value, saturated = _outage(dc, event, sic, _thresholds(dc, event, sic, table), table)
-        estimates.append(_clamped(value, "analytic", ("saturated",) if saturated else ()))
+    batch = batch or CascadeBatch(params, table)
+    estimates = [_clamped(value, "analytic", ("saturated",) if saturated else ())
+                 for value, saturated in map(batch.outage, batch.plan(scenario, sic))]
     return functools.reduce(sop_union, estimates)
 
 
@@ -224,7 +268,7 @@ def _small_arg_asymptote(u: float, n_active: int) -> tuple[float, tuple[str, ...
     return u / (n_active - 1.0), flags
 
 
-def sop_asymptotic(params, scenario: str, sic: str) -> SopEstimate:
+def sop_asymptotic(params, scenario: str, sic: str, *, batch: CascadeBatch | None = None) -> SopEstimate:
     """High-budget SOP asymptote of a one-event scenario on the kernel's thresholds.
 
     legitimate family under ipSIC:  residual-interference error floor (the kernel
@@ -235,21 +279,18 @@ def sop_asymptotic(params, scenario: str, sic: str) -> SopEstimate:
     union of events have no asymptote: both raise UnsupportedScenarioError.  The
     single-element logarithmic forms turn negative outside the asymptotic regime,
     so estimates carry a validity flag requiring the argument to sit below 0.1.
+    batch is as in sop.
     """
     event = _single_event(scenario)
     if (event[1], sic) in _LEGIT_SCALE:
         raise UnsupportedScenarioError(f"{scenario} + {sic} has no closed-form asymptote (the residual "
                                        "floor couples both quadratures); evaluate sop directly")
-    dc, table, fam = derive(params), default_table(), SINR_FAMILIES[event[0]]
-    thresholds = _thresholds(dc, event, sic, table)
+    batch = batch or CascadeBatch(params)
+    dc, table, fam = batch.dc, batch.table, SINR_FAMILIES[event[0]]
     if fam.sic_for(sic) == "ipsic":
-        p = dc.params
-        den = getattr(p, fam.share) * p.kappa**2 * dc.omega_br * getattr(dc, "omega_r" + fam.receiver)
-        # no legitimate signal (a zero share, an unreachable hop): the floor is outage
-        floor_scale = getattr(p, fam.residual) / den if den > 0.0 else math.inf
-        value, _ = _outage(dc, event, sic, thresholds, table, floor_scale * table.nodes)
+        value, _ = batch.outage(*batch.plan(scenario, sic, "asymptotic"))
         return _clamped(value, "asymptotic")
-    u, _, capped = _cascade(dc, fam, sic, thresholds[0], table)
+    u, _, capped = _cascade(dc, fam, sic, _thresholds(dc, event, sic, table)[0], table)
     if capped[0]:
         return SopEstimate(1.0, "asymptotic", flags=("saturated",))
     value, flags = _small_arg_asymptote(float(u[0]), dc.params.n_active)
@@ -265,13 +306,11 @@ def sop_curve_fixed_eavesdropper(params, scenario: str, sic: str, p_bs_values) -
     instead of decaying.  The kernel takes its thresholds from params and
     its legitimate CDF from each p_bs; returns one SOP per p_bs value.
     """
-    event, table = _single_event(scenario), default_table()
-    thresholds = _thresholds(derive(params), event, sic, table)
-    out = np.empty(len(p_bs_values), dtype=float)
-    for i, p_bs in enumerate(p_bs_values):
-        dc = derive(replace(params, p_bs=float(p_bs)))
-        out[i], _ = _outage(dc, event, sic, thresholds, table)
-    return np.clip(out, 0.0, 1.0)
+    event, batch = _single_event(scenario), CascadeBatch(params)
+    thresholds = _thresholds(batch.dc, event, sic, batch.table)
+    plans = [batch.register(derive(replace(params, p_bs=float(p_bs))), event, sic, thresholds)
+             for p_bs in p_bs_values]
+    return np.clip(np.array([batch.outage(plan)[0] for plan in plans], dtype=float), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

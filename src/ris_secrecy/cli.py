@@ -27,6 +27,7 @@ point infeasible or, for validate, no check made, 3 validation failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -39,6 +40,7 @@ import numpy as np
 
 from . import __version__, model
 from .analytic import (
+    CascadeBatch,
     UnsupportedScenarioError,
     law,
     sop,
@@ -161,21 +163,21 @@ def _write_json(option: str, path, doc: dict):
     _write_text(option, path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _closed_form_estimate(memo: dict, params, scenario, sic, engine):
-    """One closed-form cell, evaluated once per memo.  A scenario of several events
-    is the union, in registry order, of the memoized cells of the single-event
-    scenarios holding its events, or sop itself where an event has none."""
-    key = (params, scenario, sic, engine)
+def _closed_form_estimate(memo: dict, singles: dict, batch, scenario, sic, engine):
+    """One closed-form cell of the batch's point, once per memo.  A scenario of several
+    events is the union, in registry order, of the memoized cells of the one-event
+    scenarios (singles: event -> name) holding its events, else sop of it."""
+    key = (scenario, sic, engine)
     if key not in memo:
         events = model.SCENARIOS[scenario]
-        singles = {evs[0]: name for name, evs in model.SCENARIOS.items() if len(evs) == 1}
         if len(events) > 1 and engine == "asymptotic":
             raise UnsupportedScenarioError(f"no closed-form asymptote for the union {scenario!r}")
         if len(events) > 1 and all(event in singles for event in events):
             memo[key] = functools.reduce(sop_union, [
-                _closed_form_estimate(memo, params, singles[event], sic, engine) for event in events])
+                _closed_form_estimate(memo, singles, batch, singles[event], sic, engine) for event in events])
         else:
-            memo[key] = (sop_asymptotic if engine == "asymptotic" else sop)(params, scenario, sic)
+            memo[key] = (sop_asymptotic if engine == "asymptotic" else sop)(
+                batch.dc.params, scenario, sic, batch=batch)
     return memo[key]
 
 
@@ -205,8 +207,8 @@ def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[list]:
     is the base point.  point is the realized SystemParams or the BudgetInfeasibleError
     realizing it raised; estimate is the SopEstimate, None if the cell has no value.
     Each (value, mode) point is realized, and each closed-form cell evaluated, once."""
-    sweep = cfg.sweep
-    cells = []
+    sweep, cells, closed = cfg.sweep, [], {}  # closed: by point, the closed-form cells and keys
+    singles = {events[0]: name for name, events in model.SCENARIOS.items() if len(events) == 1}
     for value in values:
         points = {}
         for scenario, sic, mode in sweep.scenarios:
@@ -225,6 +227,8 @@ def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[list]:
                     "flags": "infeasible" if infeasible else "",
                 }
                 cells.append([row, points[mode], None])
+                if not infeasible and engine != "montecarlo":
+                    closed.setdefault(points[mode], []).append((cells[-1], (scenario, sic, engine)))
 
     feasible = [cell for cell in cells if cell[0]["flags"] != "infeasible"]
     mc_cells = [cell for cell in feasible if cell[0]["engine"] == "montecarlo"]
@@ -233,13 +237,17 @@ def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[list]:
     for cell, est in zip(mc_cells, estimate_sop_grid(cases, sweep.trials, sweep.seed) if cases else ()):
         cell[2] = est
 
-    memo = {}
-    for cell in feasible:
-        row, params, est = cell
-        try:
-            est = cell[2] = est or _closed_form_estimate(memo, params, row["scenario"], row["sic"],
-                                                         row["engine"])
-        except UnsupportedScenarioError:
+    # per point (equal params are one), all closed-form cells are planned into one
+    # CascadeBatch, so one kdist_cdf call evaluates them; then the batch is dropped
+    for params, group in closed.items():
+        batch, memo = CascadeBatch(params), {}
+        for _, key in group:
+            batch.plan(*key)
+        for cell, key in group:
+            with contextlib.suppress(UnsupportedScenarioError):
+                cell[2] = _closed_form_estimate(memo, singles, batch, *key)
+    for row, params, est in feasible:
+        if est is None:
             row["flags"] = "unsupported"
             continue
         value, err = _metric_fields(cfg, params, row["scenario"], est)
@@ -249,20 +257,11 @@ def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[list]:
 
 
 def _print_table(rows: list[dict]):
-    header = [c for c in CSV_COLUMNS if c not in ("sweep_var",)]
-    widths = {c: max(len(c), 12) for c in header}
-    line = "  ".join(c.ljust(widths[c]) for c in header)
-    sys.stdout.write(line.rstrip() + "\n")
-    for row in rows:
-        cells = []
-        for c in header:
-            v = row[c]
-            if isinstance(v, float):
-                text = f"{v:.6e}"
-            else:
-                text = "" if v is None else str(v)
-            cells.append(text.ljust(widths[c]))
-        sys.stdout.write("  ".join(cells).rstrip() + "\n")
+    header = CSV_COLUMNS[1:]  # every column but sweep_var
+    width = max(12, *map(len, header))
+    for cells in [header] + [[f"{v:.6e}" if isinstance(v, float) else "" if v is None else str(v)
+                              for v in map(row.get, header)] for row in rows]:
+        sys.stdout.write("  ".join(text.ljust(width) for text in cells).rstrip() + "\n")
 
 
 def _cmd_table(args, engines=()) -> int:

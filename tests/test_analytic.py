@@ -267,7 +267,8 @@ def test_system_flags_keep_first_seen_order(monkeypatch):
     # the near event drifts below 0, the far one is saturated and drifts above 1
     events = SCENARIOS["system_external"]
     kernel = {events[0]: (-0.5, False), events[1]: (1.5, True)}
-    monkeypatch.setattr(an, "_outage", lambda dc, event, *a: kernel[event])
+    monkeypatch.setattr(an.CascadeBatch, "register", lambda self, dc, event, *a: event)
+    monkeypatch.setattr(an.CascadeBatch, "outage", lambda self, event: kernel[event])
     assert sop(make_params(), "system_external", "ipsic").flags == ("clamp-drift", "saturated")
     monkeypatch.setitem(SCENARIOS, "system_external", events[::-1])
     assert sop(make_params(), "system_external", "ipsic").flags == ("saturated", "clamp-drift")
@@ -429,6 +430,21 @@ def test_fixed_eavesdropper_curve_decays_with_power():
     powers = p.p_bs * 10.0 ** np.arange(0, 4)
     curve = sop_curve_fixed_eavesdropper(p, "external_n", "psic", powers)
     assert np.all(np.diff(curve) < 0.0)
+
+
+def test_fixed_eavesdropper_curve_is_one_kernel_call(monkeypatch):
+    # every power of a curve shares one kdist_cdf call, and the curve equals
+    # its points taken one at a time, bit for bit
+    p = make_params()
+    powers = p.p_bs * 10.0 ** np.arange(-2.0, 4.0)
+    calls, real = [], an.kdist_cdf
+    monkeypatch.setattr(an, "kdist_cdf", lambda q, z: calls.append(np.size(z)) or real(q, z))
+    for scenario, sic in (("external_n", "ipsic"), ("external_f", "psic"), ("internal", "ipsic")):
+        calls.clear()
+        curve = sop_curve_fixed_eavesdropper(p, scenario, sic, powers)
+        assert len(calls) == 1
+        alone = [sop_curve_fixed_eavesdropper(p, scenario, sic, [x])[0] for x in powers]
+        assert np.array_equal(curve, alone)
 
 
 def test_fixed_eavesdropper_curve_rejects_unknown_combo():

@@ -6,7 +6,8 @@ preset integrity; operating-point realization for both surface modes
 and every sweep variable; CSV byte-determinism across repeat runs; one
 grid call per run over any number of draw laws; row agreement with
 direct engine calls; closed-form cells and realized points shared within
-one sweep, never across sweeps; infeasible and unsupported row marking; the
+one sweep, never across sweeps; one kernel call per realized point, each
+batched cell equal to its bare call; infeasible and unsupported row marking; the
 validation report and its exit code; quadrature dump; JSON mirrors;
 command line error handling; NaN, infinite and out-of-domain input
 rejected at the config boundary.
@@ -450,10 +451,8 @@ def closed_form_cell(params, scenario, sic, engine):
     return (an.sop if engine == "analytic" else an.sop_asymptotic)(params, scenario, sic)
 
 
-@pytest.mark.parametrize("preset", list_presets())
-def test_closed_form_sweep_equals_cell_by_cell_calls(preset):
-    cfg = load_preset(preset)
-    cfg = replace(cfg, sweep=replace(cfg.sweep, engines=("analytic", "asymptotic")))
+def cell_by_cell_rows(cfg):
+    # the rows run_sweep must give, from one bare closed-form call per cell
     want = []
     for value in cfg.sweep.values:
         for scenario, sic, mode in cfg.sweep.scenarios:
@@ -473,7 +472,38 @@ def test_closed_form_sweep_equals_cell_by_cell_calls(preset):
                     continue
                 estimate, err = cli._metric_fields(cfg, params, scenario, est)
                 row.update(estimate=estimate, stderr=err, flags="|".join(est.flags))
-    assert cli.run_sweep(cfg) == want
+    return want
+
+
+@pytest.mark.parametrize("preset", list_presets())
+def test_closed_form_sweep_equals_cell_by_cell_calls(preset):
+    cfg = load_preset(preset)
+    cfg = replace(cfg, sweep=replace(cfg.sweep, engines=("analytic", "asymptotic")))
+    assert cli.run_sweep(cfg) == cell_by_cell_rows(cfg)
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 20, 64])
+def test_batched_point_equals_bare_calls_at_every_element_count(q):
+    # all cells of a point share one kernel call; each still equals its own
+    # sop/sop_asymptotic call exactly, for every scenario, SIC mode and surface mode
+    rows = [[s, sic, mode] for s in model.SCENARIOS for sic in model.SIC_MODES for mode in ("aris", "pris")]
+    cfg = parse_config(doc(**{"params.n_elements": 2 * q, "params.n_active": q,
+                              "sweep.values": [10.0, 30.0], "sweep.scenarios": rows,
+                              "sweep.engines": ["analytic", "asymptotic"]}))
+    got = cli.run_sweep(cfg)
+    assert sum(r["estimate"] is not None for r in got) > len(got) // 2
+    assert got == cell_by_cell_rows(cfg)
+
+
+def test_closed_form_sweep_makes_one_kernel_call_per_point(monkeypatch, tmp_path):
+    # the closed-form cells of both engines at a realized point are planned into one
+    # CascadeBatch, evaluated by a single kdist_cdf call
+    calls, points, real, realize = [], [], an.kdist_cdf, cli.realize_point
+    monkeypatch.setattr(an, "kdist_cdf", lambda q, z: calls.append(np.size(z)) or real(q, z))
+    monkeypatch.setattr(cli, "realize_point", lambda *args: points.append(realize(*args)) or points[-1])
+    code, _ = run_to_file(tmp_path, ["sweep", "--preset", "fig2", "--engines", "a,asy"], "fig2.csv")
+    assert code == cli.EXIT_OK
+    assert 0 < len(calls) <= len(points), (len(calls), len(points))
 
 
 @pytest.mark.parametrize("held", [True, False])
@@ -488,8 +518,8 @@ def test_registry_extension_sweeps_like_direct_calls(monkeypatch, held):
         "sweep.scenarios": [["system_internal", sic, "aris"] for sic in ("ipsic", "psic")],
         "sweep.engines": ["analytic", "montecarlo", "asymptotic"]}))
     called, real = [], cli.sop
-    monkeypatch.setattr(cli, "sop", lambda params, scenario, sic:
-                        called.append(scenario) or real(params, scenario, sic))
+    monkeypatch.setattr(cli, "sop", lambda params, scenario, sic, **kw:
+                        called.append(scenario) or real(params, scenario, sic, **kw))
     rows = cli.run_sweep(cfg)
     assert len(rows) == len(cfg.sweep.values) * 2 * 3
     for row in rows:
@@ -651,7 +681,7 @@ def test_sop_tolerance_branches():
 def test_validate_detects_disagreement(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "sop",
-        lambda params, scenario, sic: SopEstimate(value=0.77, provenance="analytic"),
+        lambda params, scenario, sic, **kw: SopEstimate(value=0.77, provenance="analytic"),
     )
     code = cli.main(["validate", "--preset", "zerorate",
                      "--trials", "300", "--seed", "7",
@@ -748,8 +778,8 @@ def test_validate_scores_no_composed_row(monkeypatch):
     # union's Monte Carlo cell nor its missing per-user closed form is computed
     calls = []
     for name in ("estimate_sop_grid", "sop", "sop_asymptotic"):
-        monkeypatch.setattr(cli, name, lambda *args, _name=name, _fn=getattr(cli, name):
-                            calls.append((_name, args)) or _fn(*args))
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, _fn=getattr(cli, name), **kw:
+                            calls.append((_name, args)) or _fn(*args, **kw))
     rows = [["external_n", "ipsic", "aris"], ["system_external", "ipsic", "aris"]]
     cfg = parse_config(doc(**{"sweep.scenarios": rows, "sweep.trials": 3000}))
     checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)

@@ -10,7 +10,8 @@ Groups:
  3. Cascade-power distribution: mpmath oracle (the CDF's small-argument
     tail included), complementarity,
     small-argument closure, density vs finite differences, normalization,
-    saturated (+inf) arguments, the CDF's saturation cutoff is bit-exact
+    saturated (+inf) arguments, the CDF's saturation cutoff is bit-exact,
+    element values independent of the array they sit in
 """
 
 from __future__ import annotations
@@ -280,6 +281,22 @@ def test_cdf_saturation_cutoff_is_bit_exact(q):
         got = kdist_cdf(q, z)
         assert got.shape == z.shape and np.array_equal(got, via_sf(z)), q
     assert kdist_cdf(q, z_sat) == 1.0 and kdist_cdf(q, 1.0) == via_sf(1.0)
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 20, 64])
+def test_kdist_elements_do_not_depend_on_their_array(q):
+    # closed-form cells share one call on their concatenated arguments, which is
+    # exact only if no element depends on the others: z below the 1e-12 series
+    # cutoff, x = 2 sqrt(z) either side of 2, x > 700 (which turns on the
+    # recurrence's power-of-two rescaling for the whole array), saturated z, +inf
+    z_sat = _saturation_arg(q)
+    z = np.array([0.0, 1e-300, 3e-13, 1e-12, 1e-6, 0.5, 0.9995**2, 1.0005**2, 30.0, 349.0**2,
+                  351.0**2, 1e6, 1e12, z_sat * (1.0 - 2.0**-52), z_sat, 2.0 * z_sat, np.inf])
+    mixed = np.random.default_rng(q).permutation(np.tile(z, 7))
+    for fn in (kdist_cdf, kdist_logsf):
+        for arr in (z, mixed):
+            alone = np.array([fn(q, np.array([v]))[0] for v in arr])
+            assert np.array_equal(fn(q, arr), alone), (fn.__name__, q)
 
 
 def test_pdf_at_zero():
