@@ -24,11 +24,14 @@ Q = 1, consuming no variates); (3) the residual-interference powers,
 standard_exponential((BLOCK, 2)).  Trial i therefore regenerates bit-exactly
 from (seed, i) alone: block i // 2**15, row i % 2**15, independent of the
 total trial count and of which cells share the stream or, at equal
-SystemParams, its per-block SINR and outage arrays.
+SystemParams, its per-block SINR and outage arrays.  In a _shared_prefix
+scope (cli.validate_point opens one per call) each (draw law, seed, block) of
+its pilot prefix is drawn once and shared, read-only, by every pass over it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass, fields, replace
 
@@ -133,10 +136,33 @@ def _draw_block(params: SystemParams, seed: int, block_index: int, shared_hbr: b
     )
 
 
+_prefix_memo = None  # in a _shared_prefix scope: (prefix blocks, {block key: read-only draw})
+
+
+@contextlib.contextmanager
+def _shared_prefix(trials: int):
+    """Draw the blocks of the first `trials` trials once per (draw law, seed) until exit."""
+    global _prefix_memo
+    outer, _prefix_memo = _prefix_memo, (-(-trials // BLOCK), {})
+    try:
+        yield
+    finally:
+        _prefix_memo = outer
+
+
 def _iter_blocks(params, trials, seed, shared_hbr):
     """The first `trials` trials, one block-keyed draw (the last one cut) at a time."""
+    memo = _prefix_memo
     for block_index in range(-(-trials // BLOCK)):
-        draw = _draw_block(params, seed, block_index, shared_hbr)
+        if memo is None or block_index >= memo[0]:
+            draw = _draw_block(params, seed, block_index, shared_hbr)
+        else:
+            key = (*(getattr(params, name) for name in DRAW_FIELDS), seed, block_index, shared_hbr)
+            if key not in memo[1]:
+                memo[1][key] = _draw_block(params, seed, block_index, shared_hbr)
+                for name in _ARRAYS:
+                    getattr(memo[1][key], name).setflags(write=False)
+            draw = memo[1][key]
         take = min(BLOCK, trials - block_index * BLOCK)
         if take < BLOCK:
             draw = replace(draw, **{name: getattr(draw, name)[:take] for name in _ARRAYS})

@@ -13,6 +13,7 @@ command line error handling; NaN, infinite and out-of-domain input
 rejected at the config boundary.
 """
 
+import contextlib
 import copy
 import csv
 import io
@@ -723,12 +724,13 @@ def test_validate_draws_each_pilot_stream_once_per_mode(tmp_path, monkeypatch):
     cfg = parse_config(d)
     checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
     assert [c["check"] for c in checks] == ["sop", "cdf", "pdf"] * 3
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert realized == [(None, "aris")]
-    # the three stream functions, once each, draw every block validate draws
+    # the three stream functions, once each, ask for three blocks: the same
+    # pilot-prefix block, drawn once and shared
     assert sorted(name for name, _ in streams) == [
         "empirical_sinr_cdfs", "estimate_sop_grid", "sinr_samples"]
-    assert sum(-(-trials // montecarlo.BLOCK) for _, trials in streams) == len(calls)
+    assert sum(-(-trials // montecarlo.BLOCK) for _, trials in streams) == 3
 
     # each SOP check holds the analytic and simulate commands' base-point rows
     path = write_doc(tmp_path, d)
@@ -741,6 +743,74 @@ def test_validate_draws_each_pilot_stream_once_per_mode(tmp_path, monkeypatch):
     for c in checks[::3]:
         assert c["analytic"] == estimates[c["scenario"], "analytic"]
         assert c["montecarlo"] == estimates[c["scenario"], "montecarlo"]
+
+
+@pytest.mark.parametrize("trials, blocks", [(20_000, [0]), (70_000, [0, 1, 2, 2, 2])])
+def test_validate_draws_each_prefix_block_once_per_call(monkeypatch, trials, blocks):
+    # fig2 has two modes on one draw law.  The SOP grid and both modes' pilots
+    # and empirical passes read the pilot prefix (blocks 0 and 1 at most), drawn
+    # once; a block past it is drawn by each full pass: the grid and two modes
+    calls = []
+    original = montecarlo._draw_block
+    monkeypatch.setattr(montecarlo, "_draw_block", lambda *args: calls.append(args[2]) or original(*args))
+    cfg = load_preset("fig2")
+    cli.validate_point(cfg, trials, cfg.sweep.seed)
+    assert sorted(calls) == blocks
+
+
+@pytest.mark.parametrize("trials", [20_000, 70_000])
+@pytest.mark.parametrize("preset", ["fig2", "fig7", "zerorate"])
+def test_validate_shared_blocks_change_no_check(monkeypatch, preset, trials):
+    # the shared blocks are the blocks each pass would draw itself, bit for bit
+    cfg = load_preset(preset)
+    shared = cli.validate_point(cfg, trials, cfg.sweep.seed)
+    monkeypatch.setattr(cli, "_shared_prefix", lambda trials: contextlib.nullcontext())
+    assert json.dumps(cli.validate_point(cfg, trials, cfg.sweep.seed)) == json.dumps(shared)
+
+
+def test_validate_frees_the_shared_blocks(monkeypatch):
+    # the shared blocks are held through the empirical passes, freed before the
+    # closed-form distribution checks build their density grids, and freed when
+    # a pass raises
+    held = []
+    for name in ("empirical_sinr_cdfs", "_distribution_check"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, _fn=getattr(cli, name):
+                            held.append((_name, montecarlo._prefix_memo is not None)) or _fn(*args))
+    cfg = load_preset("zerorate")
+    cli.validate_point(cfg, 4000, cfg.sweep.seed)
+    assert set(held) == {("empirical_sinr_cdfs", True), ("_distribution_check", False)}
+    assert montecarlo._prefix_memo is None
+
+    def fail(*args):
+        raise RuntimeError("empirical pass failed")
+
+    monkeypatch.setattr(cli, "empirical_sinr_cdfs", fail)
+    with pytest.raises(RuntimeError, match="empirical pass failed"):
+        cli.validate_point(cfg, 4000, cfg.sweep.seed)
+    assert montecarlo._prefix_memo is None
+
+
+@pytest.mark.parametrize("kind, family, probs", [
+    ("cdf", "user_n", np.linspace(0.1, 0.9, 9)), ("pdf", "eve_n", [0.25, 0.75])])
+def test_pilot_points_are_the_unsorted_quantiles(kind, family, probs):
+    # a quantile reads only order statistics, so sorting the pilot first changes no bit
+    rng = np.random.default_rng(11)
+    params = realize_point(load_preset("fig2"), None, "aris")
+    pilots = [rng.exponential(size=20_000), rng.integers(1, 5, 1001).astype(float),
+              np.where(rng.random(3000) < 0.6, 0.0, rng.exponential(size=3000)),
+              np.append(rng.exponential(size=999), [np.inf] * 300),
+              np.append(rng.exponential(size=999), [np.inf] * 700)]
+    scored = 0
+    for gamma in pilots:
+        rng.shuffle(gamma)
+        with np.errstate(invalid="ignore"):  # inf - inf between two infinite order statistics
+            want = np.quantile(gamma, probs)
+            assert np.array_equal(np.quantile(np.sort(gamma), probs), want, equal_nan=True)
+            points, _ = cli._pilot_points(kind, params, family, gamma)
+        if points is not None:
+            assert np.array_equal(points, want)
+            scored += 1
+    assert scored >= 2
 
 
 def test_validate_skips_infeasible_rows_with_the_budget_message(tmp_path):

@@ -14,6 +14,7 @@ input validation.
 
 import pickle
 import warnings
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -331,6 +332,51 @@ def test_grid_scores_each_family_once_per_point_per_block(monkeypatch):
         expected = _lone_outage_count(p, scenario, sic, sample_draw(p, trials, SEED))
         assert (res.value, res.trials) == (expected / trials, trials), (p, scenario, sic)
     assert len({res.value for res in grid}) > len(grid) // 2
+
+
+def test_shared_prefix_draws_each_prefix_block_once_and_holds_no_more(monkeypatch):
+    # two draw laws, each read by all three stream functions at 3 * BLOCK + 10
+    # trials: a law's two prefix blocks are drawn once, the blocks past the
+    # prefix on each full pass, and the memo never holds more than the prefix
+    trials, prefix = 3 * BLOCK + 10, 2 * BLOCK
+    laws = [make_params(n_active=2, n_elements=4), make_params(n_active=2, n_elements=4, d_re=40.0)]
+    requests = [("user_n", "ipsic"), ("eve_n", "ipsic")]
+
+    def passes(p):
+        return [estimate_sop_grid([(p, "external_n", "ipsic")], trials, SEED)[0].value,
+                *sinr_samples(p, requests, prefix, SEED),
+                *empirical_sinr_cdfs(p, [(*r, [0.1, 1.0, 10.0]) for r in requests], trials, SEED)]
+
+    fresh = [passes(p) for p in laws]
+    calls, held = [], []
+    real = montecarlo._draw_block
+
+    def counted(*args):
+        held.append(max(Counter(key[:-3] for key in montecarlo._prefix_memo[1]).values(), default=0))
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "_draw_block", counted)
+    with montecarlo._shared_prefix(prefix):
+        shared = [passes(p) for p in laws]
+        held.append(max(Counter(key[:-3] for key in montecarlo._prefix_memo[1]).values()))
+    assert montecarlo._prefix_memo is None
+    assert sorted(calls) == [0, 0, 1, 1] + [2] * 4 + [3] * 4
+    assert max(held) == 2
+    for a, b in zip(fresh, shared):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+def test_shared_prefix_blocks_are_read_only():
+    # a consumer that writes into a shared block raises rather than changing
+    # what later passes read; outside a scope every draw is the caller's own
+    p = make_params()
+    with montecarlo._shared_prefix(100):
+        draw = sample_draw(p, 100, SEED)
+        assert not any(getattr(draw, f.name).flags.writeable for f in fields(ChannelDraw))
+        with pytest.raises(ValueError):
+            draw.norm_n[0] = 0.0
+    sample_draw(p, 100, SEED).norm_n[0] = 0.0
 
 
 def test_distinct_seeds_are_distinct_but_consistent():
