@@ -8,8 +8,9 @@ where gamma_E is the eavesdropper's mean-field SINR.  Monte Carlo shares the
 threshold (model.secrecy_threshold) but deliberately not that mean-field step,
 which is what the cross-engine tolerances in the tests measure.
 
-One kdist_cdf call serves a realized point: the sweep executor plans all of its
-closed-form cells into one CascadeBatch, and a bare sop is a one-cell batch.
+One kdist_cdf call serves a distinct law (model.LAW_FIELDS): the sweep executor
+plans all of its closed-form cells into one CascadeBatch, and a bare sop is a
+one-cell batch.
 """
 
 from __future__ import annotations
@@ -90,10 +91,13 @@ def _cascade(dc: DerivedConstants, fam: SinrFamily, sic: str, x, table: Quadratu
     if scale is None:
         scale = dc.scale(fam, table.nodes if fam.sic_for(sic) == "ipsic" else 0.0)
     xs = x[:, None] if np.ndim(scale) else x
-    # degenerate configs make scale = +inf while a zero threshold keeps x = 0;
-    # the distribution argument is then 0, not 0 * inf
-    with np.errstate(invalid="ignore"):
-        z = np.where(xs == 0.0, 0.0, xs * scale)
+    if np.isfinite(scale).all():  # x * scale is then exactly 0 at x = 0
+        z = xs * scale
+    else:
+        # degenerate configs make scale = +inf while a zero threshold keeps x = 0;
+        # the distribution argument is then 0, not 0 * inf
+        with np.errstate(invalid="ignore"):
+            z = np.where(xs == 0.0, 0.0, xs * scale)
     if not fam.capped:
         return z, scale, np.zeros(x.shape, bool)
     p = dc.params
@@ -105,16 +109,14 @@ def _cascade(dc: DerivedConstants, fam: SinrFamily, sic: str, x, table: Quadratu
     return np.where(capped, 0.0, z / safe), scale * c_f / (safe * safe) if density else None, capped
 
 
-def _average(terms, weights):
-    """Quadrature average over the last axis; 1.0 where all terms are, whatever the weight round-off."""
-    return np.where(np.all(terms == 1.0, axis=-1), 1.0, terms @ weights)
-
-
 def _cdf(out, capped, table: QuadratureTable):
     """Unclipped CDF from the kdist_cdf values at the arguments of _cascade, averaged
-    over a quadrature axis; exactly 1 at the NOMA ceiling.  The outage mass, not
-    1 - survival, keeps its relative accuracy in the tail."""
-    return np.where(capped, 1.0, _average(out, table.weights) if out.ndim == 2 else out)
+    over a quadrature axis; exactly 1 at the NOMA ceiling and where every node reads 1,
+    whatever the weight round-off.  The outage mass, not 1 - survival, keeps its
+    relative accuracy in the tail."""
+    if out.ndim == 2:  # kdist_cdf values lie in [0, 1]: a row is all 1.0 where its min is
+        capped, out = capped | (out.min(axis=-1) == 1.0), out @ table.weights
+    return np.where(capped, 1.0, out)
 
 
 def _pdf(dc: DerivedConstants, z, slope, capped, table: QuadratureTable):
@@ -206,18 +208,22 @@ class CascadeBatch:
             fam = fam._replace(residual=_LEGIT_SCALE[event[1], sic])
         z, _, capped = _cascade(dc, fam, sic, tau, self.table, scale)
         self._pending.append(z)
-        return len(self._values) + len(self._pending) - 1, w, capped
+        return len(self._values) + len(self._pending) - 1, w, capped, z
 
     def outage(self, plan) -> tuple[float, bool]:
-        """A plan's kernel value, the legitimate CDF averaged over the thresholds, and
-        whether every threshold sits at the NOMA ceiling (a certain event)."""
-        slot, w, capped = plan
+        """A plan's kernel value, the legitimate CDF averaged over the thresholds (1.0
+        where it is 1.0 at every one), and whether every threshold sits at the NOMA
+        ceiling (a certain event)."""
+        slot, w, capped, _ = plan
         if slot >= len(self._values):
             pending, self._pending = self._pending, []
             flat = kdist_cdf(self.dc.params.n_active, np.concatenate([z.ravel() for z in pending]))
-            parts = np.split(flat, np.cumsum([z.size for z in pending[:-1]]))
-            self._values += [part.reshape(z.shape) for part, z in zip(parts, pending)]
-        return float(_average(_cdf(self._values[slot], capped, self.table), w)), bool(np.all(capped))
+            start = 0
+            for z in pending:
+                self._values.append(flat[start:start + z.size].reshape(z.shape))
+                start += z.size
+        cdf = _cdf(self._values[slot], capped, self.table)
+        return (1.0 if (cdf == 1.0).all() else float(cdf @ w)), bool(capped.all())
 
 
 def _single_event(scenario: str) -> tuple:
@@ -286,14 +292,14 @@ def sop_asymptotic(params, scenario: str, sic: str, *, batch: CascadeBatch | Non
         raise UnsupportedScenarioError(f"{scenario} + {sic} has no closed-form asymptote (the residual "
                                        "floor couples both quadratures); evaluate sop directly")
     batch = batch or CascadeBatch(params)
-    dc, table, fam = batch.dc, batch.table, SINR_FAMILIES[event[0]]
-    if fam.sic_for(sic) == "ipsic":
+    if SINR_FAMILIES[event[0]].sic_for(sic) == "ipsic":
         value, _ = batch.outage(*batch.plan(scenario, sic, "asymptotic"))
         return _clamped(value, "asymptotic")
-    u, _, capped = _cascade(dc, fam, sic, _thresholds(dc, event, sic, table)[0], table)
+    # the argument and ceiling mask of the kernel's own plan, which this asymptote expands
+    _, _, capped, u = batch.plan(scenario, sic)[0]
     if capped[0]:
         return SopEstimate(1.0, "asymptotic", flags=("saturated",))
-    value, flags = _small_arg_asymptote(float(u[0]), dc.params.n_active)
+    value, flags = _small_arg_asymptote(float(u[0]), batch.dc.params.n_active)
     return SopEstimate(float(value), "asymptotic", flags=flags)
 
 

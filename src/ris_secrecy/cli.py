@@ -206,7 +206,8 @@ def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[list]:
     """[row, point, estimate] for every (value, scenario row, engine) cell; value None
     is the base point.  point is the realized SystemParams or the BudgetInfeasibleError
     realizing it raised; estimate is the SopEstimate, None if the cell has no value.
-    Each (value, mode) point is realized, and each closed-form cell evaluated, once."""
+    Each (value, mode) point is realized once, and each closed-form cell evaluated once
+    per law (model.LAW_FIELDS): points differing only in M and P share the estimate."""
     sweep, cells, closed = cfg.sweep, [], {}  # closed: by point, the closed-form cells and keys
     singles = {events[0]: name for name, events in model.SCENARIOS.items() if len(events) == 1}
     for value in values:
@@ -216,7 +217,8 @@ def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[list]:
                 try:
                     points[mode] = realize_point(cfg, value, mode)
                 except BudgetInfeasibleError as exc:
-                    points[mode] = exc
+                    # kept without its traceback, whose frame (this one) would hold it in a cycle
+                    points[mode] = exc.with_traceback(None)
             infeasible = isinstance(points[mode], BudgetInfeasibleError)
             for engine in sweep.engines:
                 row = {
@@ -237,9 +239,13 @@ def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[list]:
     for cell, est in zip(mc_cells, estimate_sop_grid(cases, sweep.trials, sweep.seed) if cases else ()):
         cell[2] = est
 
-    # per point (equal params are one), all closed-form cells are planned into one
-    # CascadeBatch, so one kdist_cdf call evaluates them; then the batch is dropped
+    # per law (points equal on model.LAW_FIELDS), all closed-form cells are planned into
+    # one CascadeBatch, so one kdist_cdf call evaluates them; then the batch is dropped
+    laws = {}
     for params, group in closed.items():
+        law = tuple(getattr(params, name) for name in model.LAW_FIELDS)
+        laws.setdefault(law, (params, []))[1].extend(group)
+    for params, group in laws.values():
         batch, memo = CascadeBatch(params), {}
         for _, key in group:
             batch.plan(*key)

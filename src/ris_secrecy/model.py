@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 __all__ = [
     "DerivedConstants",
+    "LAW_FIELDS",
     "SCENARIOS",
     "SIC_MODES",
     "SINR_FAMILIES",
@@ -220,6 +221,11 @@ class SystemParams:
         for name in ("d_br", "d_rn", "d_rf", "d_re"):
             if math.isinf(mean_channel_gain(getattr(self, name), self.alpha_p, self.beta0)):
                 raise ValueError(f"{name} must keep the mean gain beta0 * {name}**-alpha_p finite")
+
+
+# SystemParams fields the engines read: all but M and P (n_elements, n_groups), which
+# only the power budget reads at realization; points equal on these share every estimate
+LAW_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name not in ("n_elements", "n_groups"))
 
 
 @dataclass(frozen=True)

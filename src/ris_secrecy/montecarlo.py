@@ -24,7 +24,7 @@ Q = 1, consuming no variates); (3) the residual-interference powers,
 standard_exponential((BLOCK, 2)).  Trial i therefore regenerates bit-exactly
 from (seed, i) alone: block i // 2**15, row i % 2**15, independent of the
 total trial count and of which cells share the stream or, at equal
-SystemParams, its per-block SINR and outage arrays.  In a _shared_prefix
+model.LAW_FIELDS, its per-block SINR and outage arrays.  In a _shared_prefix
 scope (cli.validate_point opens one per call) each (draw law, seed, block) of
 its pilot prefix is drawn once and shared, read-only, by every pass over it.
 """
@@ -213,24 +213,26 @@ def estimate_sop_grid(cases, trials: int, seed: int) -> list[SopEstimate]:
 
     Cases of any draw law are accepted: they are grouped internally by the
     DRAW_FIELDS that shape the raw channel draws (geometry, active elements,
-    residual gains), and each group is scored over one stream, one operating
-    point (equal SystemParams) at a time: each SINR family and outage event
-    is scored once per point per block.  Estimates (provenance 'monte-carlo',
-    with trials and binomial standard error) come back in input order, each
+    residual gains), and each group is scored over one stream, one law
+    (model.LAW_FIELDS) at a time, on one representative point: points
+    differing only in M and P are scored once, and each SINR family and outage
+    event once per law per block.  Estimates (provenance 'monte-carlo', with
+    trials and binomial standard error) come back in input order, each
     bit-identical to a lone estimate_sop call with the same seed.
     """
     _checked_run(trials, seed)
     if not cases:
         return []
-    laws: dict[tuple, dict[SystemParams, list[int]]] = {}
+    draws: dict[tuple, dict[tuple, tuple[SystemParams, list[int]]]] = {}
     for j, (p, scenario, sic) in enumerate(cases):
         # the registries raise on an unknown scenario or SIC mode before any draw
         model.SINR_FAMILIES[model.SCENARIOS[scenario][0][0]].sic_for(sic)
-        laws.setdefault(tuple(getattr(p, name) for name in DRAW_FIELDS), {}).setdefault(p, []).append(j)
+        laws = draws.setdefault(tuple(getattr(p, name) for name in DRAW_FIELDS), {})
+        laws.setdefault(tuple(getattr(p, name) for name in model.LAW_FIELDS), (p, []))[1].append(j)
     counts = np.zeros(len(cases), dtype=np.int64)
-    for points in laws.values():
-        for draw in _iter_blocks(next(iter(points)), trials, seed, False):
-            for p, group in points.items():
+    for laws in draws.values():
+        for draw in _iter_blocks(next(iter(laws.values()))[0], trials, seed, False):
+            for p, group in laws.values():
                 counts[group] += _outage_counts(p, [cases[j][1:] for j in group], draw)
     p_hat = counts / trials
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)

@@ -116,18 +116,28 @@ def _log_s(n: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         s0[low], s1[low] = 2.0 * (p0 - half * i0), 1.0 + zl * (2.0 * half * j - p1)
     if not low.all():
         xh = x[~low]
-        u2, b1, b2 = 2.0 * (4.0 / xh - 1.0), 0.0, 0.0
-        for row in _CHEB_K01[:0:-1]:  # Clenshaw in u
-            b1, b2 = u2 * b1 - b2 + row, b1
+        # Clenshaw in u, b1 <- u2 * b1 - b2 + row, on three rotating buffers
+        u2, shape = 2.0 * (4.0 / xh - 1.0), (2, xh.size)
+        b1, b2, b0 = np.zeros(shape), np.zeros(shape), np.empty(shape)
+        for row in _CHEB_K01[:0:-1]:
+            np.multiply(u2, b1, out=b0)
+            b0 -= b2
+            b0 += row
+            b1, b2, b0 = b0, b1, b2
         k0, k1 = 0.5 * u2 * b1 - b2 + _CHEB_K01[0]
         root = np.sqrt(xh)
         s0[~low], s1[~low], shift[~low] = 2.0 * k0 / root, root * k1, xh
-    prev, cur = (s1, s0) if n == 0 else (s0, s1)
+    # s_(k+1) = (z / (k (k - 1))) s_(k-1) + s_k (z s_0 + s_1 at k = 1), rotating buffers
+    prev, cur, step = (s1, s0, None) if n == 0 else (s0, s1, np.empty_like(x))
     rescale, exp2 = n > 1 and bool((x > 700.0).any()), 0
     for k in range(1, n):
-        step = z * prev if k == 1 else (z / (k * (k - 1))) * prev
+        if k == 1:
+            np.multiply(z, prev, out=step)
+        else:
+            np.divide(z, k * (k - 1), out=step)
+            step *= prev
         step += cur
-        prev, cur = cur, step
+        prev, cur, step = cur, step, prev
         if rescale:
             cur, e = np.frexp(cur)
             prev, exp2 = np.ldexp(prev, -e), exp2 + e
@@ -275,9 +285,12 @@ def kdist_cdf(q: int, z) -> np.ndarray | float:
     arr = _checked(q, z)
     out = np.ones(arr.shape)
     live = arr < _saturation_arg(q)
-    if live.any():
+    zl = arr[live]
+    if zl.size:
         with np.errstate(under="ignore"):
-            out[live] = -np.expm1(_logsf(q, arr[live]))
+            # without a z below the series cutoff, _logsf is its recurrence branch alone
+            logsf = _logsf(q, zl) if zl.min() < 1e-12 else np.minimum(_log_s(q, 2.0 * np.sqrt(zl), zl), 0.0)
+            out[live] = np.negative(np.expm1(logsf, out=logsf), out=logsf)
     return np.clip(_shaped(out, z), 0.0, 1.0)
 
 

@@ -13,7 +13,7 @@ error paths.
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,7 +36,8 @@ from ris_secrecy.analytic import (
 )
 from ris_secrecy import model
 from ris_secrecy.model import (
-    SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, SopEstimate, derive, scenario_rate, sinr,
+    LAW_FIELDS, SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, SopEstimate, SystemParams, derive,
+    scenario_rate, sinr,
 )
 from ris_secrecy.montecarlo import (
     empirical_sinr_cdfs, estimate_sop, estimate_sop_grid, sample_draw, sinr_samples,
@@ -272,6 +273,31 @@ def test_system_flags_keep_first_seen_order(monkeypatch):
     assert sop(make_params(), "system_external", "ipsic").flags == ("clamp-drift", "saturated")
     monkeypatch.setitem(SCENARIOS, "system_external", events[::-1])
     assert sop(make_params(), "system_external", "ipsic").flags == ("saturated", "clamp-drift")
+
+
+def _closed_forms(p):
+    """sop and sop_asymptotic (or the reason it has none) of every scenario and SIC mode."""
+    out = []
+    for scenario in SCENARIOS:
+        for sic in SIC_MODES:
+            out.append(sop(p, scenario, sic))
+            try:
+                out.append(sop_asymptotic(p, scenario, sic))
+            except UnsupportedScenarioError as exc:
+                out.append(str(exc))
+    return out
+
+
+def test_element_split_at_fixed_q_changes_no_closed_form():
+    # the sweep shares one batch among points equal on LAW_FIELDS, every field but
+    # M and P: a closed form that read either would differ between these splits
+    assert set(LAW_FIELDS) == {f.name for f in fields(SystemParams)} - {"n_elements", "n_groups"}
+    for base in (make_params(), make_params(a_f=0.9, a_n=0.1, r_f=4.0),
+                 make_params(kappa=1.0, sigma2_t=0.0, n_active=1, n_elements=2, n_groups=2)):
+        want = _closed_forms(base)
+        for groups in (1, 3, 7):
+            split = replace(base, n_groups=groups, n_elements=groups * base.n_active)
+            assert _closed_forms(split) == want, groups
 
 
 @pytest.mark.parametrize("sic", SIC_MODES)

@@ -7,7 +7,8 @@ and every sweep variable; CSV byte-determinism across repeat runs; one
 grid call per run over any number of draw laws; row agreement with
 direct engine calls; closed-form cells and realized points shared within
 one sweep, never across sweeps; one kernel call per realized point, each
-batched cell equal to its bare call; infeasible and unsupported row marking; the
+batched cell equal to its bare call; points of one law (M and P apart) sharing
+their batch and scoring; infeasible and unsupported row marking; the
 validation report and its exit code; quadrature dump; JSON mirrors;
 command line error handling; NaN, infinite and out-of-domain input
 rejected at the config boundary.
@@ -505,6 +506,36 @@ def test_closed_form_sweep_makes_one_kernel_call_per_point(monkeypatch, tmp_path
     code, _ = run_to_file(tmp_path, ["sweep", "--preset", "fig2", "--engines", "a,asy"], "fig2.csv")
     assert code == cli.EXIT_OK
     assert 0 < len(calls) <= len(points), (len(calls), len(points))
+
+
+# an active-surface element sweep holding Q: its four points differ only in M and P,
+# one law, over every scenario and SIC mode and all three engines; 40 000 trials are two blocks
+ARIS_ELEMENT_SWEEP = {"sweep.variable": "n_elements", "sweep.values": [20.0, 40.0, 60.0, 100.0],
+                      "sweep.scenarios": [[s, sic, "aris"] for s in model.SCENARIOS
+                                          for sic in model.SIC_MODES],
+                      "sweep.engines": ["analytic", "asymptotic", "montecarlo"], "sweep.trials": 40_000}
+
+
+def test_points_of_one_law_share_their_batch_and_scoring(monkeypatch):
+    kernel, scored, real_kernel, real_scored = [], [], an.kdist_cdf, montecarlo._outage_counts
+    monkeypatch.setattr(an, "kdist_cdf", lambda *a: kernel.append(a) or real_kernel(*a))
+    monkeypatch.setattr(montecarlo, "_outage_counts", lambda *a: scored.append(a) or real_scored(*a))
+    rows = cli.run_sweep(parse_config(doc(**ARIS_ELEMENT_SWEEP)))
+    assert len(rows) == 4 * 8 * 3 and sum(r["estimate"] is not None for r in rows) > len(rows) // 2
+    assert (len(kernel), len(scored)) == (1, 2)
+
+
+def test_points_of_one_law_sweep_as_single_value_runs(tmp_path):
+    # the shared batch and scoring change no byte: the CSV body is the four
+    # single-value runs' bodies one after the other
+    def body(values, name):
+        d = doc(**{**ARIS_ELEMENT_SWEEP, "sweep.values": values})
+        code, text = run_to_file(tmp_path, ["sweep", "--config", str(write_doc(tmp_path, d, name))], name)
+        assert code == cli.EXIT_OK
+        return text.split(b"\n", 2)[2]  # past the meta and header lines
+
+    values = ARIS_ELEMENT_SWEEP["sweep.values"]
+    assert body(values, "all.csv") == b"".join(body([v], f"{v}.csv") for v in values)
 
 
 @pytest.mark.parametrize("held", [True, False])

@@ -15,7 +15,7 @@ input validation.
 import pickle
 import warnings
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -301,6 +301,19 @@ def test_grid_groups_mixed_draw_laws():
         assert res.value == single.value, (scenario, sic)
         assert res.stderr == single.stderr, (scenario, sic)
     assert grid[0].value != grid[1].value
+
+
+def test_element_split_at_fixed_q_changes_no_estimate():
+    # the grid scores one point per law (model.LAW_FIELDS, every field but M and
+    # P): an estimator that read either would differ between these splits
+    base = make_params(n_active=4, n_elements=8, n_groups=2, d_re=40.0)
+    splits = [replace(base, n_groups=groups, n_elements=4 * groups) for groups in (1, 5)]
+    for scenario in model.SCENARIOS:
+        for sic in model.SIC_MODES:
+            want = estimate_sop(base, scenario, sic, 3000, SEED)
+            assert 0.0 < want.value < 1.0 or scenario == "external_f", (scenario, sic)
+            for p in splits:
+                assert estimate_sop(p, scenario, sic, 3000, SEED) == want, (p.n_groups, scenario, sic)
 
 
 def _lone_outage_count(p, scenario, sic, draw):

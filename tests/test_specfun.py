@@ -11,7 +11,8 @@ Groups:
     tail included), complementarity,
     small-argument closure, density vs finite differences, normalization,
     saturated (+inf) arguments, the CDF's saturation cutoff is bit-exact,
-    element values independent of the array they sit in
+    element values independent of the array they sit in, the recurrence's
+    reused buffers bit-identical to allocating every step
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ from scipy.integrate import quad
 
 from ris_secrecy import analytic as an
 from ris_secrecy.specfun import (
+    _CHEB_K01,
+    _LN2,
+    _SERIES,
     QuadratureTable,
+    _log_s,
     _saturation_arg,
     gauss_laguerre,
     kdist_cdf,
@@ -297,6 +302,55 @@ def test_kdist_elements_do_not_depend_on_their_array(q):
         for arr in (z, mixed):
             alone = np.array([fn(q, np.array([v]))[0] for v in arr])
             assert np.array_equal(fn(q, arr), alone), (fn.__name__, q)
+
+
+def _log_s_allocating(n, x, z):
+    """ln s_n as first written, a new array on every Clenshaw and recurrence step:
+    the oracle that _log_s's reused buffers must match bit for bit."""
+    s0, s1, shift = np.empty_like(x), np.empty_like(x), np.zeros_like(x)
+    low = x < 2.0
+    if low.any():
+        zl, half = z[low], np.log(0.5 * x[low])
+        acc = np.zeros((4, zl.size))
+        for row in _SERIES[::-1]:
+            acc *= zl
+            acc += row
+        i0, p0, j, p1 = acc
+        s0[low], s1[low] = 2.0 * (p0 - half * i0), 1.0 + zl * (2.0 * half * j - p1)
+    if not low.all():
+        xh = x[~low]
+        u2, b1, b2 = 2.0 * (4.0 / xh - 1.0), 0.0, 0.0
+        for row in _CHEB_K01[:0:-1]:
+            b1, b2 = u2 * b1 - b2 + row, b1
+        k0, k1 = 0.5 * u2 * b1 - b2 + _CHEB_K01[0]
+        root = np.sqrt(xh)
+        s0[~low], s1[~low], shift[~low] = 2.0 * k0 / root, root * k1, xh
+    prev, cur = (s1, s0) if n == 0 else (s0, s1)
+    rescale, exp2 = n > 1 and bool((x > 700.0).any()), 0
+    for k in range(1, n):
+        step = z * prev if k == 1 else (z / (k * (k - 1))) * prev
+        step += cur
+        prev, cur = cur, step
+        if rescale:
+            cur, e = np.frexp(cur)
+            prev, exp2 = np.ldexp(prev, -e), exp2 + e
+    mant, e = np.frexp(cur)
+    return np.log(mant) + (e + exp2) * _LN2 - shift
+
+
+def test_log_s_buffers_match_allocating_every_step():
+    # x below 2 (power series), in [2, 700] (Chebyshev), above 700 (the power-of-two
+    # rescaling, on for the whole array) and arrays mixing them, at every order 0..70;
+    # thousands of points, as a reordered step changes only about one value in a hundred
+    rng = np.random.default_rng(5)
+    below = np.array([1e-9, 1e-3, 0.5, 1.0, 1.999999])
+    middle = np.concatenate([[2.0, 2.5, 10.0, 99.0, 350.0, 699.9, 700.0], rng.uniform(2.0, 700.0, 2000)])
+    above = np.array([700.5, 1e3, 5e4, 1e6, 2.0**29])
+    mixed = rng.permutation(np.concatenate([below, middle, above, 10.0 ** rng.uniform(-6, 8, 2000)]))
+    for n in range(71):
+        for x in (below, middle, above, mixed, mixed[:1], np.concatenate([below, middle])):
+            z = 0.25 * x * x
+            assert np.array_equal(_log_s(n, x, z), _log_s_allocating(n, x, z)), (n, x)
 
 
 def test_pdf_at_zero():
