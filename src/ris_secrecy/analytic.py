@@ -10,7 +10,8 @@ which is what the cross-engine tolerances in the tests measure.
 
 One kdist_cdf call serves a distinct law (model.LAW_FIELDS): the sweep executor
 plans all of its closed-form cells into one CascadeBatch, and a bare sop is a
-one-cell batch.
+one-cell batch.  sop alone builds a union of events, from its events' kernels,
+and _single_event alone refuses a union anything else.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ class CascadeBatch:
 
     def __init__(self, params, table: QuadratureTable | None = None):
         self.dc, self.table = derive(params), table or default_table()
-        self._plans, self._pending, self._values = {}, [], []
+        self._plans, self._pending, self._values, self._outages = {}, [], [], {}
 
     def plan(self, scenario: str, sic: str, engine: str = "analytic") -> list:
         """A cell's kernel plans, memoized per (event, SIC, engine): one per event for
@@ -213,8 +214,11 @@ class CascadeBatch:
     def outage(self, plan) -> tuple[float, bool]:
         """A plan's kernel value, the legitimate CDF averaged over the thresholds (1.0
         where it is 1.0 at every one), and whether every threshold sits at the NOMA
-        ceiling (a certain event)."""
+        ceiling (a certain event); memoized per plan, so a union re-reads the
+        values of events that one-event cells of the batch have read."""
         slot, w, capped, _ = plan
+        if slot in self._outages:
+            return self._outages[slot]
         if slot >= len(self._values):
             pending, self._pending = self._pending, []
             flat = kdist_cdf(self.dc.params.n_active, np.concatenate([z.ravel() for z in pending]))
@@ -223,7 +227,8 @@ class CascadeBatch:
                 self._values.append(flat[start:start + z.size].reshape(z.shape))
                 start += z.size
         cdf = _cdf(self._values[slot], capped, self.table)
-        return (1.0 if (cdf == 1.0).all() else float(cdf @ w)), bool(capped.all())
+        self._outages[slot] = (1.0 if (cdf == 1.0).all() else float(cdf @ w)), bool(capped.all())
+        return self._outages[slot]
 
 
 def _single_event(scenario: str) -> tuple:

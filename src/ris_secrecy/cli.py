@@ -30,11 +30,11 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,11 +46,10 @@ from .analytic import (
     sop,
     sop_asymptotic,
     sop_system_external,  # unused here; perfbench/spans.py wraps it by this name
-    sop_union,
 )
 from .budget import BudgetInfeasibleError
 from .config import ConfigError, ScenarioConfig, load_config, load_preset, list_presets, realize_point
-from .model import scenario_rate
+from .model import SopEstimate, SystemParams, scenario_rate
 from .montecarlo import _shared_prefix, empirical_sinr_cdfs, estimate_sop_grid, sinr_samples
 from .specfun import gauss_laguerre
 
@@ -163,103 +162,94 @@ def _write_json(option: str, path, doc: dict):
     _write_text(option, path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _closed_form_estimate(memo: dict, singles: dict, batch, scenario, sic, engine):
-    """One closed-form cell of the batch's point, once per memo.  A scenario of several
-    events is the union, in registry order, of the memoized cells of the one-event
-    scenarios (singles: event -> name) holding its events, else sop of it."""
-    key = (scenario, sic, engine)
-    if key not in memo:
-        events = model.SCENARIOS[scenario]
-        if len(events) > 1 and engine == "asymptotic":
-            raise UnsupportedScenarioError(f"no closed-form asymptote for the union {scenario!r}")
-        if len(events) > 1 and all(event in singles for event in events):
-            memo[key] = functools.reduce(sop_union, [
-                _closed_form_estimate(memo, singles, batch, singles[event], sic, engine) for event in events])
-        else:
-            memo[key] = (sop_asymptotic if engine == "asymptotic" else sop)(
-                batch.dc.params, scenario, sic, batch=batch)
-    return memo[key]
-
-
 def _metric_fields(cfg, params, scenario, est):
     """Map an SOP estimate onto the configured metric column and its stderr."""
     if cfg.metric == "sop":
         return est.value, est.stderr
     rate = scenario_rate(params, scenario)
-    thr = (1.0 - est.value) * rate
-    return thr, (None if est.stderr is None else rate * est.stderr)
+    return (1.0 - est.value) * rate, (None if est.stderr is None else rate * est.stderr)
+
+
+class Cell(NamedTuple):
+    """One (value, scenario, sic, mode, engine) cell of a run; value None is the base
+    point.  point is the realized SystemParams or the BudgetInfeasibleError realizing it
+    raised; estimate is the SopEstimate, None where the point is infeasible or the
+    engine has no value (an asymptote the closed forms lack)."""
+
+    value: float | None
+    scenario: str
+    sic: str
+    mode: str
+    engine: str
+    point: SystemParams | BudgetInfeasibleError
+    estimate: SopEstimate | None
+
+
+def _row(cfg: ScenarioConfig, sweep_var: str, cell: Cell) -> dict:
+    """A cell as a CSV, JSON or table row: its estimate as the configured metric,
+    flagged 'infeasible' or 'unsupported' where it has none."""
+    est = cell.estimate
+    row = {"sweep_var": sweep_var, "value": cell.value, "scenario": cell.scenario, "sic": cell.sic,
+           "mode": cell.mode, "engine": cell.engine, "metric": cfg.metric,
+           "estimate": None, "stderr": None, "trials": None, "seed": None,
+           "flags": "infeasible" if isinstance(cell.point, BudgetInfeasibleError) else "unsupported"}
+    if est is not None:
+        value, err = _metric_fields(cfg, cell.point, cell.scenario, est)
+        row.update(estimate=value, stderr=err, trials=est.trials, flags="|".join(est.flags),
+                   seed=None if est.trials is None else cfg.sweep.seed)
+    return row
 
 
 def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
-    """Evaluate the configured sweep; returns rows in deterministic order.
-
-    Row order is value-major, then scenario order, then engine order, all
-    exactly as configured.  All Monte Carlo cells, of any draw law, go to one
-    estimate_sop_grid call, which groups them by law internally, so
-    estimates match individual estimate_sop calls bit for bit.  `workers` is
-    accepted for compatibility and ignored: every run is serial.
+    """Evaluate the configured sweep; returns the rows of _run_cells' cells, in
+    their order: value-major, then scenario order, then engine order, all exactly
+    as configured.  `workers` is accepted for compatibility and ignored: every run
+    is serial.
     """
-    return [row for row, _, _ in _run_cells(cfg, cfg.sweep.values, cfg.sweep.variable)]
+    return [_row(cfg, cfg.sweep.variable, cell) for cell in _run_cells(cfg, cfg.sweep.values)]
 
 
-def _run_cells(cfg: ScenarioConfig, values, sweep_var: str) -> list[list]:
-    """[row, point, estimate] for every (value, scenario row, engine) cell; value None
-    is the base point.  point is the realized SystemParams or the BudgetInfeasibleError
-    realizing it raised; estimate is the SopEstimate, None if the cell has no value.
-    Each (value, mode) point is realized once, and each closed-form cell evaluated once
-    per law (model.LAW_FIELDS): points differing only in M and P share the estimate."""
-    sweep, cells, closed = cfg.sweep, [], {}  # closed: by point, the closed-form cells and keys
-    singles = {events[0]: name for name, events in model.SCENARIOS.items() if len(events) == 1}
+def _run_cells(cfg: ScenarioConfig, values) -> list[Cell]:
+    """One Cell per (value, scenario row, engine) of the config, value-major; value
+    None is the base point.  Each (value, mode) point is realized once.  All Monte
+    Carlo cells, of any draw law, go to one estimate_sop_grid call, which groups them
+    by law, so estimates match individual estimate_sop calls bit for bit.  Per law
+    (points equal on model.LAW_FIELDS, so differing at most in M and P) one
+    CascadeBatch plans every closed-form cell, so one kdist_cdf call evaluates them,
+    and each (scenario, sic, engine) of the law is one sop or sop_asymptotic call."""
+    # rows: (value, scenario, sic, mode, point, law id); laws: law -> its id, cheaper to hash
+    sweep, rows, laws = cfg.sweep, [], {}
     for value in values:
-        points = {}
+        points = {}  # mode -> (point, law id), the id None where the point is infeasible
         for scenario, sic, mode in sweep.scenarios:
             if mode not in points:
                 try:
-                    points[mode] = realize_point(cfg, value, mode)
+                    point = realize_point(cfg, value, mode)
+                    points[mode] = point, laws.setdefault(
+                        tuple(getattr(point, name) for name in model.LAW_FIELDS), len(laws))
                 except BudgetInfeasibleError as exc:
                     # kept without its traceback, whose frame (this one) would hold it in a cycle
-                    points[mode] = exc.with_traceback(None)
-            infeasible = isinstance(points[mode], BudgetInfeasibleError)
-            for engine in sweep.engines:
-                row = {
-                    "sweep_var": sweep_var, "value": None if value is None else float(value),
-                    "scenario": scenario, "sic": sic, "mode": mode,
-                    "engine": engine, "metric": cfg.metric,
-                    "estimate": None, "stderr": None, "trials": None, "seed": None,
-                    "flags": "infeasible" if infeasible else "",
-                }
-                cells.append([row, points[mode], None])
-                if not infeasible and engine != "montecarlo":
-                    closed.setdefault(points[mode], []).append((cells[-1], (scenario, sic, engine)))
+                    points[mode] = exc.with_traceback(None), None
+            rows.append((None if value is None else float(value), scenario, sic, mode, *points[mode]))
 
-    feasible = [cell for cell in cells if cell[0]["flags"] != "infeasible"]
-    mc_cells = [cell for cell in feasible if cell[0]["engine"] == "montecarlo"]
-    cases = [(params, row["scenario"], row["sic"]) for row, params, _ in mc_cells]
+    cases = [(point, scenario, sic) for _, scenario, sic, _, point, law in rows if law is not None]
     # no grid call without Monte Carlo cells: the traced benchmark counts grid calls
-    for cell, est in zip(mc_cells, estimate_sop_grid(cases, sweep.trials, sweep.seed) if cases else ()):
-        cell[2] = est
-
-    # per law (points equal on model.LAW_FIELDS), all closed-form cells are planned into
-    # one CascadeBatch, so one kdist_cdf call evaluates them; then the batch is dropped
-    laws = {}
-    for params, group in closed.items():
-        law = tuple(getattr(params, name) for name in model.LAW_FIELDS)
-        laws.setdefault(law, (params, []))[1].extend(group)
-    for params, group in laws.values():
-        batch, memo = CascadeBatch(params), {}
-        for _, key in group:
-            batch.plan(*key)
-        for cell, key in group:
-            with contextlib.suppress(UnsupportedScenarioError):
-                cell[2] = _closed_form_estimate(memo, singles, batch, *key)
-    for row, params, est in feasible:
-        if est is None:
-            row["flags"] = "unsupported"
-            continue
-        value, err = _metric_fields(cfg, params, row["scenario"], est)
-        row.update(estimate=value, stderr=err, trials=est.trials, flags="|".join(est.flags),
-                   seed=None if est.trials is None else sweep.seed)
-    return cells
+    mc = iter(estimate_sop_grid(cases, sweep.trials, sweep.seed)
+              if cases and "montecarlo" in sweep.engines else ())
+    batches, closed = {}, {}  # by law id: its CascadeBatch; by (law id, scenario, sic, engine): estimate
+    for _, scenario, sic, _, point, law in rows:
+        for engine in sweep.engines if law is not None else ():
+            if engine != "montecarlo" and (law, scenario, sic, engine) not in closed:
+                closed[law, scenario, sic, engine] = None
+                (batches.get(law) or batches.setdefault(law, CascadeBatch(point))).plan(scenario, sic, engine)
+    for law, scenario, sic, engine in closed:  # every cell of a law is planned before any is read
+        batch = batches[law]
+        with contextlib.suppress(UnsupportedScenarioError):
+            closed[law, scenario, sic, engine] = (sop_asymptotic if engine == "asymptotic" else sop)(
+                batch.dc.params, scenario, sic, batch=batch)
+    return [Cell(value, scenario, sic, mode, engine, point, None if law is None else
+                 next(mc) if engine == "montecarlo" else closed[law, scenario, sic, engine])
+            for value, scenario, sic, mode, point, law in rows for engine in sweep.engines]
 
 
 def _print_table(rows: list[dict]):
@@ -276,7 +266,7 @@ def _cmd_table(args, engines=()) -> int:
     --out or --json, sweep writes CSV to stdout and the point commands a table."""
     cfg = _load(args, engines)
     point = "base" if engines else "sweep"
-    rows = [row for row, _, _ in _run_cells(cfg, (None,), "")] if engines else run_sweep(cfg)
+    rows = [_row(cfg, "", cell) for cell in _run_cells(cfg, (None,))] if engines else run_sweep(cfg)
     if args.json:
         _write_json("--json", args.json, {"meta": _meta(cfg, point), "rows": rows})
     if args.out or not (engines or args.json):
@@ -321,7 +311,8 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     the binomial error.  Wiretap checks whose receiver has zero mean gain
     are skipped.  So are rows of several events (composed quantities), and
     unscored: a config of only such rows realizes no point and draws nothing.
-    The other SOP checks read both engines' cells from one _run_cells call.
+    The other SOP checks read both engines' cells from one _run_cells call, joined
+    by (scenario, sic, mode, engine) key, whatever order the cells come in.
     Per mode, one sinr_samples draw of the first min(trials, 2**16) trials
     gives the pilots, and one empirical_sinr_cdfs pass scores the CDF and
     density checks on the SOP cells' stream, so the pilots are scored trials.
@@ -331,10 +322,9 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     singles = tuple(row for row in cfg.sweep.scenarios if len(model.SCENARIOS[row[0]]) == 1)
     prefix, checks, modes, emps = min(trials, 1 << 16), [], {}, []
     with _shared_prefix(prefix):
-        cells = _run_cells(dataclasses.replace(cfg, sweep=dataclasses.replace(
-            cfg.sweep, scenarios=singles, engines=("montecarlo", "analytic"), trials=trials,
-            seed=seed)), (None,), "") if singles else []
-        pairs = zip(cells[::2], cells[1::2])
+        cells = {(c.scenario, c.sic, c.mode, c.engine): c for c in _run_cells(dataclasses.replace(
+            cfg, sweep=dataclasses.replace(cfg.sweep, scenarios=singles, engines=("montecarlo", "analytic"),
+                                           trials=trials, seed=seed)), (None,))} if singles else {}
         for scenario, sic, mode in cfg.sweep.scenarios:
             base = {"check": "sop", "scenario": scenario, "sic": sic, "mode": mode}
             events = model.SCENARIOS[scenario]
@@ -342,12 +332,13 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
                 checks.append({**base, "status": "skip",
                                "detail": "composed quantity; per-user rows cover it"})
                 continue
-            (_, params, mres), (_, _, ares) = next(pairs)
+            mc, closed = (cells[scenario, sic, mode, engine] for engine in ("montecarlo", "analytic"))
+            params = mc.point
             if isinstance(params, BudgetInfeasibleError):
                 checks.append({**base, "status": "skip", "detail": f"infeasible: {params}"})
                 continue
-            a, m = ares.value, mres.value
-            tol = sop_tolerance(a, m, mres.stderr, mode, sic, scenario_rate(params, scenario))
+            a, m = closed.estimate.value, mc.estimate.value
+            tol = sop_tolerance(a, m, mc.estimate.stderr, mode, sic, scenario_rate(params, scenario))
             checks.append(_verdict(base, abs(a - m), tol, f"analytic={a:.6g} mc={m:.6g} tol={tol:.3g}",
                                    analytic=a, montecarlo=m))
             # one check per mode and (family, SIC read); psic for families the SIC mode does not enter

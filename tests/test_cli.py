@@ -540,8 +540,8 @@ def test_points_of_one_law_sweep_as_single_value_runs(tmp_path):
 
 @pytest.mark.parametrize("held", [True, False])
 def test_registry_extension_sweeps_like_direct_calls(monkeypatch, held):
-    # a new composed scenario is one registry entry; the sweep unions the memoized
-    # cells of the single-event scenarios holding its events, else calls sop on it
+    # a new composed scenario is one registry entry; the sweep calls sop on it like
+    # on any other scenario, and sop unions its events' kernels
     events = (model.SCENARIOS["external_n"][0], model.SCENARIOS["internal"][0])
     monkeypatch.setitem(model.SCENARIOS, "system_internal", events)
     if not held:
@@ -564,7 +564,11 @@ def test_registry_extension_sweeps_like_direct_calls(monkeypatch, held):
             assert (row["estimate"], row["stderr"]) == (want.value, want.stderr), row
         else:
             assert (row["estimate"], row["flags"]) == (None, "unsupported"), row
-    assert set(called) == ({"external_n", "internal"} if held else {"system_internal"})
+    kernel = []
+    monkeypatch.setattr(an, "kdist_cdf", lambda *args, _f=an.kdist_cdf: kernel.append(args) or _f(*args))
+    laws = {tuple(getattr(realize_point(cfg, value, "aris"), name) for name in model.LAW_FIELDS)
+            for value in cfg.sweep.values}
+    assert set(called) == {"system_internal"} and cli.run_sweep(cfg) == rows and len(kernel) == len(laws)
 
 
 def test_sweep_shares_points_and_closed_form_cells(monkeypatch):
@@ -581,7 +585,8 @@ def test_sweep_shares_points_and_closed_form_cells(monkeypatch):
         monkeypatch.setattr(cli, name, lambda *a, _real=real, _name=name, **k:
                             counts.update([_name]) or _real(*a, **k))
     points = len(cfg.sweep.values) * 2
-    want = {"sop": points * 2, "sop_asymptotic": points, "realize_point": points}
+    # the system event's asymptote is one sop_asymptotic call too, which raises
+    want = {"sop": points * 2, "sop_asymptotic": points * 2, "realize_point": points}
     first = cli.run_sweep(cfg)
     assert counts == want
     counts.clear()
@@ -872,6 +877,15 @@ def test_validate_that_checks_nothing_does_not_exit_ok(capsys):
     assert code == cli.EXIT_INFEASIBLE, shown
     assert shown.splitlines()[-1] == "2 checks, 0 failures"
     assert all(line.startswith("SKIP sop system_external") for line in shown.splitlines()[:-1])
+
+
+def test_validate_joins_the_engines_by_key(monkeypatch):
+    # each SOP check reads its row's two engine cells by key, whatever their order
+    cfg = load_preset("fig2")
+    want = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
+    run_cells = cli._run_cells
+    monkeypatch.setattr(cli, "_run_cells", lambda *args: run_cells(*args)[::-1])
+    assert cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed) == want
 
 
 def test_validate_scores_no_composed_row(monkeypatch):
