@@ -10,8 +10,7 @@ which is what the cross-engine tolerances in the tests measure.
 
 One kdist_cdf call serves a distinct law (model.LAW_FIELDS): the sweep executor
 plans all of its closed-form cells into one CascadeBatch, and a bare sop is a
-one-cell batch.  sop alone builds a union of events, from its events' kernels,
-and _single_event alone refuses a union anything else.
+one-cell batch.  Only sop takes a union of events, built from their kernels.
 """
 
 from __future__ import annotations
@@ -214,20 +213,18 @@ class CascadeBatch:
     def outage(self, plan) -> tuple[float, bool]:
         """A plan's kernel value, the legitimate CDF averaged over the thresholds (1.0
         where it is 1.0 at every one), and whether every threshold sits at the NOMA
-        ceiling (a certain event); memoized per plan, so a union re-reads the
-        values of events that one-event cells of the batch have read."""
+        ceiling (a certain event); memoized per plan, so a union reuses its events'."""
         slot, w, capped, _ = plan
-        if slot in self._outages:
-            return self._outages[slot]
-        if slot >= len(self._values):
-            pending, self._pending = self._pending, []
-            flat = kdist_cdf(self.dc.params.n_active, np.concatenate([z.ravel() for z in pending]))
-            start = 0
-            for z in pending:
-                self._values.append(flat[start:start + z.size].reshape(z.shape))
-                start += z.size
-        cdf = _cdf(self._values[slot], capped, self.table)
-        self._outages[slot] = (1.0 if (cdf == 1.0).all() else float(cdf @ w)), bool(capped.all())
+        if slot not in self._outages:
+            if slot >= len(self._values):
+                pending, self._pending = self._pending, []
+                flat = kdist_cdf(self.dc.params.n_active, np.concatenate([z.ravel() for z in pending]))
+                start = 0
+                for z in pending:
+                    self._values.append(flat[start:start + z.size].reshape(z.shape))
+                    start += z.size
+            cdf = _cdf(self._values[slot], capped, self.table)
+            self._outages[slot] = (1.0 if (cdf == 1.0).all() else float(cdf @ w)), bool(capped.all())
         return self._outages[slot]
 
 

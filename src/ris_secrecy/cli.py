@@ -18,9 +18,11 @@ configuration as JSON.  Output carries no timestamps and the Monte Carlo
 draws are keyed by (seed, trial index), so repeated runs produce
 byte-identical bytes.
 
-Infeasible operating points (hardware draw exceeding the budget) become
-rows flagged 'infeasible' with an empty estimate rather than aborting the
-sweep.  Exit codes: 0 success, 1 configuration error, 2 every requested
+Every scoring command runs one executor, which returns one immutable Cell per
+(value, scenario, sic, mode, engine): rows are rendered from cells at the edge,
+and validate joins the two engines' cells by that key.  Infeasible operating
+points (hardware draw exceeding the budget) become rows flagged 'infeasible'
+with an empty estimate rather than aborting the sweep.  Exit codes: 0 success, 1 configuration error, 2 every requested
 point infeasible or, for validate, no check made, 3 validation failures.
 """
 
@@ -87,14 +89,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliArgumentError(message)
 
 
-def _fmt(value) -> str:
-    if value is None or value == "":
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _parse_engines(text: str) -> tuple[str, ...]:
     tokens = [token.strip().lower() for token in text.split(",") if token.strip()]
     for token in tokens:
@@ -142,7 +136,7 @@ def _rows_to_csv(cfg: ScenarioConfig, rows: list[dict], point: str) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+        writer.writerow([row[c] for c in CSV_COLUMNS])  # None as empty, floats by repr
     return buf.getvalue()
 
 
@@ -201,17 +195,15 @@ def _row(cfg: ScenarioConfig, sweep_var: str, cell: Cell) -> dict:
 
 
 def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
-    """Evaluate the configured sweep; returns the rows of _run_cells' cells, in
-    their order: value-major, then scenario order, then engine order, all exactly
-    as configured.  `workers` is accepted for compatibility and ignored: every run
-    is serial.
-    """
+    """The configured sweep's rows, one per cell of _run_cells and in its order.
+    `workers` is accepted for compatibility and ignored: every run is serial."""
     return [_row(cfg, cfg.sweep.variable, cell) for cell in _run_cells(cfg, cfg.sweep.values)]
 
 
 def _run_cells(cfg: ScenarioConfig, values) -> list[Cell]:
-    """One Cell per (value, scenario row, engine) of the config, value-major; value
-    None is the base point.  Each (value, mode) point is realized once.  All Monte
+    """One Cell per (value, scenario row, engine) of the config, value-major, then
+    in scenario and engine order, all exactly as configured; value None is the
+    base point.  Each (value, mode) point is realized once.  All Monte
     Carlo cells, of any draw law, go to one estimate_sop_grid call, which groups them
     by law, so estimates match individual estimate_sop calls bit for bit.  Per law
     (points equal on model.LAW_FIELDS, so differing at most in M and P) one
@@ -311,6 +303,8 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     the binomial error.  Wiretap checks whose receiver has zero mean gain
     are skipped.  So are rows of several events (composed quantities), and
     unscored: a config of only such rows realizes no point and draws nothing.
+    Their detail names the per-user rows of their events, at their SIC and
+    surface modes, and whether each is configured.
     The other SOP checks read both engines' cells from one _run_cells call, joined
     by (scenario, sic, mode, engine) key, whatever order the cells come in.
     Per mode, one sinr_samples draw of the first min(trials, 2**16) trials
@@ -320,6 +314,7 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     three passes; they are freed before the closed-form distribution checks.
     """
     singles = tuple(row for row in cfg.sweep.scenarios if len(model.SCENARIOS[row[0]]) == 1)
+    users = {events[0]: name for name, events in model.SCENARIOS.items() if len(events) == 1}
     prefix, checks, modes, emps = min(trials, 1 << 16), [], {}, []
     with _shared_prefix(prefix):
         cells = {(c.scenario, c.sic, c.mode, c.engine): c for c in _run_cells(dataclasses.replace(
@@ -329,20 +324,22 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
             base = {"check": "sop", "scenario": scenario, "sic": sic, "mode": mode}
             events = model.SCENARIOS[scenario]
             if len(events) > 1:
-                checks.append({**base, "status": "skip",
-                               "detail": "composed quantity; per-user rows cover it"})
+                # the per-user rows of its events, at its SIC and surface modes, would cover it
+                detail = "composed quantity; per-user rows " + ", ".join(
+                    f"{name} ({'' if (name, sic, mode) in singles else 'not '}configured)"
+                    for name in (users.get(event, "/".join(event[:2])) for event in events))
+                checks.append({**base, "status": "skip", "detail": detail})
                 continue
             mc, closed = (cells[scenario, sic, mode, engine] for engine in ("montecarlo", "analytic"))
-            params = mc.point
-            if isinstance(params, BudgetInfeasibleError):
-                checks.append({**base, "status": "skip", "detail": f"infeasible: {params}"})
+            if isinstance(mc.point, BudgetInfeasibleError):
+                checks.append({**base, "status": "skip", "detail": f"infeasible: {mc.point}"})
                 continue
             a, m = closed.estimate.value, mc.estimate.value
-            tol = sop_tolerance(a, m, mc.estimate.stderr, mode, sic, scenario_rate(params, scenario))
+            tol = sop_tolerance(a, m, mc.estimate.stderr, mode, sic, scenario_rate(mc.point, scenario))
             checks.append(_verdict(base, abs(a - m), tol, f"analytic={a:.6g} mc={m:.6g} tol={tol:.3g}",
                                    analytic=a, montecarlo=m))
             # one check per mode and (family, SIC read); psic for families the SIC mode does not enter
-            planned = modes.setdefault(mode, (params, {}))[1]
+            planned = modes.setdefault(mode, (mc.point, {}))[1]
             for kind, family in zip(("cdf", "pdf"), events[0]):
                 key = (family, model.SINR_FAMILIES[family].sic_for(sic))
                 if key not in planned:

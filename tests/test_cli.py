@@ -863,10 +863,23 @@ def test_validate_skips_infeasible_rows_with_the_budget_message(tmp_path):
         with pytest.raises(BudgetInfeasibleError) as info:
             realize_point(cfg, None, c["mode"])
         assert c["detail"] == f"infeasible: {info.value}"
-    assert checks[2]["detail"] == "composed quantity; per-user rows cover it"
+    assert checks[2]["detail"] == ("composed quantity; per-user rows external_n (configured), "
+                                   "external_f (not configured)")
     # every checked point infeasible: the command exits as analytic and sweep do
     path = write_doc(tmp_path, d)
     assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INFEASIBLE
+
+
+def test_validate_names_the_rows_covering_a_composed_row():
+    # both per-user rows of the system event at psic/aris are configured, none at ipsic/aris
+    rows = [["external_n", "psic", "aris"], ["external_f", "psic", "aris"],
+            ["system_external", "psic", "aris"], ["system_external", "ipsic", "aris"]]
+    cfg = parse_config(doc(**{"sweep.scenarios": rows, "sweep.trials": 3000}))
+    checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
+    assert [(c["sic"], c["detail"]) for c in checks if c["scenario"] == "system_external"] == [
+        ("psic", "composed quantity; per-user rows external_n (configured), external_f (configured)"),
+        ("ipsic", "composed quantity; per-user rows external_n (not configured), "
+                  "external_f (not configured)")]
 
 
 def test_validate_that_checks_nothing_does_not_exit_ok(capsys):
