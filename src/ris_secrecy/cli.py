@@ -22,8 +22,9 @@ Every scoring command runs one executor, which returns one immutable Cell per
 (value, scenario, sic, mode, engine): rows are rendered from cells at the edge,
 and validate joins the two engines' cells by that key.  Infeasible operating
 points (hardware draw exceeding the budget) become rows flagged 'infeasible'
-with an empty estimate rather than aborting the sweep.  Exit codes: 0 success, 1 configuration error, 2 every requested
-point infeasible or, for validate, no check made, 3 validation failures.
+with an empty estimate rather than aborting the sweep.  Exit codes: 0 success,
+1 configuration error, 2 every requested point infeasible or, for validate, no
+check made, 3 validation failures.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def _metric_fields(cfg, params, scenario, est):
     if cfg.metric == "sop":
         return est.value, est.stderr
     rate = scenario_rate(params, scenario)
-    return (1.0 - est.value) * rate, (None if est.stderr is None else rate * est.stderr)
+    thr = (1.0 - est.value) * rate
+    return thr, (None if est.stderr is None else rate * est.stderr)
 
 
 class Cell(NamedTuple):
@@ -201,14 +203,14 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
 
 
 def _run_cells(cfg: ScenarioConfig, values) -> list[Cell]:
-    """One Cell per (value, scenario row, engine) of the config, value-major, then
-    in scenario and engine order, all exactly as configured; value None is the
-    base point.  Each (value, mode) point is realized once.  All Monte
-    Carlo cells, of any draw law, go to one estimate_sop_grid call, which groups them
-    by law, so estimates match individual estimate_sop calls bit for bit.  Per law
-    (points equal on model.LAW_FIELDS, so differing at most in M and P) one
-    CascadeBatch plans every closed-form cell, so one kdist_cdf call evaluates them,
-    and each (scenario, sic, engine) of the law is one sop or sop_asymptotic call."""
+    """One Cell per (value, scenario row, engine) of the config, value-major, then in
+    scenario and engine order, all exactly as configured; value None is the base
+    point.  Each (value, mode) point is realized once.  All Monte Carlo cells, of
+    any draw law, go to one estimate_sop_grid call, which groups them by law, so
+    estimates match individual estimate_sop calls bit for bit.  Per law (points
+    equal on model.LAW_FIELDS, so differing at most in M and P) one CascadeBatch
+    plans every closed-form cell, so one kdist_cdf call evaluates them, and each
+    (scenario, sic, engine) of the law is one sop or sop_asymptotic call."""
     # rows: (value, scenario, sic, mode, point, law id); laws: law -> its id, cheaper to hash
     sweep, rows, laws = cfg.sweep, [], {}
     for value in values:
