@@ -24,7 +24,7 @@ import numpy as np
 from .model import (SCENARIOS, SINR_FAMILIES, DerivedConstants, SinrFamily, SopEstimate, derive,
                     secrecy_threshold)
 # kdist_sf is unused here; it stays only because perfbench/spans.py wraps it by this name
-from .specfun import QuadratureTable, gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
+from .specfun import QuadratureTable, gauss_laguerre, kdist_cdf, kdist_pdf, kdist_quantile, kdist_sf
 
 __all__ = [
     "CascadeBatch",
@@ -33,6 +33,7 @@ __all__ = [
     "default_table",
     "diversity_order",
     "law",
+    "law_points",
     "secrecy_throughput",
     "sop",
     "sop_asymptotic",
@@ -148,6 +149,21 @@ def law(x, params, family: str, sic: str, *, density: bool = False):
     else:
         out = np.clip(_cdf(kdist_cdf(dc.params.n_active, z), capped, table), 0.0, 1.0)
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+
+def law_points(params, family: str, sic: str, probs) -> np.ndarray:
+    """Points x at which law(x, params, family, sic) reads each p of probs, 0 < p < 1:
+    the kdist_quantile cascade quantiles z mapped back through the family's argument,
+    x = z / scale, or z c_f / (scale + z c_n) for a capped row (as in _cascade).  Where
+    the family reads ipSIC the scale is taken at the mean residual power (zeta = 1), so
+    law reads near p there; an unreachable receiver (infinite scale) gives points of 0."""
+    dc, fam, p = derive(params), SINR_FAMILIES[family], params
+    scale = dc.scale(fam, 1.0 if fam.sic_for(sic) == "ipsic" else 0.0)
+    z = kdist_quantile(p.n_active, np.asarray(probs, dtype=float))
+    if not fam.capped:
+        return z / scale
+    c_n, c_f = p.a_n * p.p_bs * p.kappa**2, p.a_f * p.p_bs * p.kappa**2
+    return z * c_f / (scale + z * c_n)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ byte-identical bytes.
 
 Every scoring command runs one executor, which returns one immutable Cell per
 (value, scenario, sic, mode, engine): rows are rendered from cells at the edge,
-and validate joins the two engines' cells by that key.  Infeasible operating
+and validate reads the closed-form cells by that key.  Infeasible operating
 points (hardware draw exceeding the budget) become rows flagged 'infeasible'
 with an empty estimate rather than aborting the sweep.  Exit codes: 0 success,
 1 configuration error, 2 every requested point infeasible or, for validate, no
@@ -46,6 +46,7 @@ from .analytic import (
     CascadeBatch,
     UnsupportedScenarioError,
     law,
+    law_points,
     sop,
     sop_asymptotic,
     sop_system_external,  # unused here; perfbench/spans.py wraps it by this name
@@ -53,7 +54,8 @@ from .analytic import (
 from .budget import BudgetInfeasibleError
 from .config import ConfigError, ScenarioConfig, load_config, load_preset, list_presets, realize_point
 from .model import SopEstimate, SystemParams, scenario_rate
-from .montecarlo import _shared_prefix, empirical_sinr_cdfs, estimate_sop_grid, sinr_samples
+# empirical_sinr_cdfs and sinr_samples are unused here; perfbench/spans.py wraps them by these names
+from .montecarlo import empirical_sinr_cdfs, estimate_sop_grid, sinr_samples
 from .specfun import gauss_laguerre
 
 __all__ = ["main", "run_sweep", "sop_tolerance", "validate_point"]
@@ -298,71 +300,72 @@ def sop_tolerance(analytic: float, mc: float, stderr: float, mode: str, sic: str
 def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     """Closed-form vs Monte Carlo agreement checks at the base operating point.
 
-    Per scenario row: the SOP itself, the legitimate-side SINR CDF on a
-    pilot-quantile grid, and the wiretap-side density mass over a pilot
-    interval.  SOP tolerances are sop_tolerance's; CDFs get 3 sigma + 0.005
-    absolute, densities 3 sigma + 2.5 percent of the interval mass, sigma
-    the binomial error.  Wiretap checks whose receiver has zero mean gain
-    are skipped.  So are rows of several events (composed quantities), and
-    unscored: a config of only such rows realizes no point and draws nothing.
-    Their detail names the per-user rows of their events, at their SIC and
-    surface modes, and whether each is configured.
-    The other SOP checks read both engines' cells from one _run_cells call, joined
-    by (scenario, sic, mode, engine) key, whatever order the cells come in.
-    Per mode, one sinr_samples draw of the first min(trials, 2**16) trials
-    gives the pilots, and one empirical_sinr_cdfs pass scores the CDF and
-    density checks on the SOP cells' stream, so the pilots are scored trials.
-    The pilot-prefix blocks are drawn once per call and shared read-only by all
-    three passes; they are freed before the closed-form distribution checks.
+    Per scenario row: the SOP itself, the legitimate SINR's CDF at its nine
+    closed-form deciles (analytic.law_points), and the wiretap SINR's mass
+    F(hi) - F(lo) between its closed-form quartiles, once per (mode, family, SIC
+    read).  SOP tolerances are sop_tolerance's; CDFs get 3 sigma + 0.005 absolute,
+    masses 3 sigma + 2.5 percent of the mass, sigma the binomial error.  Checks of
+    a zero-mean-gain receiver are skipped, and so are rows of several events, which
+    are not scored (a config of only such rows realizes no point and draws nothing);
+    their detail names their events' per-user rows and whether each is configured.
+    One analytic _run_cells call gives the closed forms and points, joined by key,
+    and one estimate_sop_grid call scores the executor's SOP cells and every CDF
+    probe, so each (draw law, seed, block) is drawn once.
     """
     singles = tuple(row for row in cfg.sweep.scenarios if len(model.SCENARIOS[row[0]]) == 1)
     users = {events[0]: name for name, events in model.SCENARIOS.items() if len(events) == 1}
-    prefix, checks, modes, emps = min(trials, 1 << 16), [], {}, []
-    with _shared_prefix(prefix):
-        cells = {(c.scenario, c.sic, c.mode, c.engine): c for c in _run_cells(dataclasses.replace(
-            cfg, sweep=dataclasses.replace(cfg.sweep, scenarios=singles, engines=("montecarlo", "analytic"),
-                                           trials=trials, seed=seed)), (None,))} if singles else {}
-        for scenario, sic, mode in cfg.sweep.scenarios:
-            base = {"check": "sop", "scenario": scenario, "sic": sic, "mode": mode}
-            events = model.SCENARIOS[scenario]
-            if len(events) > 1:
-                # the per-user rows of its events, at its SIC and surface modes, would cover it
-                detail = "composed quantity; per-user rows " + ", ".join(
-                    f"{name} ({'' if (name, sic, mode) in singles else 'not '}configured)"
-                    for name in (users.get(event, "/".join(event[:2])) for event in events))
-                checks.append({**base, "status": "skip", "detail": detail})
+    cells = {(c.scenario, c.sic, c.mode): c for c in _run_cells(dataclasses.replace(
+        cfg, sweep=dataclasses.replace(cfg.sweep, scenarios=singles, engines=("analytic",))),
+        (None,))} if singles else {}
+    checks, cases, jobs, planned = [], [], [], set()  # jobs: (check index, point, closed form or points)
+    for scenario, sic, mode in cfg.sweep.scenarios:
+        base = {"check": "sop", "scenario": scenario, "sic": sic, "mode": mode}
+        events = model.SCENARIOS[scenario]
+        if len(events) > 1:
+            # the per-user rows of its events, at its SIC and surface modes, would cover it
+            detail = "composed quantity; per-user rows " + ", ".join(
+                f"{name} ({'' if (name, sic, mode) in singles else 'not '}configured)"
+                for name in (users.get(event, "/".join(event[:2])) for event in events))
+            checks.append({**base, "status": "skip", "detail": detail})
+            continue
+        cell = cells[scenario, sic, mode]
+        if isinstance(cell.point, BudgetInfeasibleError):
+            checks.append({**base, "status": "skip", "detail": f"infeasible: {cell.point}"})
+            continue
+        jobs.append((len(checks), cell.point, cell.estimate))
+        cases.append((cell.point, scenario, sic))
+        checks.append(base)
+        # one check per mode and (family, SIC read); psic for families the SIC mode does not enter
+        for kind, family in zip(("cdf", "pdf"), events[0]):
+            key = (family, model.SINR_FAMILIES[family].sic_for(sic))
+            if (mode, *key) in planned:
                 continue
-            mc, closed = (cells[scenario, sic, mode, engine] for engine in ("montecarlo", "analytic"))
-            if isinstance(mc.point, BudgetInfeasibleError):
-                checks.append({**base, "status": "skip", "detail": f"infeasible: {mc.point}"})
+            planned.add((mode, *key))
+            check = {"check": kind, "scenario": family, "sic": key[1], "mode": mode}
+            points = law_points(cell.point, *key, _PROBS[kind])
+            # an unreachable receiver or a zero power share (zero mean gain) puts every point at 0
+            if not (np.isfinite(points).all() and 0.0 < points[0] < points[-1]):
+                why = "degenerate SINR (zero mean gain)" if kind == "cdf" else "zero mean gain at the wiretap"
+                checks.append({**check, "status": "skip", "detail": why})
                 continue
-            a, m = closed.estimate.value, mc.estimate.value
-            tol = sop_tolerance(a, m, mc.estimate.stderr, mode, sic, scenario_rate(mc.point, scenario))
-            checks.append(_verdict(base, abs(a - m), tol, f"analytic={a:.6g} mc={m:.6g} tol={tol:.3g}",
-                                   analytic=a, montecarlo=m))
-            # one check per mode and (family, SIC read); psic for families the SIC mode does not enter
-            planned = modes.setdefault(mode, (mc.point, {}))[1]
-            for kind, family in zip(("cdf", "pdf"), events[0]):
-                key = (family, model.SINR_FAMILIES[family].sic_for(sic))
-                if key not in planned:
-                    planned[key] = len(checks)
-                    checks.append({"check": kind, "scenario": family, "sic": key[1], "mode": mode})
+            jobs.append((len(checks), cell.point, points))
+            cases.append((cell.point, *key, points))
+            checks.append(check)
 
-        for params, planned in modes.values():
-            pilots = sinr_samples(params, list(planned), prefix, seed)
-            scored = {}
-            for (key, i), gamma in zip(planned.items(), pilots):
-                points, why = _pilot_points(checks[i]["check"], params, key[0], gamma)
-                if points is None:
-                    checks[i] = {**checks[i], "status": "skip", "detail": why}
-                else:
-                    scored[i] = (*key, points)
-            pilots = gamma = None  # release the pilots before the empirical pass
-            if scored:
-                emps += zip(scored.items(), empirical_sinr_cdfs(params, list(scored.values()), trials, seed))
-    for (i, (_, _, points)), emp in emps:
-        checks[i] = _distribution_check(checks[i], modes[checks[i]["mode"]][0], points, emp, trials)
+    for (i, point, ref), result in zip(jobs, estimate_sop_grid(cases, trials, seed)):
+        if checks[i]["check"] != "sop":
+            checks[i] = _distribution_check(checks[i], point, ref, result, trials)
+            continue
+        a, m = ref.value, result.value
+        tol = sop_tolerance(a, m, result.stderr, checks[i]["mode"], checks[i]["sic"],
+                            scenario_rate(point, checks[i]["scenario"]))
+        checks[i] = _verdict(checks[i], abs(a - m), tol, f"analytic={a:.6g} mc={m:.6g} tol={tol:.3g}",
+                             analytic=a, montecarlo=m)
     return checks
+
+
+# the probabilities at whose closed-form quantiles each kind of distribution check scores
+_PROBS = {"cdf": np.linspace(0.1, 0.9, 9), "pdf": np.array([0.25, 0.75])}
 
 
 def _verdict(check: dict, gap: float, tol: float, detail: str, **values) -> dict:
@@ -371,25 +374,9 @@ def _verdict(check: dict, gap: float, tol: float, detail: str, **values) -> dict
             "gap": gap, "tolerance": tol, "detail": detail}
 
 
-def _pilot_points(kind: str, params, family: str, gamma):
-    """The points a distribution check scores, from its pilot samples, or None and
-    the reason to skip it: nine pilot deciles for a CDF, the pilot interquartile
-    interval for a density; quantiles of the sorted pilot, which numpy finds faster."""
-    if kind == "cdf":
-        if not np.all(np.isfinite(gamma)) or float(np.max(gamma)) <= 0.0:
-            return None, "degenerate SINR (zero mean gain)"
-        points = np.quantile(np.sort(gamma), np.linspace(0.1, 0.9, 9))
-        return (points, "") if np.min(points) > 0.0 else (None, "pilot quantiles hit zero")
-    # an infinitely distant wiretap receiver has zero mean gain
-    if not math.isfinite(getattr(params, model.SINR_FAMILIES[family].distance)):
-        return None, "zero mean gain at the wiretap"
-    points = np.quantile(np.sort(gamma), [0.25, 0.75])
-    return (points, "") if 0.0 < points[0] < points[1] else (None, "degenerate pilot interval")
-
-
 def _distribution_check(check: dict, params, points, emp, trials: int) -> dict:
-    """A CDF check at its worst pilot decile (largest gap less tolerance), or a density
-    check of the closed-form mass over the pilot interval against the empirical mass."""
+    """A CDF check at its worst decile (largest gap less tolerance), or a wiretap check
+    of the closed-form mass F(hi) - F(lo) between its quartiles against the empirical mass."""
     key = (check["scenario"], check["sic"])
     if check["check"] == "cdf":
         closed = np.asarray(_CDF_FORMS[key](points, params, *key), dtype=float)
@@ -399,19 +386,11 @@ def _distribution_check(check: dict, params, points, emp, trials: int) -> dict:
         gap, tol = float(gaps[worst]), float(tols[worst])
         return _verdict(check, gap, tol, f"max|F_mc-F|={float(np.max(gaps)):.4g} "
                                          f"at x={float(points[worst]):.4g} tol={tol:.3g}")
-    lo, hi = (float(x) for x in points)
-    grid = np.linspace(lo, hi, 513)
-    pdf = np.asarray(_PDF_FORMS[key](grid, params, *key, density=True), dtype=float)
-    mass = _simpson(pdf, grid[1] - grid[0])
-    emp_mass = float(emp[1] - emp[0])
+    (lo, hi), (f_lo, f_hi) = points, np.asarray(_PDF_FORMS[key](points, params, *key), dtype=float)
+    mass, emp_mass = float(f_hi - f_lo), float(emp[1] - emp[0])
     tol = 3.0 * math.sqrt(max(emp_mass * (1.0 - emp_mass), 1e-12) / trials) + 0.025 * max(emp_mass, mass)
     return _verdict(check, abs(mass - emp_mass), tol,
-                    f"integral={mass:.6g} mc={emp_mass:.6g} on [{lo:.3g},{hi:.3g}] tol={tol:.3g}")
-
-
-def _simpson(y, h: float) -> float:
-    """Composite Simpson rule over samples y of odd length on a uniform grid of step h."""
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+                    f"mass={mass:.6g} mc={emp_mass:.6g} on [{lo:.3g},{hi:.3g}] tol={tol:.3g}")
 
 
 def _cmd_validate(args) -> int:

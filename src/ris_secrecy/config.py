@@ -330,38 +330,32 @@ def _elements_split(field: str, m, hold: str, held: int) -> dict:
     return {"n_elements": int(m), "n_groups" if hold == "n_active" else "n_active": int(m) // held}
 
 
-def _with_sweep_value(cfg: ScenarioConfig, value: float) -> tuple[SystemParams, PowerBudget]:
-    """Apply one sweep value; returns (params without p_bs fixed, budget).
-
-    The sweep rules live here: an n_elements value must be an integer that
-    the held side of M = P*Q divides (_elements_split), and an alpha_p value must lie
-    in (0.5, 1).  A value breaking them or leaving the parameter domain
-    raises ConfigError('sweep.values').
-    """
-    params, budget = cfg.params, cfg.budget
-    var, hold = cfg.sweep.variable, cfg.sweep.hold
-    changes, budget_changes = {}, {}
+def _sweep_changes(cfg: ScenarioConfig, value: float) -> tuple[dict, dict]:
+    """The SystemParams and PowerBudget field changes of one sweep value.  The sweep
+    rules live here: an n_elements value must be an integer that the held side of
+    M = P*Q divides (_elements_split), and an alpha_p value must lie in (0.5, 1)."""
+    var, hold, x = cfg.sweep.variable, cfg.sweep.hold, float(value)
     if var == "p_tot_dbm":
         p_tot = dbm_to_watts(value)
-        p_ris = cfg.ris_fraction * p_tot if cfg.ris_fraction is not None else budget.p_ris
-        budget_changes = {"p_tot": p_tot, "p_ris": p_ris}
-    elif var == "kappa":
-        changes = {"kappa": float(value)}
-    elif var == "n_elements":
-        changes = _elements_split("sweep.values", value, hold, getattr(params, hold))
-    elif var == "alpha_p":
-        if not 0.5 < value < 1.0:
-            raise ConfigError(
-                "sweep.values",
-                "power offset must lie in (0.5, 1) so the far user keeps the larger share",
-            )
-        changes = {"a_f": float(value), "a_n": 1.0 - float(value)}
-    elif var == "sigma2_t_dbm":
-        changes = {"sigma2_t": dbm_to_watts(value)}
-    elif var == "rate":  # SweepSpec admits no other variable
-        changes = {"r_f": float(value), "r_n": float(value)}
+        return {}, {"p_tot": p_tot, "p_ris": cfg.budget.p_ris if cfg.ris_fraction is None
+                    else cfg.ris_fraction * p_tot}
+    if var == "n_elements":
+        return _elements_split("sweep.values", value, hold, getattr(cfg.params, hold)), {}
+    if var == "alpha_p" and not 0.5 < value < 1.0:
+        raise ConfigError("sweep.values",
+                          "power offset must lie in (0.5, 1) so the far user keeps the larger share")
+    # SweepSpec admits no other variable
+    return {"kappa": {"kappa": x}, "alpha_p": {"a_f": x, "a_n": 1.0 - x}, "rate": {"r_f": x, "r_n": x},
+            "sigma2_t_dbm": {"sigma2_t": dbm_to_watts(value)}}[var], {}
+
+
+def _with_sweep_value(cfg: ScenarioConfig, value: float) -> tuple[SystemParams, PowerBudget]:
+    """Apply one sweep value; returns (params without p_bs fixed, budget).  A value
+    breaking the sweep rules (_sweep_changes) or leaving the parameter domain
+    raises ConfigError('sweep.values')."""
+    changes, budget_changes = _sweep_changes(cfg, value)
     try:
-        return dataclasses.replace(params, **changes), dataclasses.replace(budget, **budget_changes)
+        return dataclasses.replace(cfg.params, **changes), dataclasses.replace(cfg.budget, **budget_changes)
     except ValueError as exc:
         raise ConfigError("sweep.values", f"{value!r}: {exc}") from exc
 
@@ -371,16 +365,24 @@ def realize_point(cfg: ScenarioConfig, value: float | None, mode: str) -> System
 
     Solves the BS power from the budget (raising BudgetInfeasibleError when
     the hardware terms exceed the total) and pins the passive degenerate
-    values kappa = 1, sigma2_t = 0 for PRIS rows.
+    values kappa = 1, sigma2_t = 0 for PRIS rows.  The point is built once; on a
+    failure a value _with_sweep_value refuses raises its ConfigError('sweep.values')
+    first, and a base-station power out of the domain ConfigError('budget.p_tot').
     """
-    params, budget = (cfg.params, cfg.budget) if value is None else _with_sweep_value(cfg, value)
-    if mode not in SURFACE_MODES:
-        raise ConfigError("mode", f"must be one of {SURFACE_MODES}")
-    budget = dataclasses.replace(budget, mode=mode)
-    if mode == "pris":
-        params = dataclasses.replace(params, kappa=1.0, sigma2_t=0.0)
-    p_bs = solve_bs_power(budget, n_elements=params.n_elements, n_active=params.n_active)
+    changes, budget_changes = ({}, {}) if value is None else _sweep_changes(cfg, value)
+    p_bs = None
     try:
-        return dataclasses.replace(params, p_bs=p_bs)
+        if mode not in SURFACE_MODES:
+            raise ConfigError("mode", f"must be one of {SURFACE_MODES}")
+        if mode == "pris":
+            changes.update(kappa=1.0, sigma2_t=0.0)
+        p_bs = solve_bs_power(dataclasses.replace(cfg.budget, **budget_changes, mode=mode),
+                              n_elements=changes.get("n_elements", cfg.params.n_elements),
+                              n_active=changes.get("n_active", cfg.params.n_active))
+        return dataclasses.replace(cfg.params, **changes, p_bs=p_bs)
     except ValueError as exc:
+        if value is not None:
+            _with_sweep_value(cfg, value)
+        if p_bs is None:
+            raise
         raise ConfigError("budget.p_tot", f"base-station power {p_bs:.6g} W: {exc}") from exc

@@ -24,15 +24,16 @@ Q = 1, consuming no variates); (3) the residual-interference powers,
 standard_exponential((BLOCK, 2)).  Trial i therefore regenerates bit-exactly
 from (seed, i) alone: block i // 2**15, row i % 2**15, independent of the
 total trial count and of which cells share the stream or, at equal
-model.LAW_FIELDS, its per-block SINR and outage arrays.  In a _shared_prefix
-scope (cli.validate_point opens one per call) each (draw law, seed, block) of
-its pilot prefix is drawn once and shared, read-only, by every pass over it.
+model.LAW_FIELDS, its per-block SINR and outage arrays.  estimate_sop_grid is
+the one walk over a stream: per block it scores outage cells and CDF probes
+from one SINR array per family and SIC read, so a caller that needs both
+(cli.validate_point) draws each (draw law, seed, block) once.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -136,37 +137,13 @@ def _draw_block(params: SystemParams, seed: int, block_index: int, shared_hbr: b
     )
 
 
-_prefix_memo = None  # in a _shared_prefix scope: (prefix blocks, {block key: read-only draw})
-
-
-@contextlib.contextmanager
-def _shared_prefix(trials: int):
-    """Draw the blocks of the first `trials` trials once per (draw law, seed) until exit."""
-    global _prefix_memo
-    outer, _prefix_memo = _prefix_memo, (-(-trials // BLOCK), {})
-    try:
-        yield
-    finally:
-        _prefix_memo = outer
-
-
 def _iter_blocks(params, trials, seed, shared_hbr):
     """The first `trials` trials, one block-keyed draw (the last one cut) at a time."""
-    memo = _prefix_memo
     for block_index in range(-(-trials // BLOCK)):
-        if memo is None or block_index >= memo[0]:
-            draw = _draw_block(params, seed, block_index, shared_hbr)
-        else:
-            key = (*(getattr(params, name) for name in DRAW_FIELDS), seed, block_index, shared_hbr)
-            if key not in memo[1]:
-                memo[1][key] = _draw_block(params, seed, block_index, shared_hbr)
-                for name in _ARRAYS:
-                    getattr(memo[1][key], name).setflags(write=False)
-            draw = memo[1][key]
+        draw = _draw_block(params, seed, block_index, shared_hbr)
         take = min(BLOCK, trials - block_index * BLOCK)
-        if take < BLOCK:
-            draw = replace(draw, **{name: getattr(draw, name)[:take] for name in _ARRAYS})
-        yield draw
+        yield draw if take == BLOCK else replace(draw, **{name: getattr(draw, name)[:take]
+                                                          for name in _ARRAYS})
 
 
 def sample_draw(
@@ -186,13 +163,19 @@ def sample_draw(
     return ChannelDraw(**cat)
 
 
-def _outage_counts(params, cells, draw: ChannelDraw) -> list[int]:
-    """Outage counts of one operating point's (scenario, sic) cells on one draw;
-    each SINR under the SIC mode it reads, and each outage event, is evaluated once."""
+def _outage_counts(params, cells, draw: ChannelDraw) -> list:
+    """Counts of one operating point's cells on one draw: per (scenario, sic) outage
+    cell the trials in outage, per (family, sic, points) probe the trials with SINR
+    <= each point.  Each SINR under the SIC mode it reads, its sorted copy and each
+    outage event is evaluated once, whichever cells read it."""
 
     @functools.cache
     def gamma(family, sic):
         return model.sinr(family, params, draw, sic)
+
+    @functools.cache
+    def ranked(family, sic):
+        return np.sort(gamma(family, sic))
 
     @functools.cache
     def fired(legit, eve, rate, sic_legit, sic_eve):
@@ -200,44 +183,49 @@ def _outage_counts(params, cells, draw: ChannelDraw) -> list[int]:
 
     reads = {(f, s): fam.sic_for(s) for f, fam in model.SINR_FAMILIES.items() for s in model.SIC_MODES}
     counts = []
-    for scenario, sic in cells:
+    for name, sic, *points in cells:
+        if points:
+            counts.append(np.searchsorted(ranked(name, reads[name, sic]), points[0], side="right"))
+            continue
         masks = [fired(legit, eve, rate, reads[legit, sic], reads[eve, sic])
-                 for legit, eve, rate in model.SCENARIOS[scenario]]
+                 for legit, eve, rate in model.SCENARIOS[name]]
         # reduce counts a one-event cell's mask as is, with no copy
         counts.append(int(np.count_nonzero(functools.reduce(np.logical_or, masks))))
     return counts
 
 
-def estimate_sop_grid(cases, trials: int, seed: int) -> list[SopEstimate]:
-    """Estimate many (params, scenario, sic) cells, one shared draw stream per draw law.
+def estimate_sop_grid(cases, trials: int, seed: int) -> list:
+    """Score outage cells (params, scenario, sic) and CDF probes (params, family, sic,
+    points), family a key of model.SINR_FAMILIES, over one draw stream per draw law.
 
     Cases of any draw law are accepted: they are grouped internally by the
     DRAW_FIELDS that shape the raw channel draws (geometry, active elements,
     residual gains), and each group is scored over one stream, one law
-    (model.LAW_FIELDS) at a time, on one representative point: points
-    differing only in M and P are scored once, and each SINR family and outage
-    event once per law per block.  Estimates (provenance 'monte-carlo', with
-    trials and binomial standard error) come back in input order, each
-    bit-identical to a lone estimate_sop call with the same seed.
+    (model.LAW_FIELDS) at a time, on one representative point: points differing
+    only in M and P are scored once, and each SINR family and outage event once
+    per law per block, for cells and probes alike.  In input order: per cell a
+    SopEstimate (provenance 'monte-carlo', with trials and binomial standard
+    error), bit-identical to a lone estimate_sop call with the same seed whatever
+    else the grid holds; per probe the array of P[SINR <= x] at its points.
     """
     _checked_run(trials, seed)
-    if not cases:
-        return []
     draws: dict[tuple, dict[tuple, tuple[SystemParams, list[int]]]] = {}
-    for j, (p, scenario, sic) in enumerate(cases):
-        # the registries raise on an unknown scenario or SIC mode before any draw
-        model.SINR_FAMILIES[model.SCENARIOS[scenario][0][0]].sic_for(sic)
-        laws = draws.setdefault(tuple(getattr(p, name) for name in DRAW_FIELDS), {})
-        laws.setdefault(tuple(getattr(p, name) for name in model.LAW_FIELDS), (p, []))[1].append(j)
-    counts = np.zeros(len(cases), dtype=np.int64)
+    for j, (p, name, sic, *points) in enumerate(cases):
+        # the registries raise on an unknown scenario, family or SIC mode before any draw
+        model.SINR_FAMILIES[name if points else model.SCENARIOS[name][0][0]].sic_for(sic)
+        laws = draws.setdefault(tuple(getattr(p, field) for field in DRAW_FIELDS), {})
+        laws.setdefault(tuple(getattr(p, field) for field in model.LAW_FIELDS), (p, []))[1].append(j)
+    cells = [(name, sic, *(np.asarray(x, dtype=float) for x in points)) for _, name, sic, *points in cases]
+    counts = [0] * len(cases)
     for laws in draws.values():
         for draw in _iter_blocks(next(iter(laws.values()))[0], trials, seed, False):
             for p, group in laws.values():
-                counts[group] += _outage_counts(p, [cases[j][1:] for j in group], draw)
-    p_hat = counts / trials
-    stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return [SopEstimate(float(v), "monte-carlo", int(trials), float(e))
-            for v, e in zip(p_hat, stderr)]
+                for j, c in zip(group, _outage_counts(p, [cells[j] for j in group], draw)):
+                    counts[j] += c
+    n = int(trials)
+    return [c / n if len(cell) == 3 else  # a probe's cell is (family, sic, points)
+            SopEstimate(c / n, "monte-carlo", n, math.sqrt(c / n * (1.0 - c / n) / n))
+            for cell, c in zip(cells, counts)]
 
 
 def estimate_sop(params: SystemParams, scenario: str, sic: str, trials: int,
@@ -251,30 +239,17 @@ def estimate_sop(params: SystemParams, scenario: str, sic: str, trials: int,
     return estimate_sop_grid([(params, scenario, sic)], trials, seed)[0]
 
 
-def _checked(requests):
-    """The requests, once every (which, sic, ...) names a SINR family and a SIC mode."""
-    for which, sic, *_ in requests:
-        model.SINR_FAMILIES[which].sic_for(sic)  # raises on an unknown family or SIC mode
-    return requests
-
-
 def empirical_sinr_cdfs(params: SystemParams, requests, trials: int, seed: int) -> list[np.ndarray]:
     """Empirical CDFs of several SINR families over one shared draw stream: per
     (which, sic, thresholds) request, which a key of model.SINR_FAMILIES,
-    P[SINR <= x] for each threshold x."""
-    _checked_run(trials, seed)
-    prepared = [(which, sic, np.asarray(t, dtype=float)) for which, sic, t in _checked(requests)]
-    counts = [np.zeros(len(t), dtype=np.int64) for _, _, t in prepared]
-    for draw in _iter_blocks(params, trials, seed, False):
-        for j, (which, sic, thresholds) in enumerate(prepared):
-            gamma = np.sort(model.sinr(which, params, draw, sic))
-            counts[j] += np.searchsorted(gamma, thresholds, side="right")
-    return [c / trials for c in counts]
+    P[SINR <= x] for each threshold x; estimate_sop_grid's probes."""
+    return estimate_sop_grid([(params, *request) for request in requests], trials, seed)
 
 
 def sinr_samples(params: SystemParams, requests, trials: int, seed: int) -> list[np.ndarray]:
     """Exact SINR samples of several families over one shared draw: per (which, sic)
     request, as in empirical_sinr_cdfs, the SINR of each of the first `trials` trials."""
-    _checked(requests)
+    for which, sic in requests:
+        model.SINR_FAMILIES[which].sic_for(sic)  # raises on an unknown family or SIC mode
     draw = sample_draw(params, trials, seed)
     return [model.sinr(which, params, draw, sic) for which, sic in requests]

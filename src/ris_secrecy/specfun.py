@@ -32,6 +32,7 @@ __all__ = [
     "kdist_cdf",
     "kdist_logsf",
     "kdist_pdf",
+    "kdist_quantile",
     "kdist_sf",
 ]
 
@@ -257,19 +258,32 @@ def kdist_sf(q: int, z) -> np.ndarray | float:
 
 _SATURATED_LOGSF = -40.0
 _SATURATION_ARGS: dict[int, float] = {}
+_QUANTILES: dict[tuple, np.ndarray] = {}
+
+
+def _log_bisect(reached, lo, hi) -> np.ndarray:
+    """Per element, a z where reached(z), false at lo and true at hi, turns true between
+    adjacent doubles: bisected in ln z, then at the plain midpoint once that rounds onto an end."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    while True:
+        mid = np.sqrt(lo) * np.sqrt(hi)
+        mid = np.where((lo < mid) & (mid < hi), mid, 0.5 * lo + 0.5 * hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            return hi
+        up = reached(np.where(live, mid, hi))
+        lo, hi = np.where(live & ~up, mid, lo), np.where(live & up, mid, hi)
 
 
 def _saturation_arg(q: int) -> float:
     """Cached per q: a z with kdist_logsf(q, z) <= -40, bisected to adjacent doubles."""
     z_sat = _SATURATION_ARGS.get(q)
     if z_sat is None:
-        lo, hi = 0.0, 64.0
+        lo, hi = 1.0, 64.0  # ln sf(1) > -2 at every q
         while kdist_logsf(q, hi) > _SATURATED_LOGSF:
             lo, hi = hi, 2.0 * hi
-        while lo < 0.5 * (lo + hi) < hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if kdist_logsf(q, mid) > _SATURATED_LOGSF else (lo, mid)
-        z_sat = _SATURATION_ARGS[q] = hi
+        z_sat = _SATURATION_ARGS[q] = float(_log_bisect(
+            lambda z: kdist_logsf(q, z) <= _SATURATED_LOGSF, [lo], [hi])[0])
     return z_sat
 
 
@@ -292,6 +306,19 @@ def kdist_cdf(q: int, z) -> np.ndarray | float:
             logsf = _logsf(q, zl) if zl.min() < 1e-12 else np.minimum(_log_s(q, 2.0 * np.sqrt(zl), zl), 0.0)
             out[live] = np.negative(np.expm1(logsf, out=logsf), out=logsf)
     return np.clip(_shaped(out, z), 0.0, 1.0)
+
+
+def kdist_quantile(q: int, probs) -> np.ndarray | float:
+    """The z, to adjacent doubles, where kdist_cdf(q, z) turns to read at least each p of
+    probs, 0 < p < 1; bisected in ln z below the saturation point, cached per (q, probs)."""
+    p = _checked(q, probs)
+    if not ((p > 0.0) & (p < 1.0)).all():
+        raise ValueError("probabilities must lie in (0, 1)")
+    key = (int(q), p.shape, p.tobytes())
+    if key not in _QUANTILES:
+        _QUANTILES[key] = _log_bisect(lambda z: kdist_cdf(key[0], z) >= p, np.full(p.shape, 2.0**-1000),
+                                      np.full(p.shape, _saturation_arg(key[0])))
+    return _shaped(_QUANTILES[key].copy(), probs)
 
 
 def kdist_pdf(q: int, z) -> np.ndarray | float:

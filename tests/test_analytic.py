@@ -27,6 +27,7 @@ from ris_secrecy.analytic import (
     default_table,
     diversity_order,
     law,
+    law_points,
     secrecy_throughput,
     sop,
     sop_asymptotic,
@@ -42,7 +43,7 @@ from ris_secrecy.model import (
 from ris_secrecy.montecarlo import (
     empirical_sinr_cdfs, estimate_sop, estimate_sop_grid, sample_draw, sinr_samples,
 )
-from ris_secrecy.specfun import gauss_laguerre, kdist_cdf, kdist_pdf, kdist_sf
+from ris_secrecy.specfun import gauss_laguerre, kdist_cdf, kdist_pdf, kdist_quantile, kdist_sf
 
 from conftest import make_params
 
@@ -139,6 +140,28 @@ def test_law_registry_resolves():
         for sic in SIC_MODES:
             est = sop(p, scenario, sic)
             assert 0.0 < est.value < 1.0 and est.provenance == "analytic", (scenario, sic)
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+@pytest.mark.parametrize("q", [1, 4, 64])
+def test_law_points_are_the_law_quantiles(name, q):
+    # where the family reads pSIC the points are the law's exact quantiles; under
+    # ipSIC they take the scale at the mean residual power, so law reads near p;
+    # an unreachable receiver puts every point at 0
+    family, sic = LAWS[name]
+    probs = np.linspace(0.1, 0.9, 9)
+    for p in (make_params(n_active=q, n_elements=2 * q), make_params(n_active=q, n_elements=2 * q, kappa=1.0,
+                                                                      sigma2_t=0.0, d_re=40.0)):
+        x = law_points(p, family, sic, probs)
+        assert np.all(np.diff(x) > 0.0) and x[0] > 0.0
+        if SINR_FAMILIES[family].sic_for(sic) == "psic":
+            np.testing.assert_allclose(law(x, p, family, sic), probs, rtol=0.0, atol=1e-12)
+        else:  # the scale at zeta = 1, the mean of the exponential residual power
+            scale = derive(p).scale(SINR_FAMILIES[family], 1.0)
+            assert np.array_equal(x, kdist_quantile(q, probs) / scale), name
+            assert np.max(np.abs(law(x, p, family, sic) - probs)) < 0.05, name
+    gone = make_params(**{SINR_FAMILIES[family].distance: math.inf})
+    assert np.array_equal(law_points(gone, family, sic, probs), np.zeros(9))
 
 
 @pytest.mark.parametrize("name", sorted(LAWS))

@@ -14,7 +14,6 @@ command line error handling; NaN, infinite and out-of-domain input
 rejected at the config boundary.
 """
 
-import contextlib
 import copy
 import csv
 import io
@@ -35,7 +34,7 @@ import pytest
 from ris_secrecy import analytic as an
 from ris_secrecy import cli, model, montecarlo
 from ris_secrecy.analytic import UnsupportedScenarioError
-from ris_secrecy.budget import BudgetInfeasibleError
+from ris_secrecy.budget import BudgetInfeasibleError, PowerBudget
 from ris_secrecy.config import (
     ConfigError,
     SweepSpec,
@@ -47,7 +46,7 @@ from ris_secrecy.config import (
     parse_config,
     realize_point,
 )
-from ris_secrecy.model import SopEstimate, scenario_rate
+from ris_secrecy.model import SopEstimate, SystemParams, scenario_rate
 from ris_secrecy.montecarlo import DRAW_FIELDS, estimate_sop
 from ris_secrecy.specfun import gauss_laguerre
 
@@ -298,6 +297,41 @@ def test_realize_point_arithmetic():
     assert pris.p_bs == pytest.approx(0.01 - m * cfg.budget.p_ps, rel=1e-12)
     with pytest.raises(ConfigError, match="mode"):
         realize_point(cfg, None, "hybrid")
+
+
+def test_realize_point_builds_each_point_once(monkeypatch):
+    # one SystemParams and one PowerBudget per realized point, at the base point
+    # and at a value of every sweep variable, in both surface modes
+    built = Counter()
+    for cls in (SystemParams, PowerBudget):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, _real=cls.__post_init__:
+                            built.update([type(self).__name__]) or _real(self))
+    for variable, value in (("p_tot_dbm", 20.0), ("kappa", 4.0), ("n_elements", 100.0),
+                            ("alpha_p", 0.75), ("rate", 0.2), ("sigma2_t_dbm", -50.0)):
+        cfg = parse_config(doc(**{"sweep.variable": variable, "sweep.values": [value]}))
+        for v in (None, value):
+            for mode in ("aris", "pris"):
+                built.clear()
+                realize_point(cfg, v, mode)
+                assert built == Counter(SystemParams=1, PowerBudget=1), (variable, v, mode)
+
+
+def test_realize_point_names_a_refused_sweep_value_first():
+    # at p_bs = 1 W (the parsed placeholder) kappa = 1e149 keeps kappa**2 p_bs / sigma2
+    # finite; the 800 W that 60 dBm leaves the base station does not, a budget error
+    cfg = parse_config(doc(**{"params.kappa": 1e149, "sweep.values": [10.0, 60.0]}))
+    assert realize_point(cfg, 10.0, "aris").kappa == 1e149
+    assert realize_point(cfg, 60.0, "pris").kappa == 1.0
+    with pytest.raises(ConfigError, match="budget.p_tot"):
+        realize_point(cfg, 60.0, "aris")
+    # values parse_config would refuse: a total power that overflows, and a kappa
+    # out of the domain whose base-station power would fail too, are sweep errors
+    for variable, value in (("p_tot_dbm", 4000.0), ("kappa", 1e151), ("kappa", 0.5)):
+        bad = replace(cfg, sweep=replace(cfg.sweep, variable=variable, values=(value,)))
+        with pytest.raises(ConfigError, match="sweep.values"):
+            realize_point(bad, value, "aris")
+        with pytest.raises(ConfigError, match="sweep.values"):
+            realize_point(bad, value, "hybrid")
 
 
 def test_realize_point_applies_sweep_variable():
@@ -741,19 +775,19 @@ def test_validate_rejects_table_flags(tmp_path, monkeypatch, capsys, flag, value
 
 
 def test_validate_draws_each_pilot_stream_once_per_mode(tmp_path, monkeypatch):
-    # one mode and trials within one block: one realized point, one pilot
-    # draw, one SOP pass and one empirical pass, however many families the
-    # rows check
+    # one mode and trials within one block: one realized point, one block drawn
+    # and one grid call scoring every SOP cell and CDF probe, however many
+    # families the rows check
     calls, realized, streams = [], [], []
     original, realize = montecarlo._draw_block, cli.realize_point
     monkeypatch.setattr(montecarlo, "_draw_block",
                         lambda *args: calls.append(args[1:]) or original(*args))
     monkeypatch.setattr(cli, "realize_point",
                         lambda *args: realized.append(args[1:]) or realize(*args))
-    # each engine stream function cli calls, with the trials it asks for
+    # each engine stream function cli imports, with the cases and trials it is given
     for name in ("estimate_sop_grid", "sinr_samples", "empirical_sinr_cdfs"):
         monkeypatch.setattr(cli, name, lambda *args, _name=name, _fn=getattr(cli, name):
-                            streams.append((_name, args[-2])) or _fn(*args))
+                            streams.append((_name, args)) or _fn(*args))
     rows = [["external_n", "psic", "aris"], ["external_f", "psic", "aris"],
             ["internal", "ipsic", "aris"]]
     d = doc(**{"sweep.scenarios": rows, "sweep.trials": 3000})
@@ -762,11 +796,11 @@ def test_validate_draws_each_pilot_stream_once_per_mode(tmp_path, monkeypatch):
     assert [c["check"] for c in checks] == ["sop", "cdf", "pdf"] * 3
     assert len(calls) == 1
     assert realized == [(None, "aris")]
-    # the three stream functions, once each, ask for three blocks: the same
-    # pilot-prefix block, drawn once and shared
-    assert sorted(name for name, _ in streams) == [
-        "empirical_sinr_cdfs", "estimate_sop_grid", "sinr_samples"]
-    assert sum(-(-trials // montecarlo.BLOCK) for _, trials in streams) == 3
+    [(name, (cases, trials, seed))] = streams
+    assert (name, trials, seed) == ("estimate_sop_grid", 3000, cfg.sweep.seed)
+    # an outage cell or a CDF probe per check, in check order
+    assert [(case[1], case[2], len(case)) for case in cases] == [
+        (c["scenario"], c["sic"], 3 if c["check"] == "sop" else 4) for c in checks]
 
     # each SOP check holds the analytic and simulate commands' base-point rows
     path = write_doc(tmp_path, d)
@@ -781,11 +815,10 @@ def test_validate_draws_each_pilot_stream_once_per_mode(tmp_path, monkeypatch):
         assert c["montecarlo"] == estimates[c["scenario"], "montecarlo"]
 
 
-@pytest.mark.parametrize("trials, blocks", [(20_000, [0]), (70_000, [0, 1, 2, 2, 2])])
+@pytest.mark.parametrize("trials, blocks", [(20_000, [0]), (70_000, [0, 1, 2])])
 def test_validate_draws_each_prefix_block_once_per_call(monkeypatch, trials, blocks):
-    # fig2 has two modes on one draw law.  The SOP grid and both modes' pilots
-    # and empirical passes read the pilot prefix (blocks 0 and 1 at most), drawn
-    # once; a block past it is drawn by each full pass: the grid and two modes
+    # fig2 has two modes on one draw law: one grid call scores both modes' SOP
+    # cells and CDF probes, and draws each block of the law's stream once
     calls = []
     original = montecarlo._draw_block
     monkeypatch.setattr(montecarlo, "_draw_block", lambda *args: calls.append(args[2]) or original(*args))
@@ -794,59 +827,18 @@ def test_validate_draws_each_prefix_block_once_per_call(monkeypatch, trials, blo
     assert sorted(calls) == blocks
 
 
-@pytest.mark.parametrize("trials", [20_000, 70_000])
-@pytest.mark.parametrize("preset", ["fig2", "fig7", "zerorate"])
-def test_validate_shared_blocks_change_no_check(monkeypatch, preset, trials):
-    # the shared blocks are the blocks each pass would draw itself, bit for bit
-    cfg = load_preset(preset)
-    shared = cli.validate_point(cfg, trials, cfg.sweep.seed)
-    monkeypatch.setattr(cli, "_shared_prefix", lambda trials: contextlib.nullcontext())
-    assert json.dumps(cli.validate_point(cfg, trials, cfg.sweep.seed)) == json.dumps(shared)
-
-
-def test_validate_frees_the_shared_blocks(monkeypatch):
-    # the shared blocks are held through the empirical passes, freed before the
-    # closed-form distribution checks build their density grids, and freed when
-    # a pass raises
-    held = []
-    for name in ("empirical_sinr_cdfs", "_distribution_check"):
-        monkeypatch.setattr(cli, name, lambda *args, _name=name, _fn=getattr(cli, name):
-                            held.append((_name, montecarlo._prefix_memo is not None)) or _fn(*args))
-    cfg = load_preset("zerorate")
-    cli.validate_point(cfg, 4000, cfg.sweep.seed)
-    assert set(held) == {("empirical_sinr_cdfs", True), ("_distribution_check", False)}
-    assert montecarlo._prefix_memo is None
-
-    def fail(*args):
-        raise RuntimeError("empirical pass failed")
-
-    monkeypatch.setattr(cli, "empirical_sinr_cdfs", fail)
-    with pytest.raises(RuntimeError, match="empirical pass failed"):
-        cli.validate_point(cfg, 4000, cfg.sweep.seed)
-    assert montecarlo._prefix_memo is None
-
-
-@pytest.mark.parametrize("kind, family, probs", [
-    ("cdf", "user_n", np.linspace(0.1, 0.9, 9)), ("pdf", "eve_n", [0.25, 0.75])])
-def test_pilot_points_are_the_unsorted_quantiles(kind, family, probs):
-    # a quantile reads only order statistics, so sorting the pilot first changes no bit
-    rng = np.random.default_rng(11)
-    params = realize_point(load_preset("fig2"), None, "aris")
-    pilots = [rng.exponential(size=20_000), rng.integers(1, 5, 1001).astype(float),
-              np.where(rng.random(3000) < 0.6, 0.0, rng.exponential(size=3000)),
-              np.append(rng.exponential(size=999), [np.inf] * 300),
-              np.append(rng.exponential(size=999), [np.inf] * 700)]
-    scored = 0
-    for gamma in pilots:
-        rng.shuffle(gamma)
-        with np.errstate(invalid="ignore"):  # inf - inf between two infinite order statistics
-            want = np.quantile(gamma, probs)
-            assert np.array_equal(np.quantile(np.sort(gamma), probs), want, equal_nan=True)
-            points, _ = cli._pilot_points(kind, params, family, gamma)
-        if points is not None:
-            assert np.array_equal(points, want)
-            scored += 1
-    assert scored >= 2
+@pytest.mark.parametrize("delta", [0.0, 0.03, -0.03])
+def test_validate_cdf_checks_catch_a_three_percent_scale_error(monkeypatch, delta):
+    # every closed form reads its cascade argument through DerivedConstants.scale,
+    # and the Monte Carlo SINRs do not: scaled by 1 + delta, the closed-form
+    # deciles leave the simulated law, and at fig2's own trials each of its six
+    # CDF checks fails at 3 percent while none fails unscaled
+    scale = model.DerivedConstants.scale
+    monkeypatch.setattr(model.DerivedConstants, "scale",
+                        lambda self, *args: (1.0 + delta) * scale(self, *args))
+    cfg = load_preset("fig2")
+    checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
+    assert [c["status"] for c in checks if c["check"] == "cdf"] == ["fail" if delta else "pass"] * 6
 
 
 def test_validate_skips_infeasible_rows_with_the_budget_message(tmp_path):
@@ -915,7 +907,9 @@ def test_validate_scores_no_composed_row(monkeypatch):
         ("sop", "external_n", False), ("cdf", "user_n", False), ("pdf", "eve_n", False),
         ("sop", "system_external", True)]
     [cases] = [args[0] for name, args in calls if name == "estimate_sop_grid"]
-    assert [scenario for _, scenario, _ in cases] == ["external_n"]
+    # the outage cells; the rest are the CDF probes of user_n and eve_n
+    assert [case[1] for case in cases if len(case) == 3] == ["external_n"]
+    assert [case[1] for case in cases if len(case) == 4] == ["user_n", "eve_n"]
     assert [args[1] for name, args in calls if name != "estimate_sop_grid"] == ["external_n"]
 
 
@@ -948,7 +942,7 @@ def test_validate_forms_are_the_registry_laws(monkeypatch):
 
     # validate_point looks every entry up at call time, so a wrapper installed
     # in the tables (as the benchmark's traced pass installs one) sees each call;
-    # it passes the entry's key, and density=True for the density table only
+    # it passes the entry's key and asks both tables for the CDF, never density=True
     calls = Counter()
     for forms in (cli._CDF_FORMS, cli._PDF_FORMS):
         for key, form in list(forms.items()):
@@ -960,8 +954,7 @@ def test_validate_forms_are_the_registry_laws(monkeypatch):
     cfg = parse_config(doc(**{"sweep.scenarios": rows, "sweep.trials": 3000}))
     checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
     assert sum(c["check"] != "sop" and c["status"] != "skip" for c in checks) == 7
-    assert calls == Counter([(*key, False) for key in cli._CDF_FORMS]
-                            + [(*key, True) for key in cli._PDF_FORMS])
+    assert calls == Counter([(*key, False) for key in [*cli._CDF_FORMS, *cli._PDF_FORMS]])
 
 
 SCIPY_BLOCKER = """
@@ -1026,14 +1019,6 @@ def test_large_accepted_kappa_warns_nothing(tmp_path):
                     assert 0.0 <= an.sop(params, scenario, sic).value <= 1.0
     proc = _run_python("-m", "ris_secrecy.cli", "analytic", "--config", str(write_doc(tmp_path, d)))
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-
-
-def test_simpson_matches_scipy():
-    from scipy.integrate import simpson
-
-    grid = np.linspace(0.3, 2.7, 513)
-    for y in (np.exp(-grid), grid**3, np.log1p(grid) / grid):
-        assert cli._simpson(y, grid[1] - grid[0]) == pytest.approx(simpson(y, x=grid), rel=1e-13)
 
 
 def test_quadrature_dump_matches_table(tmp_path):

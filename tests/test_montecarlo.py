@@ -6,7 +6,7 @@ counts); first-moment agreement of the raw draws with the channel model;
 empirical SINR CDFs against the closed forms at seeded grid points;
 bit-exact reproducibility (same-seed identity, trial-count prefix
 property, draw bits against straight-line arithmetic, grid-versus-single
-equality, seed separation); structural
+equality, CDF probes against sorted samples, seed separation); structural
 per-trial facts (far-user ceiling, SIC ordering, exact zero- and
 one-probability corners); the throughput and union-event accounting;
 input validation.
@@ -14,7 +14,6 @@ input validation.
 
 import pickle
 import warnings
-from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -347,49 +346,39 @@ def test_grid_scores_each_family_once_per_point_per_block(monkeypatch):
     assert len({res.value for res in grid}) > len(grid) // 2
 
 
-def test_shared_prefix_draws_each_prefix_block_once_and_holds_no_more(monkeypatch):
-    # two draw laws, each read by all three stream functions at 3 * BLOCK + 10
-    # trials: a law's two prefix blocks are drawn once, the blocks past the
-    # prefix on each full pass, and the memo never holds more than the prefix
-    trials, prefix = 3 * BLOCK + 10, 2 * BLOCK
+def test_probes_are_sorted_sample_counts_and_move_no_estimate():
+    # a CDF probe counts the trials whose SINR is at most each point, as the
+    # sorted samples of the same stream do (sample values among the points, so
+    # ties count); probes beside the outage cells of two draw laws, in any
+    # order, change no SOP estimate by a single bit
+    trials = 2 * BLOCK + 10
     laws = [make_params(n_active=2, n_elements=4), make_params(n_active=2, n_elements=4, d_re=40.0)]
-    requests = [("user_n", "ipsic"), ("eve_n", "ipsic")]
-
-    def passes(p):
-        return [estimate_sop_grid([(p, "external_n", "ipsic")], trials, SEED)[0].value,
-                *sinr_samples(p, requests, prefix, SEED),
-                *empirical_sinr_cdfs(p, [(*r, [0.1, 1.0, 10.0]) for r in requests], trials, SEED)]
-
-    fresh = [passes(p) for p in laws]
-    calls, held = [], []
-    real = montecarlo._draw_block
-
-    def counted(*args):
-        held.append(max(Counter(key[:-3] for key in montecarlo._prefix_memo[1]).values(), default=0))
-        calls.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(montecarlo, "_draw_block", counted)
-    with montecarlo._shared_prefix(prefix):
-        shared = [passes(p) for p in laws]
-        held.append(max(Counter(key[:-3] for key in montecarlo._prefix_memo[1]).values()))
-    assert montecarlo._prefix_memo is None
-    assert sorted(calls) == [0, 0, 1, 1] + [2] * 4 + [3] * 4
-    assert max(held) == 2
-    for a, b in zip(fresh, shared):
-        assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+    cells = [(p, scenario, sic) for p in laws for scenario in model.SCENARIOS for sic in model.SIC_MODES]
+    requests = [("user_n", "ipsic"), ("eve_n", "psic"), ("user_f", "ipsic"), ("internal_f_to_n", "psic")]
+    probes, want = [], []
+    for p in laws:
+        for (which, sic), gamma in zip(requests, sinr_samples(p, requests, trials, SEED)):
+            points = np.append(np.quantile(gamma, np.linspace(0.05, 0.95, 7)), gamma[:3])
+            probes.append((p, which, sic, points))
+            want.append(np.searchsorted(np.sort(gamma), points, side="right") / trials)
+    alone = estimate_sop_grid(cells, trials, SEED)
+    got = estimate_sop_grid(probes[4:] + cells + probes[:4], trials, SEED)
+    assert pickle.dumps(got[4:-4]) == pickle.dumps(alone)
+    for probe, emp, expected in zip(probes[4:] + probes[:4], got[:4] + got[-4:], want[4:] + want[:4]):
+        assert np.array_equal(emp, expected), probe[1:3]
+    # empirical_sinr_cdfs is the probes' view of the grid
+    for emp, expected in zip(empirical_sinr_cdfs(laws[0], [r[1:] for r in probes[:4]], trials, SEED), want):
+        assert np.array_equal(emp, expected)
 
 
-def test_shared_prefix_blocks_are_read_only():
-    # a consumer that writes into a shared block raises rather than changing
-    # what later passes read; outside a scope every draw is the caller's own
-    p = make_params()
-    with montecarlo._shared_prefix(100):
-        draw = sample_draw(p, 100, SEED)
-        assert not any(getattr(draw, f.name).flags.writeable for f in fields(ChannelDraw))
-        with pytest.raises(ValueError):
-            draw.norm_n[0] = 0.0
-    sample_draw(p, 100, SEED).norm_n[0] = 0.0
+def test_grid_computes_each_sinr_once_for_cells_and_probes(monkeypatch):
+    # one law, one block: the external_n/ipsic cell and the user_n and eve_n
+    # probes under ipsic read the same two SINR arrays, computed once each
+    p, calls, real = make_params(), [], model._sinr
+    monkeypatch.setattr(model, "_sinr", lambda *a: calls.append(a[0]) or real(*a))
+    estimate_sop_grid([(p, "user_n", "ipsic", [0.5, 2.0]), (p, "external_n", "ipsic"),
+                       (p, "eve_n", "ipsic", [1.0])], 1000, SEED)
+    assert sorted(calls) == ["eve_n", "user_n"]
 
 
 def test_distinct_seeds_are_distinct_but_consistent():

@@ -23,6 +23,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from ris_secrecy import analytic as an
 from ris_secrecy.specfun import (
@@ -36,6 +37,7 @@ from ris_secrecy.specfun import (
     kdist_cdf,
     kdist_logsf,
     kdist_pdf,
+    kdist_quantile,
     kdist_sf,
     log_bessel_k,
 )
@@ -286,6 +288,41 @@ def test_cdf_saturation_cutoff_is_bit_exact(q):
         got = kdist_cdf(q, z)
         assert got.shape == z.shape and np.array_equal(got, via_sf(z)), q
     assert kdist_cdf(q, z_sat) == 1.0 and kdist_cdf(q, 1.0) == via_sf(1.0)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 20, 64])
+def test_saturation_point_is_bisected_to_adjacent_doubles(q):
+    # the bisection kdist_quantile shares ends on the first double whose ln sf is
+    # at most -40, and kdist_cdf reads exactly the survival function's doubles on
+    # a grid spanning that point a hundredfold either way
+    z_sat = _saturation_arg(q)
+    assert kdist_logsf(q, z_sat) <= -40.0 < kdist_logsf(q, np.nextafter(z_sat, 0.0))
+    z = np.geomspace(z_sat / 100.0, 100.0 * z_sat, 20001)
+    with np.errstate(under="ignore"):
+        assert np.array_equal(kdist_cdf(q, z), np.clip(-np.expm1(kdist_logsf(q, z)), 0.0, 1.0))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 20, 64])
+def test_kdist_quantile_inverts_the_cdf(q):
+    # round trip to the CDF's own round-off, each point the first double that
+    # reaches its p, and a scalar for a scalar; against a brentq oracle to a few
+    # ulps where the CDF is well conditioned (in the far tails its round-off
+    # leaves a flat run of doubles, and the two searches may stop anywhere in it)
+    probs = np.array([1e-6, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0 - 1e-9])
+    z = kdist_quantile(q, probs)
+    assert z.shape == probs.shape and np.all(np.diff(z) > 0.0)
+    np.testing.assert_allclose(kdist_cdf(q, z), probs, rtol=1e-12, atol=1e-15)
+    oracle = [brentq(lambda x, p=p: kdist_cdf(q, x) - p, 1e-300, _saturation_arg(q), xtol=1e-300,
+                     rtol=1e-15, maxiter=500) for p in probs[1:-1]]
+    np.testing.assert_allclose(z[1:-1], oracle, rtol=1e-13)
+    assert np.all(kdist_cdf(q, z) >= probs) and np.all(kdist_cdf(q, np.nextafter(z, 0.0)) < probs)
+    assert kdist_quantile(q, 0.5) == z[4] and isinstance(kdist_quantile(q, 0.5), float)
+    # cached per (q, probs), and a caller's edit does not reach the cache
+    z[:] = 0.0
+    assert np.all(kdist_quantile(q, probs) > 0.0)
+    for bad in (0.0, 1.0, -0.5, np.nan):
+        with pytest.raises(ValueError):
+            kdist_quantile(q, [0.5, bad])
 
 
 @pytest.mark.parametrize("q", [1, 2, 5, 20, 64])
