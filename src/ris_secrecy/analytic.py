@@ -1,6 +1,6 @@
 """Closed-form secrecy outage probabilities, asymptotes and throughput.
 
-The cascaded BS-RIS-receiver power is K-distributed; every CDF/PDF below is
+The cascaded BS-RIS-receiver power is K-distributed; every CDF below is
 that law at an SINR-dependent argument, with exponential residual-interference
 power integrated out by Gauss-Laguerre quadrature.  Every SOP is one kernel:
 the legitimate SINR CDF averaged over outage thresholds 2^R (1 + gamma_E) - 1,
@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import (SCENARIOS, SINR_FAMILIES, DerivedConstants, SinrFamily, SopEstimate, derive,
                     secrecy_threshold)
-# kdist_sf is unused here; it stays only because perfbench/spans.py wraps it by this name
+# kdist_pdf and kdist_sf are unused here; they stay only because perfbench/spans.py wraps them
 from .specfun import QuadratureTable, gauss_laguerre, kdist_cdf, kdist_pdf, kdist_quantile, kdist_sf
 
 __all__ = [
@@ -62,11 +62,7 @@ _TABLES: dict[int, QuadratureTable] = {}
 
 def default_table(order: int = DEFAULT_ORDER) -> QuadratureTable:
     """Cached Gauss-Laguerre table; order 64 unless the caller overrides."""
-    table = _TABLES.get(order)
-    if table is None:
-        table = gauss_laguerre(order)
-        _TABLES[order] = table
-    return table
+    return _TABLES.get(order) or _TABLES.setdefault(order, gauss_laguerre(order))
 
 
 def _clamped(value: float, provenance: str, extra_flags: tuple[str, ...] = ()) -> SopEstimate:
@@ -77,13 +73,12 @@ def _clamped(value: float, provenance: str, extra_flags: tuple[str, ...] = ()) -
 
 
 # ---------------------------------------------------------------------------
-# the cascade law of every SINR family, and its CDF and density
+# the cascade law of every SINR family, and its CDF
 
 
-def _cascade(dc: DerivedConstants, fam: SinrFamily, sic: str, x, table: QuadratureTable,
-             scale=None, *, density: bool = False):
-    """Cascade argument z of one SINR_FAMILIES row at the 1-D points x, the slope
-    dz/dx (None unless density) and the mask of points at the NOMA ceiling a_f/a_n.
+def _cascade(dc: DerivedConstants, fam: SinrFamily, sic: str, x, table: QuadratureTable, scale=None):
+    """Cascade argument z of one SINR_FAMILIES row at the 1-D points x, and the mask
+    of points at the NOMA ceiling a_f/a_n.
 
     scale defaults to dc.scale of the row, at the table nodes where the row reads
     ipSIC (z then has a trailing quadrature axis), else at 0.0.  A capped row's
@@ -100,14 +95,12 @@ def _cascade(dc: DerivedConstants, fam: SinrFamily, sic: str, x, table: Quadratu
         with np.errstate(invalid="ignore"):
             z = np.where(xs == 0.0, 0.0, xs * scale)
     if not fam.capped:
-        return z, scale, np.zeros(x.shape, bool)
+        return z, np.zeros(x.shape, bool)
     p = dc.params
     c_n, c_f = p.a_n * p.p_bs * p.kappa**2, p.a_f * p.p_bs * p.kappa**2
     denom = c_f - x * c_n
     capped = denom <= _CEILING_GUARD * c_f
-    safe = np.where(capped, 1.0, denom)
-    # the slope overflows at a large accepted kappa, where the CDF is still finite
-    return np.where(capped, 0.0, z / safe), scale * c_f / (safe * safe) if density else None, capped
+    return np.where(capped, 0.0, z / np.where(capped, 1.0, denom)), capped
 
 
 def _cdf(out, capped, table: QuadratureTable):
@@ -120,34 +113,18 @@ def _cdf(out, capped, table: QuadratureTable):
     return np.where(capped, 1.0, out)
 
 
-def _pdf(dc: DerivedConstants, z, slope, capped, table: QuadratureTable):
-    """Density at the arguments and slopes of _cascade, averaged over a quadrature axis."""
-    # an infinite scale (unreachable receiver) sends x > 0 to z = inf, where
-    # the density is 0, not inf * 0
-    with np.errstate(invalid="ignore"):
-        out = slope * kdist_pdf(dc.params.n_active, z)
-    out = np.where(np.isinf(z), 0.0, out)
-    if z.ndim == 2:
-        out = out @ table.weights
-    return np.where(capped, 0.0, out)
+def law(x, params, family: str, sic: str):
+    """CDF, clipped to [0, 1], of a SINR_FAMILIES key's SINR under `sic` at scalar
+    or array x >= 0 for the SystemParams params.
 
-
-def law(x, params, family: str, sic: str, *, density: bool = False):
-    """CDF (clipped to [0, 1]) or density of a SINR_FAMILIES key's SINR under `sic`
-    at scalar or array x >= 0 for the SystemParams params.
-
-    Where the family takes SIC, ipSIC averages the conditional cascade law over
+    Where the family takes SIC, ipSIC averages the conditional cascade CDF over
     the exponential residual power on the default order-64 Gauss-Laguerre table.
     The far-stream families saturate at the NOMA ceiling a_f/a_n: from there on
-    the CDF is exactly 1 and the density exactly 0.
+    the CDF is exactly 1.
     """
     dc, table = derive(params), default_table()
-    z, slope, capped = _cascade(dc, SINR_FAMILIES[family], sic, np.asarray(x, dtype=float).ravel(),
-                                table, density=density)
-    if density:
-        out = _pdf(dc, z, slope, capped, table)
-    else:
-        out = np.clip(_cdf(kdist_cdf(dc.params.n_active, z), capped, table), 0.0, 1.0)
+    z, capped = _cascade(dc, SINR_FAMILIES[family], sic, np.asarray(x, dtype=float).ravel(), table)
+    out = np.clip(_cdf(kdist_cdf(dc.params.n_active, z), capped, table), 0.0, 1.0)
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
@@ -222,7 +199,7 @@ class CascadeBatch:
         fam = SINR_FAMILIES[event[0]]
         if (event[1], sic) in _LEGIT_SCALE:
             fam = fam._replace(residual=_LEGIT_SCALE[event[1], sic])
-        z, _, capped = _cascade(dc, fam, sic, tau, self.table, scale)
+        z, capped = _cascade(dc, fam, sic, tau, self.table, scale)
         self._pending.append(z)
         return len(self._values) + len(self._pending) - 1, w, capped, z
 
@@ -252,17 +229,24 @@ def _single_event(scenario: str) -> tuple:
     return events[0]
 
 
-def sop(params, scenario: str, sic: str, *, table: QuadratureTable | None = None,
-        batch: CascadeBatch | None = None) -> SopEstimate:
+def _batch_of(params, batch: CascadeBatch | None) -> CascadeBatch:
+    """batch, which must be of params (else ValueError), by default a one-cell batch."""
+    if batch is not None and batch.dc.params is not params and batch.dc.params != params:
+        raise ValueError("batch is a CascadeBatch of another operating point than params")
+    return batch or CascadeBatch(params)
+
+
+def sop(params, scenario: str, sic: str, *, batch: CascadeBatch | None = None) -> SopEstimate:
     """Closed-form secrecy outage of any SCENARIOS key: per event the kernel value
     clamped to [0, 1], for several events their sop_union in registry order.
 
     ipSIC couples two residual-interference integrals (eavesdropper and user),
-    both over `table` (default order 64); a far-user threshold at the NOMA
-    ceiling gives 1, 'saturated'.  batch, a CascadeBatch of params (its own
-    table applies), shares its kernel call; by default the call makes its own.
+    both over the batch's table (by default order 64); a far-user threshold at
+    the NOMA ceiling gives 1, 'saturated'.  batch, a CascadeBatch of params,
+    shares its kernel call and chooses the table; by default the call makes its
+    own.  A batch of another operating point raises ValueError.
     """
-    batch = batch or CascadeBatch(params, table)
+    batch = _batch_of(params, batch)
     estimates = [_clamped(value, "analytic", ("saturated",) if saturated else ())
                  for value, saturated in map(batch.outage, batch.plan(scenario, sic))]
     return functools.reduce(sop_union, estimates)
@@ -309,7 +293,7 @@ def sop_asymptotic(params, scenario: str, sic: str, *, batch: CascadeBatch | Non
     if (event[1], sic) in _LEGIT_SCALE:
         raise UnsupportedScenarioError(f"{scenario} + {sic} has no closed-form asymptote (the residual "
                                        "floor couples both quadratures); evaluate sop directly")
-    batch = batch or CascadeBatch(params)
+    batch = _batch_of(params, batch)
     if SINR_FAMILIES[event[0]].sic_for(sic) == "ipsic":
         value, _ = batch.outage(*batch.plan(scenario, sic, "asymptotic"))
         return _clamped(value, "asymptotic")

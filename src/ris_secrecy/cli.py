@@ -282,6 +282,7 @@ def _forms(side: int) -> dict:
 
 
 _CDF_FORMS = _forms(0)
+# the wiretap CDFs; the name stays only for the traced pass, which perfbench/spans.py wraps by it
 _PDF_FORMS = _forms(1)
 
 

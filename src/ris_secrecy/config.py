@@ -182,6 +182,10 @@ class ScenarioConfig:
     metric: str
     sweep: SweepSpec
 
+    def __post_init__(self):
+        if self.metric not in ("sop", "throughput"):
+            raise ConfigError("metric", "must be 'sop' or 'throughput'")
+
 
 _TO_LINEAR = {"": float, "_db": db_to_linear, "_dbm": dbm_to_watts}
 
@@ -263,10 +267,6 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError("budget", str(exc)) from exc
 
-    metric = doc.get("metric", "sop")
-    if metric not in ("sop", "throughput"):
-        raise ConfigError("metric", "must be 'sop' or 'throughput'")
-
     sweep_fields = dataclasses.fields(SweepSpec)
     s = _block(doc, "sweep", {}, [f.name for f in sweep_fields])
     missing = [f.name for f in sweep_fields if f.default is dataclasses.MISSING and f.name not in s]
@@ -285,7 +285,7 @@ def parse_config(doc: dict, *, name: str = "<inline>") -> ScenarioConfig:
         params=params,
         budget=budget,
         ris_fraction=ris_fraction,
-        metric=metric,
+        metric=doc.get("metric", "sop"),
         sweep=sweep,
     )
     # reject a value the sweep rules or the parameter domain refuse (kappa < 1,

@@ -8,10 +8,11 @@ the full acceptance report.  Criteria:
    points for all six scenario/SIC combinations, max(3 sigma, 15%)
    (passive perfect-SIC cells tighten to max(3 sigma, 2%); the rule is
    cli.sop_tolerance, which validate applies too), under five minutes;
-2. the three legitimate-user SINR CDFs track 10^7-draw empirical CDFs
-   within 0.005 absolute at 20 quantile points, and the four wiretap
-   densities normalize to 1 within 1e-4 and match their CDFs' finite
-   differences within 1e-4 relative;
+2. all seven SINR CDFs, the three legitimate-user and the four wiretap
+   laws, track 10^7-draw empirical CDFs within 0.005 absolute at 20
+   quantile points, and each leaves at most 1e-4 of its mass past its
+   support cut; a 3% error in the argument scale lifts every wiretap
+   gap above that bound;
 3. fixed-eavesdropper outage curves decay with unit slope (perfect
    SIC) or flatten to an error floor (imperfect SIC) between +30 and
    +40 dB, and the two high-budget asymptote forms land within 5% of
@@ -26,9 +27,10 @@ the full acceptance report.  Criteria:
 6. sweep and simulate outputs are byte-identical across repeat runs,
    also for a sweep spanning two draw laws;
 7. zero residual interference collapses every imperfect-SIC expression
-   onto its perfect-SIC counterpart within 1e-9, throughput is exactly
-   (1 - SOP) * rate, and SOP stays inside [0, 1] on a 1000-point
-   randomized parameter fuzz.
+   (the user and eavesdropper CDFs, the SOPs) onto its perfect-SIC
+   counterpart within 1e-9, throughput is exactly (1 - SOP) * rate,
+   and SOP stays inside [0, 1] on a 1000-point randomized parameter
+   fuzz.
 """
 
 import json
@@ -38,14 +40,14 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from ris_secrecy import analytic as an
 from ris_secrecy import cli
 from ris_secrecy.analytic import default_table, diversity_order, secrecy_throughput
 from ris_secrecy.config import load_preset, parse_config, realize_point
-from ris_secrecy.model import SystemParams, derive, scenario_rate
+from ris_secrecy.model import (SCENARIOS, SIC_MODES, SINR_FAMILIES, DerivedConstants, SystemParams, derive,
+                               scenario_rate)
 from ris_secrecy.montecarlo import DRAW_FIELDS, empirical_sinr_cdfs, estimate_sop_grid
 from ris_secrecy.specfun import gauss_laguerre, kdist_cdf, log_bessel_k
 
@@ -111,62 +113,58 @@ def _invert(cdf, targets, hi=1e9):
                      for t in targets])
 
 
-def test_criterion_2_distribution_agreement():
+def test_criterion_2_distribution_agreement(monkeypatch):
     p = make_params()
     dc = derive(p)
     lines, failures = [], []
 
+    # every (family, SIC) law of the registry, with the SIC mode the family reads
+    laws = sorted({(family, fam.sic_for(sic)) for family, fam in SINR_FAMILIES.items() for sic in SIC_MODES})
+    wiretap = {event[1] for events in SCENARIOS.values() for event in events}
     probs = np.linspace(0.04, 0.96, 20)
-    user_forms = [
-        ("user_n", "ipsic", lambda x: an.law(x, p, "user_n", "ipsic")),
-        ("user_n", "psic", lambda x: an.law(x, p, "user_n", "psic")),
-        ("user_f", "psic", lambda x: an.law(x, p, "user_f", "psic")),
-    ]
+    ceiling = p.a_f / p.a_n
     requests = []
-    for which, sic, form in user_forms:
-        hi = 0.999999 * p.a_f / p.a_n if which == "user_f" else 1e9
-        requests.append((which, sic, _invert(form, probs, hi=hi)))
+    for family, sic in laws:
+        hi = 0.999999 * ceiling if SINR_FAMILIES[family].capped else 1e9
+        requests.append((family, sic, _invert(lambda x, f=family, s=sic: an.law(x, p, f, s), probs, hi=hi)))
     empirical = empirical_sinr_cdfs(p, requests, MC_TRIALS, MC_SEED)
-    for (which, sic, form), (_, _, xs), emp in zip(user_forms, requests, empirical):
-        closed = np.array([form(float(x)) for x in xs])
-        gap = float(np.max(np.abs(emp - closed)))
+
+    def gaps():
+        return [float(np.max(np.abs(emp - an.law(xs, p, family, sic))))
+                for (family, sic, xs), emp in zip(requests, empirical)]
+
+    for (family, sic, _), gap in zip(requests, gaps()):
         ok = gap <= 0.005
         if not ok:
-            failures.append(f"CDF {which}/{sic}: max gap {gap:.4g} > 0.005")
-        lines.append(f"  {'PASS' if ok else 'FAIL'} c2 cdf {which:7s} {sic:5s} "
+            failures.append(f"CDF {family}/{sic}: max gap {gap:.4g} > 0.005")
+        lines.append(f"  {'PASS' if ok else 'FAIL'} c2 cdf {family:15s} {sic:5s} "
                      f"max|F_mc-F|={gap:.2e} tol=5.0e-03 over 20 quantiles")
 
-    eve_forms = [
-        ("eve_n_ipsic", lambda x: an.law(x, p, "eve_n", "ipsic", density=True),
-         lambda x: an.law(x, p, "eve_n", "ipsic"), 600.0 / dc.scale("eve_n", 0.0)),
-        ("eve_n_psic", lambda x: an.law(x, p, "eve_n", "psic", density=True),
-         lambda x: an.law(x, p, "eve_n", "psic"), 600.0 / dc.scale("eve_n", 0.0)),
-        ("eve_f", lambda x: an.law(x, p, "eve_f", "psic", density=True),
-         lambda x: an.law(x, p, "eve_f", "psic"), p.a_f / p.a_n),
-        ("internal_f_to_n", lambda x: an.law(x, p, "internal_f_to_n", "psic", density=True),
-         lambda x: an.law(x, p, "internal_f_to_n", "psic"),
-         600.0 / dc.scale("internal_f_to_n", 0.0)),
-    ]
-    for name, pdf, cdf, hi in eve_forms:
-        mass, quad_err = quad(pdf, 0.0, hi, limit=400,
-                              points=[hi * 1e-6, hi * 0.01, hi * 0.5])
-        gap = abs(mass - 1.0)
-        ok = gap <= 1e-4 and quad_err < 1e-6
+        # the law's mass past its support cut: the NOMA ceiling of a capped row,
+        # else the smallest argument scale maps 600 back to x (kdist_sf(q, 600) < 6e-10)
+        fam = SINR_FAMILIES[family]
+        cut = ceiling if fam.capped else 600.0 / dc.scale(fam, 0.0)
+        tail = 1.0 - an.law(cut, p, family, sic)
+        ok = tail <= 1e-4
         if not ok:
-            failures.append(f"PDF {name}: mass {mass!r} (quad err {quad_err:.1e})")
-        lines.append(f"  {'PASS' if ok else 'FAIL'} c2 pdf-mass {name:15s} "
-                     f"|1-integral|={gap:.2e} tol=1.0e-04")
+            failures.append(f"CDF {family}/{sic}: 1 - F = {tail:.3g} > 1e-4 at the support cut {cut:.4g}")
+        lines.append(f"  {'PASS' if ok else 'FAIL'} c2 tail {family:15s} {sic:5s} "
+                     f"1-F(cut)={tail:.2e} tol=1.0e-04")
 
-        worst = 0.0
-        for x in _invert(cdf, [0.1, 0.25, 0.5, 0.75, 0.9], hi=hi * 0.999999):
-            h = x * 1e-5
-            fd = (cdf(x + h) - cdf(x - h)) / (2.0 * h)
-            worst = max(worst, abs(pdf(x) - fd) / fd)
-        ok = worst <= 1e-4
-        if not ok:
-            failures.append(f"PDF {name}: worst FD mismatch {worst:.3g} > 1e-4")
-        lines.append(f"  {'PASS' if ok else 'FAIL'} c2 pdf-slope {name:15s} "
-                     f"max rel FD gap={worst:.2e} tol=1.0e-04")
+    # the wiretap comparison sees a 3% error in the argument scale, on the same
+    # points and empirical counts: every wiretap gap then exceeds the bound
+    scale = DerivedConstants.scale
+    for delta in (-0.03, 0.03):
+        monkeypatch.setattr(DerivedConstants, "scale",
+                            lambda self, family, zeta, f=1.0 + delta: f * scale(self, family, zeta))
+        for (family, sic, _), gap in zip(requests, gaps()):
+            if family not in wiretap:
+                continue
+            ok = gap > 0.005
+            if not ok:
+                failures.append(f"CDF {family}/{sic} with scale x{1.0 + delta}: gap {gap:.4g} not above 0.005")
+            lines.append(f"  {'PASS' if ok else 'FAIL'} c2 sensitivity {family:15s} {sic:5s} "
+                         f"scale x{1.0 + delta:.2f} max|F_mc-F|={gap:.2e} > 5.0e-03")
     _report(2, lines, failures)
 
 
@@ -295,7 +293,7 @@ def test_criterion_5_special_function_kernel():
     for label, params in (("baseline", make_params()),
                           ("fig9-base", realize_point(load_preset("fig9"), None, "aris"))):
         coarse = an.sop(params, "external_n", "ipsic").value
-        fine = an.sop(params, "external_n", "ipsic", table=t128).value
+        fine = an.sop(params, "external_n", "ipsic", batch=an.CascadeBatch(params, t128)).value
         gap = abs(fine - coarse)
         ok = gap < 1e-8
         if not ok:
@@ -363,10 +361,8 @@ def test_criterion_7_consistency_identities():
     xs = np.logspace(-6, 2, 50)
     worst = float(np.max(np.abs(an.law(xs, p0, "user_n", "ipsic")
                                 - an.law(xs, p0, "user_n", "psic"))))
-    pdf_i = an.law(xs, p0, "eve_n", "ipsic", density=True)
-    pdf_p = an.law(xs, p0, "eve_n", "psic", density=True)
-    scale = np.maximum(np.abs(pdf_p), 1.0)
-    worst = max(worst, float(np.max(np.abs(pdf_i - pdf_p) / scale)))
+    worst = max(worst, float(np.max(np.abs(an.law(xs, p0, "eve_n", "ipsic")
+                                            - an.law(xs, p0, "eve_n", "psic")))))
     for scenario in ("external_n", "internal"):
         gap = abs(an.sop(p0, scenario, "ipsic").value - an.sop(p0, scenario, "psic").value)
         worst = max(worst, gap)

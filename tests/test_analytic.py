@@ -1,8 +1,8 @@
 """Checks for the closed-form engine.
 
 Groups: CDF shape properties (bounds, monotonicity, saturation, the
-far-user ceiling); density consistency (nonnegativity, normalization,
-finite-difference agreement with the matching CDFs); independent
+far-user ceiling), for every registry law (F(0) = 0, nondecreasing, all
+but 1e-4 of the mass inside the support cut); independent
 re-derivations of each outage expression from the model constants and
 the cascade distribution; structural SOP facts (SIC ordering, rate and
 geometry monotonicity, perfect-SIC collapse); the fixed-eavesdropper
@@ -17,7 +17,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from ris_secrecy import analytic as an
 from ris_secrecy import config
@@ -43,7 +42,7 @@ from ris_secrecy.model import (
 from ris_secrecy.montecarlo import (
     empirical_sinr_cdfs, estimate_sop, estimate_sop_grid, sample_draw, sinr_samples,
 )
-from ris_secrecy.specfun import gauss_laguerre, kdist_cdf, kdist_pdf, kdist_quantile, kdist_sf
+from ris_secrecy.specfun import gauss_laguerre, kdist_cdf, kdist_quantile, kdist_sf
 
 from conftest import make_params
 
@@ -83,13 +82,12 @@ def test_cdf_accepts_scalar_and_array():
         assert arr.shape == xs.shape
         for x, v in zip(xs, arr):
             assert form(float(x), p) == pytest.approx(v, rel=1e-14, abs=1e-300)
-    # a scalar or 0-d argument gives a float, as every specfun entry gives, for either side
-    for density in (False, True):
-        want = law(0.2, p, "user_n", "ipsic", density=density)
-        for x in (np.float64(0.2), np.array(0.2)):
-            got = law(x, p, "user_n", "ipsic", density=density)
-            assert type(got) is float and got == want
-        assert law(np.array([0.2]), p, "user_n", "ipsic", density=density).shape == (1,)
+    # a scalar or 0-d argument gives a float, as every specfun entry gives
+    want = law(0.2, p, "user_n", "ipsic")
+    for x in (np.float64(0.2), np.array(0.2)):
+        got = law(x, p, "user_n", "ipsic")
+        assert type(got) is float and got == want
+    assert law(np.array([0.2]), p, "user_n", "ipsic").shape == (1,)
 
 
 # every (family, SIC) law of the registry, named family_sic where the SIC mode enters
@@ -101,14 +99,8 @@ WIRETAP_LAWS = sorted(name for name, (family, _) in LAWS.items()
                       if any(family == eve for events in SCENARIOS.values() for _, eve, _ in events))
 
 
-def _law_forms(name):
-    family, sic = LAWS[name]
-    return (lambda x, p: law(x, p, family, sic, density=True),
-            lambda x, p: law(x, p, family, sic))
-
-
 def _support_cut(name, p):
-    # upper integration limit with provably negligible tail: the smallest
+    # a point past which the law has provably negligible mass: the smallest
     # argument scale maps 600 back to x, and kdist_sf(q, 600) < 6e-10
     fam = SINR_FAMILIES[LAWS[name][0]]
     if fam.capped:
@@ -166,49 +158,27 @@ def test_law_points_are_the_law_quantiles(name, q):
 
 @pytest.mark.parametrize("name", sorted(LAWS))
 def test_pdf_nonnegative_and_normalized(name):
-    pdf, _ = _law_forms(name)
+    # the law's CDF: it starts at 0, never decreases, and leaves at most 1e-4
+    # of its mass past the support cut
+    family, sic = LAWS[name]
     p = make_params()
     hi = _support_cut(name, p)
-    xs = np.linspace(1e-9 * hi, hi * 0.999, 200)
-    assert np.all(np.asarray(pdf(xs, p)) >= 0.0)
-    mass, err = quad(lambda x: float(np.asarray(pdf(x, p)).reshape(())), 0.0, hi,
-                     limit=400, points=[hi * 1e-6, hi * 0.01, hi * 0.5])
-    assert mass == pytest.approx(1.0, abs=1e-4), name
-    assert err < 1e-6
-
-
-@pytest.mark.parametrize("name", sorted(LAWS))
-def test_pdf_matches_cdf_derivative(name):
-    pdf, cdf = _law_forms(name)
-    p = make_params()
-    hi = _support_cut(name, p)
-    for frac in (1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.6, 0.9):
-        x = frac * hi
-        h = x * 1e-5
-        lo_v = float(np.asarray(cdf(x - h, p)).reshape(()))
-        hi_v = float(np.asarray(cdf(x + h, p)).reshape(()))
-        fd = (hi_v - lo_v) / (2.0 * h)
-        got = float(np.asarray(pdf(x, p)).reshape(()))
-        if fd < 1e-12 or hi_v > 1.0 - 1e-6:
-            # flat or saturated tail: the CDF difference is below the
-            # resolution of values this close to 1
-            continue
-        assert got == pytest.approx(fd, rel=1e-4), (name, frac)
+    cdf = law(np.linspace(0.0, hi, 200), p, family, sic)
+    assert cdf[0] == 0.0 and np.all(np.diff(cdf) >= 0.0), name
+    assert 1.0 - cdf[-1] <= 1e-4, name
 
 
 @pytest.mark.parametrize("name", WIRETAP_LAWS)
 def test_pdf_of_unreachable_wiretap_receiver(name):
     # zerorate: infinite d_rf and d_re make every wiretap scale infinite and
-    # the wiretap SINR surely 0, so the density is 0 for x > 0 and +inf at
-    # x = 0, never inf * 0
-    pdf, _ = _law_forms(name)
+    # the wiretap SINR surely 0, so the CDF is exactly 1 for x > 0, never 0 * inf
+    family, sic = LAWS[name]
     p = config.realize_point(config.load_preset("zerorate"), None, "aris")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dens = np.asarray(pdf(np.array([0.0, 0.5, 1.0]), p))
-        scalar = float(np.asarray(pdf(0.3, p)).reshape(()))
-    assert dens[0] == np.inf, name
-    assert np.all(dens[1:] == 0.0) and scalar == 0.0, name
+        cdf = law(np.array([1e-300, 0.5, 1.0, np.inf]), p, family, sic)
+        scalar = law(0.3, p, family, sic)
+    assert np.all(cdf == 1.0) and scalar == 1.0, name
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +416,24 @@ def test_quadrature_order_stability():
     p = make_params()
     base = sop(p, "external_n", "ipsic").value
     t128 = default_table(128)
-    refined = sop(p, "external_n", "ipsic", table=t128).value
+    refined = sop(p, "external_n", "ipsic", batch=an.CascadeBatch(p, t128)).value
     assert abs(refined - base) < 1e-8
+
+
+def test_sop_refuses_a_batch_of_another_operating_point():
+    # a batch fixes the operating point its kernels read, so a call for another
+    # point raises rather than answer with the batch's point
+    cfg = config.load_preset("fig2")
+    low, high = (config.realize_point(cfg, p_tot_dbm, "aris") for p_tot_dbm in (0.0, 32.0))
+    batch = an.CascadeBatch(low)
+    for fn in (sop, sop_asymptotic):
+        with pytest.raises(ValueError, match="operating point"):
+            fn(high, "external_n", "psic", batch=batch)
+    # the batch's own params, or an equal copy of them, share its kernel call
+    assert sop(low, "external_n", "psic", batch=batch) == sop(low, "external_n", "psic")
+    assert sop(replace(low), "external_n", "psic", batch=batch) == sop(low, "external_n", "psic")
+    assert sop(high, "external_n", "psic").value == pytest.approx(0.32288, abs=1e-5)
+    assert sop(low, "external_n", "psic").value == pytest.approx(0.99999681, abs=1e-8)
 
 
 def test_default_table_is_cached():
@@ -636,5 +622,3 @@ def test_dispatch_errors():
         sop_asymptotic(p, "sidelink", "psic")
     with pytest.raises(ValueError):
         law(0.3, p, "user_n", "genie")
-    with pytest.raises(ValueError):
-        law(0.3, p, "eve_f", "genie", density=True)

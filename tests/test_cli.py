@@ -217,6 +217,14 @@ def test_metric_validation():
         parse_config(doc(metric="latency"))
 
 
+def test_config_built_in_python_refuses_an_unknown_metric():
+    # the same check as a config file's, so no sweep prints a throughput
+    # under another metric's name
+    with pytest.raises(ConfigError, match="'metric': must be 'sop' or 'throughput'"):
+        replace(load_preset("fig2"), metric="SOP")
+    assert replace(load_preset("fig2"), metric="throughput").metric == "throughput"
+
+
 def test_sweep_validation():
     with pytest.raises(ConfigError, match="monotone"):
         parse_config(doc(**{"sweep.values": [0.0, 2.0, 1.0]}))
@@ -934,15 +942,15 @@ def _registry_pairs(side):
 
 
 def test_validate_forms_are_the_registry_laws(monkeypatch):
-    # keys: the legitimate (CDF) and wiretap (density) family of every scenario
-    # event, with the SIC mode it reads; entries: law itself
+    # keys: the legitimate and wiretap family of every scenario event, with
+    # the SIC mode it reads; entries: law itself, the CDF
     assert set(cli._CDF_FORMS) == _registry_pairs(0)
     assert set(cli._PDF_FORMS) == _registry_pairs(1)
     assert all(form is an.law for forms in (cli._CDF_FORMS, cli._PDF_FORMS) for form in forms.values())
 
     # validate_point looks every entry up at call time, so a wrapper installed
     # in the tables (as the benchmark's traced pass installs one) sees each call;
-    # it passes the entry's key and asks both tables for the CDF, never density=True
+    # it passes the entry's key and no keyword
     calls = Counter()
     for forms in (cli._CDF_FORMS, cli._PDF_FORMS):
         for key, form in list(forms.items()):
@@ -981,7 +989,6 @@ params = realize_point(load_preset("fig2"), None, "aris")
 for sic in ("ipsic", "psic"):
     analytic.sop(params, "external_n", sic)
 analytic.law([0.5, 2.0], params, "user_n", "ipsic")
-analytic.law([0.5, 2.0], params, "eve_n", "ipsic", density=True)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
@@ -1004,8 +1011,8 @@ def test_no_command_imports_scipy(tmp_path):
 
 
 def test_large_accepted_kappa_warns_nothing(tmp_path):
-    # fig2 (p_tot_dbm 0) at kappa 1e100: the far stream's density slope
-    # overflows a float there, and no SOP, which needs only CDFs, computes it
+    # fig2 (p_tot_dbm 0) at kappa 1e100, whose kappa^2 terms sit near the top
+    # of the float range: no SOP and no analytic command warns
     d = json.loads(resources.files("ris_secrecy").joinpath("presets/fig2.json").read_text())
     d["params"]["kappa"] = 1e100
     cfg = parse_config(d)
