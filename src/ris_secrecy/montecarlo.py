@@ -16,13 +16,14 @@ the element-wise draw (per-element hops, coherent sums) on every receiver's
 gain and norm marginals and on outage counts.  No other closed-form shortcut
 (mean-field norms, mean-SINR thresholds, quadrature) is used here.
 
-Reproducibility: trials are partitioned into fixed blocks of 2**15; block b
-draws from a Philox stream keyed by (seed, b) in a fixed order: (1) with
-shared_hbr, one G for all receivers; (2) for each receiver n, f, e in turn,
-its own G (independent BS-RIS vectors only), then E, then G_perp (np.zeros at
-Q = 1, consuming no variates); (3) the residual-interference powers,
-standard_exponential((BLOCK, 2)).  Trial i therefore regenerates bit-exactly
-from (seed, i) alone: block i // 2**15, row i % 2**15, independent of the
+Reproducibility: trials are partitioned into fixed blocks of 2**13, so each
+per-trial array (64 KiB) stays below glibc's 128 KiB mmap threshold and in L2;
+block b draws from an SFC64 stream keyed by SeedSequence([seed, b]) in a fixed
+order: (1) with shared_hbr, one G for all receivers; (2) for each receiver n,
+f, e in turn, its own G (independent BS-RIS vectors only), then E, then G_perp
+(np.zeros at Q = 1, consuming no variates); (3) the residual-interference
+powers, standard_exponential((BLOCK, 2)).  Trial i regenerates bit-exactly
+from (seed, i) alone: block i // 2**13, row i % 2**13, independent of the
 total trial count and of which cells share the stream or, at equal
 model.LAW_FIELDS, its per-block SINR and outage arrays.  estimate_sop_grid is
 the one walk over a stream: per block it scores outage cells and CDF probes
@@ -52,7 +53,7 @@ __all__ = [
     "sinr_samples",
 ]
 
-BLOCK = 1 << 15
+BLOCK = 1 << 13
 
 # SystemParams fields _draw_block reads: together with the seed and
 # shared_hbr they fix the law of every (seed, block) draw
@@ -93,8 +94,7 @@ def _checked_run(trials, seed) -> None:
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=[int(seed), int(block_index)])
-    return np.random.Generator(np.random.Philox(seed=ss))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([int(seed), int(block_index)])))
 
 
 def _draw_block(params: SystemParams, seed: int, block_index: int, shared_hbr: bool):

@@ -551,7 +551,7 @@ def test_closed_form_sweep_makes_one_kernel_call_per_point(monkeypatch, tmp_path
 
 
 # an active-surface element sweep holding Q: its four points differ only in M and P,
-# one law, over every scenario and SIC mode and all three engines; 40 000 trials are two blocks
+# one law, over every scenario and SIC mode and all three engines; 40 000 trials cut the last block
 ARIS_ELEMENT_SWEEP = {"sweep.variable": "n_elements", "sweep.values": [20.0, 40.0, 60.0, 100.0],
                       "sweep.scenarios": [[s, sic, "aris"] for s in model.SCENARIOS
                                           for sic in model.SIC_MODES],
@@ -564,7 +564,8 @@ def test_points_of_one_law_share_their_batch_and_scoring(monkeypatch):
     monkeypatch.setattr(montecarlo, "_outage_counts", lambda *a: scored.append(a) or real_scored(*a))
     rows = cli.run_sweep(parse_config(doc(**ARIS_ELEMENT_SWEEP)))
     assert len(rows) == 4 * 8 * 3 and sum(r["estimate"] is not None for r in rows) > len(rows) // 2
-    assert (len(kernel), len(scored)) == (1, 2)
+    # one scoring per block of the law's stream, whatever the block size
+    assert (len(kernel), len(scored)) == (1, -(-ARIS_ELEMENT_SWEEP["sweep.trials"] // montecarlo.BLOCK))
 
 
 def test_points_of_one_law_sweep_as_single_value_runs(tmp_path):
@@ -823,7 +824,8 @@ def test_validate_draws_each_pilot_stream_once_per_mode(tmp_path, monkeypatch):
         assert c["montecarlo"] == estimates[c["scenario"], "montecarlo"]
 
 
-@pytest.mark.parametrize("trials, blocks", [(20_000, [0]), (70_000, [0, 1, 2])])
+@pytest.mark.parametrize("trials, blocks", [(t, list(range(-(-t // montecarlo.BLOCK))))
+                                             for t in (20_000, 70_000)])
 def test_validate_draws_each_prefix_block_once_per_call(monkeypatch, trials, blocks):
     # fig2 has two modes on one draw law: one grid call scores both modes' SOP
     # cells and CDF probes, and draws each block of the law's stream once

@@ -13,9 +13,9 @@ keeps the absolute, not the relative, round-off of its operands.  Text (flags,
 statuses, details) must still match.  The Monte Carlo cells are outage counts
 over the trials, which a build moves only where a SINR sits within round-off of
 its threshold.  With numpy's AVX-512 loops disabled (NPY_DISABLE_CPU_FEATURES=
-"X86_V4 AVX512_ICL AVX512_SPR") no Monte Carlo cell of any preset moved, and 9
-validate cells of fig7, fig8, fig10 and fig11 moved by at most 1.1e-16, within
-this rule (fig10's gap 4.22e-14 -> 4.21e-14 is 2.6e-3 relative).  Under that
+"X86_V4 AVX512_ICL AVX512_SPR") no Monte Carlo cell of any preset moved, and 8
+validate cells of fig2, fig8 and fig10 moved by at most 2.2e-16, within this
+rule (fig10's gap 4.22e-14 -> 4.21e-14 is 2.6e-3 relative).  Under that
 build fig10's closed-form throughput cell, at an SOP within 4e-14 of 1, moves
 by 2.6e-3 relative and fails the CSV rule.  The draws come from numpy Generator
 distributions, which a numpy release may change (NEP 19): that shows as a

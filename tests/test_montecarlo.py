@@ -264,10 +264,10 @@ def _straight_line_block(params, seed, block_index, shared_hbr):
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("q", [1, 2, 20])
 def test_draw_bits_match_straight_line_arithmetic(q, shared):
-    # 40 000 trials cut the second block
+    # 40 000 trials cut the last block
     p = make_params(n_active=q, n_elements=2 * q)
     trials = 40_000
-    blocks = [_straight_line_block(p, SEED, b, shared) for b in range(2)]
+    blocks = [_straight_line_block(p, SEED, b, shared) for b in range(-(-trials // BLOCK))]
     draw = sample_draw(p, trials, SEED, shared_hbr=shared)
     for name in (f.name for f in fields(ChannelDraw)):
         want = np.concatenate([getattr(b, name) for b in blocks])[:trials]
@@ -327,7 +327,7 @@ def _lone_outage_count(p, scenario, sic, draw):
 def test_grid_scores_each_family_once_per_point_per_block(monkeypatch):
     # all 16 rows (4 scenarios x 2 SIC x 2 surfaces) at two powers: four
     # operating points on one draw law, cases interleaved across points and
-    # built as equal but distinct SystemParams; 40 000 trials cut the second block
+    # built as equal but distinct SystemParams; 40 000 trials cut the last block
     trials = 40_000
     points = [(surface, p_bs) for surface in (make_params, make_passive) for p_bs in (0.1, 1.0)]
     cases = [(surface(p_bs=p_bs, d_re=40.0), scenario, sic)
@@ -339,7 +339,7 @@ def test_grid_scores_each_family_once_per_point_per_block(monkeypatch):
     grid = estimate_sop_grid(cases, trials, SEED)
     monkeypatch.undo()
     # user_n and eve_n under each SIC mode, user_f, eve_f and internal_f_to_n
-    assert len(calls) == 7 * len(points) * 2
+    assert len(calls) == 7 * len(points) * -(-trials // BLOCK)
     for (p, scenario, sic), res in zip(cases, grid):
         expected = _lone_outage_count(p, scenario, sic, sample_draw(p, trials, SEED))
         assert (res.value, res.trials) == (expected / trials, trials), (p, scenario, sic)
