@@ -15,10 +15,13 @@ over the trials, which a build moves only where a SINR sits within round-off of
 its threshold.  With numpy's AVX-512 loops disabled (NPY_DISABLE_CPU_FEATURES=
 "X86_V4 AVX512_ICL AVX512_SPR") no Monte Carlo cell of any preset moved, and 8
 validate cells of fig2, fig8 and fig10 moved by at most 2.2e-16, within this
-rule (fig10's gap 4.22e-14 -> 4.21e-14 is 2.6e-3 relative).  Under that
-build fig10's closed-form throughput cell, at an SOP within 4e-14 of 1, moves
-by 2.6e-3 relative and fails the CSV rule.  The draws come from numpy Generator
-distributions, which a numpy release may change (NEP 19): that shows as a
+rule (fig10's gap 4.22e-14 -> 4.21e-14 is 2.6e-3 relative).  A throughput
+estimate is (1 - SOP) * rate, whose digits at an SOP within round-off of 1 are
+the round-off of 1 - SOP: under that build fig10's closed-form cell at an SOP
+within 4e-14 of 1 moves by 2.6e-3 relative (one 2**-53 of its rate), so in the
+fallback a throughput estimate also passes within THROUGHPUT_ULPS * 2**-53 *
+rate absolute, rate the one its scenario secures.  The draws come from numpy
+Generator distributions, which a numpy release may change (NEP 19): that shows as a
 fingerprint mismatch and many moved cells.  A mismatch names each moved cell.
 """
 
@@ -35,10 +38,12 @@ import numpy as np
 import pytest
 
 from ris_secrecy import cli
-from ris_secrecy.config import list_presets
+from ris_secrecy.config import list_presets, load_preset, realize_point
+from ris_secrecy.model import scenario_rate
 
 GOLDEN = Path(__file__).parent / "golden"
 RELAXED_RTOL = 1e-12
+THROUGHPUT_ULPS = 8
 ROW_KEY = ("value", "scenario", "sic", "mode", "engine")
 CHECK_KEY = ("check", "scenario", "sic", "mode")
 
@@ -66,21 +71,32 @@ def _leaves(node, path: str):
         yield path, node
 
 
-def _cells(text: bytes) -> list[tuple[str, object]]:
-    """(name, value) of every meta field and every row cell of a sweep CSV."""
+def _secured_rate(preset: str, fields: dict) -> float:
+    """The rate a throughput row's scenario secures at the row's realized point."""
+    value = float(fields["value"]) if fields["value"] else None
+    return scenario_rate(realize_point(load_preset(preset), value, fields["mode"]), fields["scenario"])
+
+
+def _cells(text: bytes) -> list[tuple[str, object, float]]:
+    """(name, value, rate) of every meta field and every row cell of a sweep CSV; rate is
+    the secured rate of a throughput estimate (_secured_rate) and 0.0 for any other cell."""
     meta, header, *rows = text.decode("utf-8").splitlines()
-    cells = list(_leaves(json.loads(meta.removeprefix("# meta ")), "meta"))
+    doc = json.loads(meta.removeprefix("# meta "))
+    cells = [(name, value, 0.0) for name, value in _leaves(doc, "meta")]
     columns = header.split(",")
     for i, row in enumerate(csv.reader(rows)):
         fields = dict(zip(columns, row))
         where = f"row {i} ({', '.join(fields[k] for k in ROW_KEY)})"
-        cells += [(f"{where} {column}", value) for column, value in fields.items()]
+        rate = (_secured_rate(doc["name"], fields)
+                if fields["metric"] == "throughput" and fields["estimate"] else 0.0)
+        cells += [(f"{where} {column}", value, rate if column == "estimate" else 0.0)
+                  for column, value in fields.items()]
     return cells
 
 
-def _checks(text: bytes) -> list[tuple[str, object]]:
-    """(name, value) of every field of every check of a `validate --json` report."""
-    return [(f"check {i} ({', '.join(check[k] for k in CHECK_KEY)}) {field}", value)
+def _checks(text: bytes) -> list[tuple[str, object, float]]:
+    """(name, value, 0.0) of every field of every check of a `validate --json` report."""
+    return [(f"check {i} ({', '.join(check[k] for k in CHECK_KEY)}) {field}", value, 0.0)
             for i, check in enumerate(json.loads(text)["checks"]) for field, value in check.items()]
 
 
@@ -93,13 +109,16 @@ def _same(want, got, rtol: float, atol: float) -> bool:
         return False
 
 
-def moved_cells(want: bytes, got: bytes, rtol: float, cells=_cells, atol: float = 0.0) -> list[str]:
+def moved_cells(want: bytes, got: bytes, rtol: float, cells=_cells, atol: float = 0.0,
+                ulps: int = 0) -> list[str]:
     """'name: golden -> now' for each cell of got that differs from want beyond rtol
-    relative and atol absolute; cells splits a file into named cells (_cells: a CSV)."""
+    relative and atol absolute, or for a cell with a rate, beyond ulps * 2**-53 * rate
+    absolute; cells splits a file into named cells (_cells: a CSV)."""
     old, new = cells(want), cells(got)
-    if [name for name, _ in old] != [name for name, _ in new]:
+    if [cell[0] for cell in old] != [cell[0] for cell in new]:
         return [f"the rows themselves: {len(old)} golden cells, {len(new)} now"]
-    return [f"{name}: {a!r} -> {b!r}" for (name, a), (_, b) in zip(old, new) if not _same(a, b, rtol, atol)]
+    return [f"{name}: {a!r} -> {b!r}" for (name, a, rate), (_, b, _) in zip(old, new)
+            if not _same(a, b, rtol, max(atol, ulps * 2.0**-53 * rate))]
 
 
 def test_every_preset_has_a_golden():
@@ -117,8 +136,9 @@ def _matches_golden(golden: Path, got: bytes, cells=_cells, atol: float = 0.0):
         assert got == want, f"{name}: {len(moved)} cells moved:\n" + "\n".join(moved or ["(bytes only)"])
         return
     warnings.warn(f"{name}: numpy build differs from tests/golden/FINGERPRINT.json; "
-                  f"compared within {RELAXED_RTOL:g} relative or {atol:g} absolute, not byte for byte")
-    moved = moved_cells(want, got, RELAXED_RTOL, cells, atol)
+                  f"compared within {RELAXED_RTOL:g} relative or {atol:g} absolute ({THROUGHPUT_ULPS} "
+                  "* 2**-53 * rate for a throughput estimate), not byte for byte")
+    moved = moved_cells(want, got, RELAXED_RTOL, cells, atol, THROUGHPUT_ULPS)
     assert not moved, f"{name}: {len(moved)} cells moved beyond the bound:\n" + "\n".join(moved)
 
 
@@ -168,3 +188,31 @@ def test_moved_checks_are_named():
     c = doc["checks"][0]
     [moved] = moved_cells(want, got, RELAXED_RTOL, _checks, RELAXED_RTOL)
     assert moved.startswith(f"check 0 ({c['check']}, {c['scenario']}, {c['sic']}, {c['mode']}) gap: "), moved
+
+
+def test_throughput_floor_admits_only_the_round_off_of_one_minus_sop():
+    # fig10's 0 dBm internal/ipSIC/aris throughput (1 - SOP) r_n, at an SOP within 4e-14 of
+    # 1, as a numpy build without AVX-512 dispatch computes it: 2.6e-3 relative, 1 * 2**-53 r_n
+    want = (GOLDEN / "fig10.csv").read_bytes()
+    got = want.replace(b",6.328271240363392e-15,", b",6.311617894994015e-15,")
+    [moved] = moved_cells(want, got, RELAXED_RTOL)
+    assert moved.startswith("row 0 (0.0, internal, ipsic, aris, analytic) estimate: "), moved
+    assert moved_cells(want, got, RELAXED_RTOL, ulps=THROUGHPUT_ULPS) == []
+    # while its SOP moved by 1e-12 relative moves it by 1e-12 r_n, which is named
+    sop_moved = repr(6.328271240363392e-15 + 1e-12 * load_preset("fig10").params.r_n).encode()
+    got = want.replace(b",6.328271240363392e-15,", b"," + sop_moved + b",")
+    assert len(moved_cells(want, got, RELAXED_RTOL, ulps=THROUGHPUT_ULPS)) == 1
+    # the floor gives an SOP no slack: each nonzero SOP cell of every golden sweep, moved
+    # just past 1e-12 relative, is still named (a throughput cell is not an SOP cell)
+    nudged = 0
+    for path in sorted(GOLDEN.glob("*.csv")) + sorted(GOLDEN.glob("montecarlo/*.csv")):
+        meta, header, *lines = path.read_text(encoding="utf-8").split("\n")
+        rows = list(csv.reader(lines))
+        sop = [i for i, row in enumerate(rows) if row and row[6] == "sop" and float(row[7] or 0.0)]
+        for i in sop:
+            rows[i][7] = repr(float(rows[i][7]) * (1.0 + 1.01 * RELAXED_RTOL))
+        got = "\n".join([meta, header, *(",".join(row) for row in rows)]).encode("utf-8")
+        moved = moved_cells(path.read_bytes(), got, RELAXED_RTOL, ulps=THROUGHPUT_ULPS)
+        assert len(moved) == len(sop), (path.name, moved)
+        nudged += len(sop)
+    assert nudged > 200

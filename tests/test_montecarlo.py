@@ -2,8 +2,9 @@
 
 Groups: the projected draw against the element-wise reference sampler
 (two-sample tests on every receiver's gain and norm marginals and on outage
-counts); first-moment agreement of the raw draws with the channel model;
-empirical SINR CDFs against the closed forms at seeded grid points;
+counts); the Gamma sampler against the Gamma law; first-moment agreement
+of the raw draws with the channel model; empirical SINR CDFs against the
+closed forms at seeded grid points;
 bit-exact reproducibility (same-seed identity, trial-count prefix
 property, draw bits against straight-line arithmetic, grid-versus-single
 equality, CDF probes against sorted samples, seed separation); structural
@@ -19,14 +20,17 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.stats import ks_2samp
+from scipy.stats import gamma as gamma_law
+from scipy.stats import ks_2samp, kstest
 
 from ris_secrecy import analytic as an
 from ris_secrecy import config, model, montecarlo
 from ris_secrecy.montecarlo import (
     BLOCK,
+    ERLANG_MAX,
     ChannelDraw,
     _block_rng,
+    _gamma,
     _outage_counts,
     empirical_sinr_cdfs,
     estimate_sop,
@@ -230,6 +234,18 @@ def test_same_seed_is_bit_identical():
     np.testing.assert_array_equal(da.ip_eve, db.ip_eve)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_gamma_sampler_follows_the_gamma_law(k):
+    # 2**16 variates against the Gamma(k) CDF, at the oracle tests' p-value floor
+    rng = _block_rng(SEED, k)
+    sample = np.concatenate([_gamma(rng, k) for _ in range(2**16 // BLOCK)])
+    assert kstest(sample, gamma_law(k).cdf).pvalue > 1e-4
+    # above ERLANG_MAX the sampler is numpy's own, bit for bit from the same state
+    if k > ERLANG_MAX:
+        a, b = _block_rng(SEED, 0), _block_rng(SEED, 0)
+        assert np.array_equal(_gamma(a, k), b.standard_gamma(k, BLOCK))
+
+
 def test_trial_count_prefix_property():
     # trial i is keyed by (seed, i) alone, so a longer run must start with
     # exactly the rows of a shorter run
@@ -241,19 +257,27 @@ def test_trial_count_prefix_property():
     np.testing.assert_array_equal(short.ip_user, long.ip_user[:5])
 
 
+def _straight_line_gamma(rng, k):
+    # Gamma(k) as the Erlang product of k rows of uniforms up to ERLANG_MAX (at k = 0
+    # no rows and -ln 1 = -0.0, which adds to E as zeros do), standard_gamma above it
+    if k > ERLANG_MAX:
+        return rng.standard_gamma(k, BLOCK)
+    return -np.log(np.prod(1.0 - rng.random((k, BLOCK)), axis=0))
+
+
 def _straight_line_block(params, seed, block_index, shared_hbr):
     # one block in the canonical generation order, with the projection
     # identities written as plain expressions: the engine must give these bits
     q = params.n_active
     rng = _block_rng(seed, block_index)
     omega_br = model.mean_channel_gain(params.d_br, params.alpha_p, params.beta0)
-    shared = rng.standard_gamma(q, BLOCK) if shared_hbr else None
+    shared = _straight_line_gamma(rng, q) if shared_hbr else None
     arrays = {}
     for r in RECEIVERS:
         omega_r = model.mean_channel_gain(getattr(params, f"d_r{r}"), params.alpha_p, params.beta0)
-        g = rng.standard_gamma(q, BLOCK) if shared is None else shared
+        g = _straight_line_gamma(rng, q) if shared is None else shared
         e = rng.standard_exponential(BLOCK)
-        g_perp = rng.standard_gamma(q - 1, BLOCK) if q > 1 else np.zeros(BLOCK)
+        g_perp = _straight_line_gamma(rng, q - 1)
         arrays[f"cascaded_gain_{r}"] = omega_br * omega_r * g * e
         arrays[f"norm_{r}"] = omega_r * (e + g_perp)
     ip = rng.standard_exponential((BLOCK, 2))
@@ -262,9 +286,10 @@ def _straight_line_block(params, seed, block_index, shared_hbr):
 
 
 @pytest.mark.parametrize("shared", [False, True])
-@pytest.mark.parametrize("q", [1, 2, 20])
+@pytest.mark.parametrize("q", [1, 2, 6, 7, 20])
 def test_draw_bits_match_straight_line_arithmetic(q, shared):
-    # 40 000 trials cut the last block
+    # 40 000 trials cut the last block; q = 6 draws every Gamma variate as an
+    # Erlang product, q = 7 G from standard_gamma and G_perp as a product
     p = make_params(n_active=q, n_elements=2 * q)
     trials = 40_000
     blocks = [_straight_line_block(p, SEED, b, shared) for b in range(-(-trials // BLOCK))]
@@ -305,7 +330,8 @@ def test_grid_groups_mixed_draw_laws():
 def test_element_split_at_fixed_q_changes_no_estimate():
     # the grid scores one point per law (model.LAW_FIELDS, every field but M and
     # P): an estimator that read either would differ between these splits
-    base = make_params(n_active=4, n_elements=8, n_groups=2, d_re=40.0)
+    # at 20 dBm every guarded closed-form SOP lies in [0.44, 0.83]
+    base = make_params(n_active=4, n_elements=8, n_groups=2, d_re=40.0, p_bs=0.1)
     splits = [replace(base, n_groups=groups, n_elements=4 * groups) for groups in (1, 5)]
     for scenario in model.SCENARIOS:
         for sic in model.SIC_MODES:
