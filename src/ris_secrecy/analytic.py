@@ -9,7 +9,8 @@ threshold (model.secrecy_threshold) but deliberately not that mean-field step,
 which is what the cross-engine tolerances in the tests measure.
 
 One kdist_cdf call serves a distinct law (model.LAW_FIELDS): the sweep executor
-plans all of its closed-form cells into one CascadeBatch, and a bare sop is a
+plans all of its closed-form cells into one CascadeBatch, validate plans its CDF
+check points (CascadeBatch.probe) beside them, and a bare sop or law is a
 one-cell batch.  Only sop takes a union of events, built from their kernels.
 """
 
@@ -115,17 +116,16 @@ def _cdf(out, capped, table: QuadratureTable):
 
 def law(x, params, family: str, sic: str):
     """CDF, clipped to [0, 1], of a SINR_FAMILIES key's SINR under `sic` at scalar
-    or array x >= 0 for the SystemParams params.
+    or array x >= 0 for the SystemParams params: a one-probe CascadeBatch read.
 
     Where the family takes SIC, ipSIC averages the conditional cascade CDF over
     the exponential residual power on the default order-64 Gauss-Laguerre table.
     The far-stream families saturate at the NOMA ceiling a_f/a_n: from there on
     the CDF is exactly 1.
     """
-    dc, table = derive(params), default_table()
-    z, capped = _cascade(dc, SINR_FAMILIES[family], sic, np.asarray(x, dtype=float).ravel(), table)
-    out = np.clip(_cdf(kdist_cdf(dc.params.n_active, z), capped, table), 0.0, 1.0)
-    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+    batch, x = CascadeBatch(params), np.asarray(x, dtype=float)
+    out = batch.cdf(batch.probe(family, sic, x.ravel()))
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def law_points(params, family: str, sic: str, probs) -> np.ndarray:
@@ -163,9 +163,10 @@ _LEGIT_SCALE = {("internal_f_to_n", "ipsic"): "omega_ipe"}
 
 
 class CascadeBatch:
-    """Outage kernels of closed-form cells at one operating point and table.  The
-    first read of a plan evaluates every argument registered so far with one
-    kdist_cdf call, element-wise exact, so no value depends on its neighbours."""
+    """Outage kernels of closed-form cells, and CDF probes of SINR families, at one
+    operating point and table.  The first read of a plan or probe evaluates every
+    argument registered or probed so far with one kdist_cdf call, element-wise
+    exact, so no value depends on its neighbours: a cell, a probe and law alike."""
 
     def __init__(self, params, table: QuadratureTable | None = None):
         self.dc, self.table = derive(params), table or default_table()
@@ -203,20 +204,37 @@ class CascadeBatch:
         self._pending.append(z)
         return len(self._values) + len(self._pending) - 1, w, capped, z
 
+    def probe(self, family: str, sic: str, x) -> tuple:
+        """Plan (slot, ceiling mask) of a SINR_FAMILIES key's CDF under sic at the 1-D
+        points x: the family's cascade argument, with no threshold average."""
+        z, capped = _cascade(self.dc, SINR_FAMILIES[family], sic, x, self.table)
+        self._pending.append(z)
+        return len(self._values) + len(self._pending) - 1, capped
+
+    def _kernel(self, slot: int) -> np.ndarray:
+        """kdist_cdf values of a slot's argument; the first read of a pending slot
+        evaluates every pending argument in one call."""
+        if slot >= len(self._values):
+            pending, self._pending = self._pending, []
+            flat = kdist_cdf(self.dc.params.n_active, np.concatenate([z.ravel() for z in pending]))
+            start = 0
+            for z in pending:
+                self._values.append(flat[start:start + z.size].reshape(z.shape))
+                start += z.size
+        return self._values[slot]
+
+    def cdf(self, probe) -> np.ndarray:
+        """A probe's CDF at its points, clipped to [0, 1]."""
+        slot, capped = probe
+        return np.clip(_cdf(self._kernel(slot), capped, self.table), 0.0, 1.0)
+
     def outage(self, plan) -> tuple[float, bool]:
         """A plan's kernel value, the legitimate CDF averaged over the thresholds (1.0
         where it is 1.0 at every one), and whether every threshold sits at the NOMA
         ceiling (a certain event); memoized per plan, so a union reuses its events'."""
         slot, w, capped, _ = plan
         if slot not in self._outages:
-            if slot >= len(self._values):
-                pending, self._pending = self._pending, []
-                flat = kdist_cdf(self.dc.params.n_active, np.concatenate([z.ravel() for z in pending]))
-                start = 0
-                for z in pending:
-                    self._values.append(flat[start:start + z.size].reshape(z.shape))
-                    start += z.size
-            cdf = _cdf(self._values[slot], capped, self.table)
+            cdf = _cdf(self._kernel(slot), capped, self.table)
             self._outages[slot] = (1.0 if (cdf == 1.0).all() else float(cdf @ w)), bool(capped.all())
         return self._outages[slot]
 

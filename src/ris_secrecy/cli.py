@@ -204,7 +204,7 @@ def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
     return [_row(cfg, cfg.sweep.variable, cell) for cell in _run_cells(cfg, cfg.sweep.values)]
 
 
-def _run_cells(cfg: ScenarioConfig, values) -> list[Cell]:
+def _run_cells(cfg: ScenarioConfig, values, probe=None) -> list[Cell]:
     """One Cell per (value, scenario row, engine) of the config, value-major, then in
     scenario and engine order, all exactly as configured; value None is the base
     point.  Each (value, mode) point is realized once.  All Monte Carlo cells, of
@@ -212,27 +212,33 @@ def _run_cells(cfg: ScenarioConfig, values) -> list[Cell]:
     estimates match individual estimate_sop calls bit for bit.  Per law (points
     equal on model.LAW_FIELDS, so differing at most in M and P) one CascadeBatch
     plans every closed-form cell, so one kdist_cdf call evaluates them, and each
-    (scenario, sic, engine) of the law is one sop or sop_asymptotic call."""
+    (scenario, sic, engine) of the law is one sop or sop_asymptotic call.
+    probe(mode, point, batch), if given, is called with each feasible realized point
+    and its law's CascadeBatch before any cell is read: what it plans there shares
+    the law's kernel call."""
     # rows: (value, scenario, sic, mode, point, law id); laws: law -> its id, cheaper to hash
-    sweep, rows, laws = cfg.sweep, [], {}
+    # batches: law id -> its CascadeBatch
+    sweep, rows, laws, batches = cfg.sweep, [], {}, {}
     for value in values:
         points = {}  # mode -> (point, law id), the id None where the point is infeasible
         for scenario, sic, mode in sweep.scenarios:
             if mode not in points:
                 try:
                     point = realize_point(cfg, value, mode)
-                    points[mode] = point, laws.setdefault(
-                        tuple(getattr(point, name) for name in model.LAW_FIELDS), len(laws))
+                    law = laws.setdefault(tuple(getattr(point, name) for name in model.LAW_FIELDS), len(laws))
                 except BudgetInfeasibleError as exc:
                     # kept without its traceback, whose frame (this one) would hold it in a cycle
-                    points[mode] = exc.with_traceback(None), None
+                    point, law = exc.with_traceback(None), None
+                points[mode] = point, law
+                if probe is not None and law is not None:
+                    probe(mode, point, batches.get(law) or batches.setdefault(law, CascadeBatch(point)))
             rows.append((None if value is None else float(value), scenario, sic, mode, *points[mode]))
 
     cases = [(point, scenario, sic) for _, scenario, sic, _, point, law in rows if law is not None]
     # no grid call without Monte Carlo cells: the traced benchmark counts grid calls
     mc = iter(estimate_sop_grid(cases, sweep.trials, sweep.seed)
               if cases and "montecarlo" in sweep.engines else ())
-    batches, closed = {}, {}  # by law id: its CascadeBatch; by (law id, scenario, sic, engine): estimate
+    closed = {}  # by (law id, scenario, sic, engine): estimate
     for _, scenario, sic, _, point, law in rows:
         for engine in sweep.engines if law is not None else ():
             if engine != "montecarlo" and (law, scenario, sic, engine) not in closed:
@@ -273,16 +279,16 @@ def _cmd_table(args, engines=()) -> int:
 
 
 def _forms(side: int) -> dict:
-    """validate's closed form, law, keyed by (SINR family, the SIC mode it reads) for
-    the legitimate (side 0) or wiretap (side 1) family of every scenario event.
-    validate looks entries up at call time, so a wrapper installed here sees each call."""
+    """law keyed by (SINR family, the SIC mode it reads) for the legitimate (side 0)
+    or wiretap (side 1) family of every scenario event."""
     keys = {(event[side], model.SINR_FAMILIES[event[side]].sic_for(sic))
             for events in model.SCENARIOS.values() for event in events for sic in model.SIC_MODES}
     return dict.fromkeys(sorted(keys), law)
 
 
+# the legitimate and wiretap CDFs; validate reads neither (its check points share
+# their point's kernel call), and the names stay only because perfbench/spans.py wraps them
 _CDF_FORMS = _forms(0)
-# the wiretap CDFs; the name stays only for the traced pass, which perfbench/spans.py wraps by it
 _PDF_FORMS = _forms(1)
 
 
@@ -309,16 +315,33 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     a zero-mean-gain receiver are skipped, and so are rows of several events, which
     are not scored (a config of only such rows realizes no point and draws nothing);
     their detail names their events' per-user rows and whether each is configured.
-    One analytic _run_cells call gives the closed forms and points, joined by key,
-    and one estimate_sop_grid call scores the executor's SOP cells and every CDF
-    probe, so each (draw law, seed, block) is drawn once.
+    One analytic _run_cells call gives the closed forms and points, joined by key:
+    each check's closed-form CDF is a probe planned into its point's CascadeBatch,
+    so one kdist_cdf call per realized point evaluates its SOP cells and check
+    points alike.  One estimate_sop_grid call scores the executor's SOP cells and
+    every CDF probe, so each (draw law, seed, block) is drawn once.
     """
     singles = tuple(row for row in cfg.sweep.scenarios if len(model.SCENARIOS[row[0]]) == 1)
     users = {events[0]: name for name, events in model.SCENARIOS.items() if len(events) == 1}
+    probes = {}  # (mode, family, SIC read) -> (points, their CascadeBatch, its probe or None)
+
+    def plan_probes(mode, point, batch):
+        # one check per mode and (family, SIC read), of the kind of the first row to read it;
+        # psic for families the SIC mode does not enter
+        for scenario, sic, _ in (row for row in singles if row[2] == mode):
+            for kind, family in zip(("cdf", "pdf"), model.SCENARIOS[scenario][0]):
+                key = (family, model.SINR_FAMILIES[family].sic_for(sic))
+                if (mode, *key) not in probes:
+                    points = law_points(point, *key, _PROBS[kind])
+                    # an unreachable receiver or a zero power share (zero mean gain) puts every point at 0
+                    ok = np.isfinite(points).all() and 0.0 < points[0] < points[-1]
+                    probes[mode, *key] = points, batch, batch.probe(*key, points) if ok else None
+
     cells = {(c.scenario, c.sic, c.mode): c for c in _run_cells(dataclasses.replace(
         cfg, sweep=dataclasses.replace(cfg.sweep, scenarios=singles, engines=("analytic",))),
-        (None,))} if singles else {}
-    checks, cases, jobs, planned = [], [], [], set()  # jobs: (check index, point, closed form or points)
+        (None,), plan_probes)} if singles else {}
+    # jobs: (check index, the point or the probe points, the closed form)
+    checks, cases, jobs = [], [], []
     for scenario, sic, mode in cfg.sweep.scenarios:
         base = {"check": "sop", "scenario": scenario, "sic": sic, "mode": mode}
         events = model.SCENARIOS[scenario]
@@ -336,30 +359,27 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
         jobs.append((len(checks), cell.point, cell.estimate))
         cases.append((cell.point, scenario, sic))
         checks.append(base)
-        # one check per mode and (family, SIC read); psic for families the SIC mode does not enter
         for kind, family in zip(("cdf", "pdf"), events[0]):
             key = (family, model.SINR_FAMILIES[family].sic_for(sic))
-            if (mode, *key) in planned:
+            if (mode, *key) not in probes:  # checked by an earlier row
                 continue
-            planned.add((mode, *key))
+            points, batch, probe = probes.pop((mode, *key))
             check = {"check": kind, "scenario": family, "sic": key[1], "mode": mode}
-            points = law_points(cell.point, *key, _PROBS[kind])
-            # an unreachable receiver or a zero power share (zero mean gain) puts every point at 0
-            if not (np.isfinite(points).all() and 0.0 < points[0] < points[-1]):
+            if probe is None:
                 why = "degenerate SINR (zero mean gain)" if kind == "cdf" else "zero mean gain at the wiretap"
                 checks.append({**check, "status": "skip", "detail": why})
                 continue
-            jobs.append((len(checks), cell.point, points))
+            jobs.append((len(checks), points, batch.cdf(probe)))
             cases.append((cell.point, *key, points))
             checks.append(check)
 
-    for (i, point, ref), result in zip(jobs, estimate_sop_grid(cases, trials, seed)):
+    for (i, at, ref), result in zip(jobs, estimate_sop_grid(cases, trials, seed)):
         if checks[i]["check"] != "sop":
-            checks[i] = _distribution_check(checks[i], point, ref, result, trials)
+            checks[i] = _distribution_check(checks[i], at, ref, result, trials)
             continue
         a, m = ref.value, result.value
         tol = sop_tolerance(a, m, result.stderr, checks[i]["mode"], checks[i]["sic"],
-                            scenario_rate(point, checks[i]["scenario"]))
+                            scenario_rate(at, checks[i]["scenario"]))
         checks[i] = _verdict(checks[i], abs(a - m), tol, f"analytic={a:.6g} mc={m:.6g} tol={tol:.3g}",
                              analytic=a, montecarlo=m)
     return checks
@@ -375,19 +395,18 @@ def _verdict(check: dict, gap: float, tol: float, detail: str, **values) -> dict
             "gap": gap, "tolerance": tol, "detail": detail}
 
 
-def _distribution_check(check: dict, params, points, emp, trials: int) -> dict:
+def _distribution_check(check: dict, points, closed, emp, trials: int) -> dict:
     """A CDF check at its worst decile (largest gap less tolerance), or a wiretap check
-    of the closed-form mass F(hi) - F(lo) between its quartiles against the empirical mass."""
-    key = (check["scenario"], check["sic"])
+    of the closed-form mass F(hi) - F(lo) between its quartiles against the empirical
+    mass; closed holds the closed-form CDF at the points."""
     if check["check"] == "cdf":
-        closed = np.asarray(_CDF_FORMS[key](points, params, *key), dtype=float)
         tols = 3.0 * np.sqrt(np.maximum(closed * (1.0 - closed), 1e-12) / trials) + 0.005
         gaps = np.abs(emp - closed)
         worst = int(np.argmax(gaps - tols))
         gap, tol = float(gaps[worst]), float(tols[worst])
         return _verdict(check, gap, tol, f"max|F_mc-F|={float(np.max(gaps)):.4g} "
                                          f"at x={float(points[worst]):.4g} tol={tol:.3g}")
-    (lo, hi), (f_lo, f_hi) = points, np.asarray(_PDF_FORMS[key](points, params, *key), dtype=float)
+    (lo, hi), (f_lo, f_hi) = points, closed
     mass, emp_mass = float(f_hi - f_lo), float(emp[1] - emp[0])
     tol = 3.0 * math.sqrt(max(emp_mass * (1.0 - emp_mass), 1e-12) / trials) + 0.025 * max(emp_mass, mass)
     return _verdict(check, abs(mass - emp_mass), tol,

@@ -162,16 +162,12 @@ def sample_draw(
 def _outage_counts(params, cells, draw: ChannelDraw) -> list:
     """Counts of one operating point's cells on one draw: per (scenario, sic) outage
     cell the trials in outage, per (family, sic, points) probe the trials with SINR
-    <= each point.  Each SINR under the SIC mode it reads, its sorted copy and each
-    outage event is evaluated once, whichever cells read it."""
+    <= each point (ties count), one comparison per point.  Each SINR under the SIC
+    mode it reads and each outage event is evaluated once, whichever cells read it."""
 
     @functools.cache
     def gamma(family, sic):
         return model.sinr(family, params, draw, sic)
-
-    @functools.cache
-    def ranked(family, sic):
-        return np.sort(gamma(family, sic))
 
     @functools.cache
     def fired(legit, eve, rate, sic_legit, sic_eve):
@@ -181,7 +177,8 @@ def _outage_counts(params, cells, draw: ChannelDraw) -> list:
     counts = []
     for name, sic, *points in cells:
         if points:
-            counts.append(np.searchsorted(ranked(name, reads[name, sic]), points[0], side="right"))
+            sample = gamma(name, reads[name, sic])
+            counts.append(np.array([np.count_nonzero(sample <= x) for x in points[0]]))
             continue
         masks = [fired(legit, eve, rate, reads[legit, sic], reads[eve, sic])
                  for legit, eve, rate in model.SCENARIOS[name]]

@@ -11,6 +11,7 @@ error paths.
 """
 
 import math
+import pickle
 import re
 import warnings
 from dataclasses import fields, replace
@@ -434,6 +435,50 @@ def test_sop_refuses_a_batch_of_another_operating_point():
     assert sop(replace(low), "external_n", "psic", batch=batch) == sop(low, "external_n", "psic")
     assert sop(high, "external_n", "psic").value == pytest.approx(0.32288, abs=1e-5)
     assert sop(low, "external_n", "psic").value == pytest.approx(0.99999681, abs=1e-8)
+
+
+def test_probes_share_the_batch_and_move_no_cell(monkeypatch):
+    # CDF probes planned beside the SOP cells of one CascadeBatch, before and after
+    # them, share their one kdist_cdf call, change no sop or sop_asymptotic value by
+    # a single bit, and each reads law called alone bit for bit: pSIC and ipSIC
+    # families, the capped rows (user_f, eve_f) and points at the NOMA ceiling
+    requests = [(family, sic) for family in SINR_FAMILIES for sic in SIC_MODES]
+    cells = [(fn, scenario, sic) for fn in (sop, sop_asymptotic) for scenario in SCENARIOS for sic in SIC_MODES]
+
+    def read(p, batch):
+        out = []
+        for fn, scenario, sic in cells:
+            try:
+                out.append(fn(p, scenario, sic, batch=batch))
+            except UnsupportedScenarioError:
+                out.append(None)
+        return out
+
+    calls = []
+    monkeypatch.setattr(an, "kdist_cdf", lambda q, z, _real=an.kdist_cdf: calls.append(z.size) or _real(q, z))
+    for p in (make_params(), make_params(a_f=0.9, a_n=0.1, r_f=4.0),
+              make_params(kappa=1.0, sigma2_t=0.0, n_active=1, n_elements=2, n_groups=2)):
+        alone = read(p, None)
+        ceiling = p.a_f / p.a_n
+        points = [np.append(law_points(p, family, sic, np.linspace(0.1, 0.9, 9)),
+                            [0.0, ceiling * (1.0 - 1e-9), ceiling, 2.0 * ceiling]) for family, sic in requests]
+        assert all(np.isfinite(x).all() for x in points)
+        batch = an.CascadeBatch(p)
+        calls.clear()
+        probes = [batch.probe(*request, x) for request, x in zip(requests[:4], points[:4])]
+        for _, scenario, sic in cells[:len(cells) // 2]:
+            for engine in ("analytic", "asymptotic"):
+                batch.plan(scenario, sic, engine)
+        probes += [batch.probe(*request, x) for request, x in zip(requests[4:], points[4:])]
+        assert pickle.dumps(read(p, batch)) == pickle.dumps(alone)
+        assert len(calls) == 1
+        for request, x, probe in zip(requests, points, probes):
+            got = batch.cdf(probe)
+            assert np.array_equal(got, law(x, p, *request)), request
+            assert got[-4] == 0.0
+            if SINR_FAMILIES[request[0]].capped:
+                assert got[-2] == got[-1] == 1.0, request
+        assert len(calls) == 1 + len(requests)  # law's own batches, one call each
 
 
 def test_default_table_is_cached():

@@ -950,21 +950,21 @@ def test_validate_forms_are_the_registry_laws(monkeypatch):
     assert set(cli._PDF_FORMS) == _registry_pairs(1)
     assert all(form is an.law for forms in (cli._CDF_FORMS, cli._PDF_FORMS) for form in forms.values())
 
-    # validate_point looks every entry up at call time, so a wrapper installed
-    # in the tables (as the benchmark's traced pass installs one) sees each call;
-    # it passes the entry's key and no keyword
-    calls = Counter()
-    for forms in (cli._CDF_FORMS, cli._PDF_FORMS):
-        for key, form in list(forms.items()):
-            monkeypatch.setitem(forms, key, lambda x, params, *args, _form=form, **kw:
-                                calls.update([(*args, kw.get("density", False))])
-                                or _form(x, params, *args, **kw))
+    # validate reads neither table: the check points of a realized point share its
+    # SOP cells' kernel call, so k realized points make exactly k kdist_cdf calls
+    calls = []
+    kdist = an.kdist_cdf
+    monkeypatch.setattr(an, "kdist_cdf", lambda *args: calls.append(args[1].size) or kdist(*args))
     rows = [["external_n", "ipsic", "aris"], ["external_n", "psic", "aris"],
-            ["external_f", "psic", "aris"], ["internal", "psic", "aris"]]
+            ["external_f", "psic", "aris"], ["internal", "psic", "aris"], ["external_n", "psic", "pris"]]
     cfg = parse_config(doc(**{"sweep.scenarios": rows, "sweep.trials": 3000}))
+    realized = []
+    realize = cli.realize_point
+    monkeypatch.setattr(cli, "realize_point", lambda *args: realized.append(args[2]) or realize(*args))
     checks = cli.validate_point(cfg, cfg.sweep.trials, cfg.sweep.seed)
-    assert sum(c["check"] != "sop" and c["status"] != "skip" for c in checks) == 7
-    assert calls == Counter([(*key, False) for key in [*cli._CDF_FORMS, *cli._PDF_FORMS]])
+    assert sum(c["check"] != "sop" and c["status"] != "skip" for c in checks) == 9
+    assert realized == ["aris", "pris"]
+    assert len(calls) == len(realized)
 
 
 SCIPY_BLOCKER = """
