@@ -58,12 +58,10 @@ class DegenerateCurveError(ValueError):
     """Diversity slope undefined (too few or non-finite points, zero SOP, or repeated abscissa)."""
 
 
-_TABLES: dict[int, QuadratureTable] = {}
-
-
+@functools.cache
 def default_table(order: int = DEFAULT_ORDER) -> QuadratureTable:
     """Cached Gauss-Laguerre table; order 64 unless the caller overrides."""
-    return _TABLES.get(order) or _TABLES.setdefault(order, gauss_laguerre(order))
+    return gauss_laguerre(order)
 
 
 def _clamped(value: float, provenance: str, extra_flags: tuple[str, ...] = ()) -> SopEstimate:
@@ -102,16 +100,6 @@ def _cascade(dc: DerivedConstants, fam: SinrFamily, sic: str, x, table: Quadratu
     denom = c_f - x * c_n
     capped = denom <= _CEILING_GUARD * c_f
     return np.where(capped, 0.0, z / np.where(capped, 1.0, denom)), capped
-
-
-def _cdf(out, capped, table: QuadratureTable):
-    """Unclipped CDF from the kdist_cdf values at the arguments of _cascade, averaged
-    over a quadrature axis; exactly 1 at the NOMA ceiling and where every node reads 1,
-    whatever the weight round-off.  The outage mass, not 1 - survival, keeps its
-    relative accuracy in the tail."""
-    if out.ndim == 2:  # kdist_cdf values lie in [0, 1]: a row is all 1.0 where its min is
-        capped, out = capped | (out.min(axis=-1) == 1.0), out @ table.weights
-    return np.where(capped, 1.0, out)
 
 
 def law(x, params, family: str, sic: str):
@@ -164,16 +152,18 @@ _LEGIT_SCALE = {("internal_f_to_n", "ipsic"): "omega_ipe"}
 
 class CascadeBatch:
     """Outage kernels of closed-form cells, and CDF probes of SINR families, at one
-    operating point and table.  The first read of a plan or probe evaluates every
-    argument registered or probed so far with one kdist_cdf call, element-wise
-    exact, so no value depends on its neighbours: a cell, a probe and law alike."""
+    operating point and table.  Each is a slot, an index into args: per slot the cascade
+    argument, its ceiling mask and the threshold weights (None for a probe).  The first
+    read of a slot evaluates every argument planned so far with one kdist_cdf call,
+    element-wise exact, so no value depends on its neighbours: a cell, a probe and law
+    alike."""
 
     def __init__(self, params, table: QuadratureTable | None = None):
         self.dc, self.table = derive(params), table or default_table()
-        self._plans, self._pending, self._values, self._outages = {}, [], [], {}
+        self.args, self._cdfs, self._plans, self._outages = [], [], {}, {}
 
-    def plan(self, scenario: str, sic: str, engine: str = "analytic") -> list:
-        """A cell's kernel plans, memoized per (event, SIC, engine): one per event for
+    def plan(self, scenario: str, sic: str, engine: str = "analytic") -> list[int]:
+        """A cell's kernel slots, memoized per (event, SIC, engine): one per event for
         'analytic'; for 'asymptotic' the floor sop_asymptotic reads, if any."""
         events = SCENARIOS[scenario]
         if engine == "asymptotic" and (len(events) > 1 or (events[0][1], sic) in _LEGIT_SCALE
@@ -193,48 +183,46 @@ class CascadeBatch:
                                                             _thresholds(dc, event, sic, table), scale)
         return [self._plans[event, sic, engine] for event in events]
 
-    def register(self, dc: DerivedConstants, event: tuple, sic: str, thresholds, scale=None):
-        """Plan (slot, threshold weights, ceiling mask) of an event's legitimate CDF under
-        dc, a point of the batch's element count, scale overriding its argument scale."""
+    def register(self, dc: DerivedConstants, event: tuple, sic: str, thresholds, scale=None) -> int:
+        """Slot of an event's legitimate CDF under dc at the thresholds (tau, weights), dc a
+        point of the batch's element count, scale overriding its argument scale."""
         tau, w = thresholds
         fam = SINR_FAMILIES[event[0]]
         if (event[1], sic) in _LEGIT_SCALE:
             fam = fam._replace(residual=_LEGIT_SCALE[event[1], sic])
-        z, capped = _cascade(dc, fam, sic, tau, self.table, scale)
-        self._pending.append(z)
-        return len(self._values) + len(self._pending) - 1, w, capped, z
+        self.args.append((*_cascade(dc, fam, sic, tau, self.table, scale), w))
+        return len(self.args) - 1
 
-    def probe(self, family: str, sic: str, x) -> tuple:
-        """Plan (slot, ceiling mask) of a SINR_FAMILIES key's CDF under sic at the 1-D
-        points x: the family's cascade argument, with no threshold average."""
-        z, capped = _cascade(self.dc, SINR_FAMILIES[family], sic, x, self.table)
-        self._pending.append(z)
-        return len(self._values) + len(self._pending) - 1, capped
+    def probe(self, family: str, sic: str, x) -> int:
+        """Slot of a SINR_FAMILIES key's CDF under sic at the 1-D points x: the family's
+        cascade argument, with no threshold average."""
+        self.args.append((*_cascade(self.dc, SINR_FAMILIES[family], sic, x, self.table), None))
+        return len(self.args) - 1
 
-    def _kernel(self, slot: int) -> np.ndarray:
-        """kdist_cdf values of a slot's argument; the first read of a pending slot
-        evaluates every pending argument in one call."""
-        if slot >= len(self._values):
-            pending, self._pending = self._pending, []
-            flat = kdist_cdf(self.dc.params.n_active, np.concatenate([z.ravel() for z in pending]))
-            start = 0
-            for z in pending:
-                self._values.append(flat[start:start + z.size].reshape(z.shape))
-                start += z.size
-        return self._values[slot]
+    def _read(self, slot: int) -> np.ndarray:
+        """A slot's unclipped CDF, averaged over a quadrature axis; exactly 1 at the NOMA
+        ceiling and where every node reads 1, whatever the weight round-off.  The outage
+        mass, not 1 - survival, keeps its relative accuracy in the tail."""
+        if slot >= len(self._cdfs):
+            pending = self.args[len(self._cdfs):]
+            flat = kdist_cdf(self.dc.params.n_active, np.concatenate([z.ravel() for z, _, _ in pending]))
+            for z, capped, _ in pending:
+                out, flat = flat[:z.size].reshape(z.shape), flat[z.size:]
+                if out.ndim == 2:  # kdist_cdf values lie in [0, 1]: a row is all 1.0 where its min is
+                    capped, out = capped | (out.min(axis=-1) == 1.0), out @ self.table.weights
+                self._cdfs.append(np.where(capped, 1.0, out))
+        return self._cdfs[slot]
 
-    def cdf(self, probe) -> np.ndarray:
+    def cdf(self, slot: int) -> np.ndarray:
         """A probe's CDF at its points, clipped to [0, 1]."""
-        slot, capped = probe
-        return np.clip(_cdf(self._kernel(slot), capped, self.table), 0.0, 1.0)
+        return np.clip(self._read(slot), 0.0, 1.0)
 
-    def outage(self, plan) -> tuple[float, bool]:
+    def outage(self, slot: int) -> tuple[float, bool]:
         """A plan's kernel value, the legitimate CDF averaged over the thresholds (1.0
         where it is 1.0 at every one), and whether every threshold sits at the NOMA
-        ceiling (a certain event); memoized per plan, so a union reuses its events'."""
-        slot, w, capped, _ = plan
+        ceiling (a certain event); memoized per slot, so a union reuses its events'."""
         if slot not in self._outages:
-            cdf = _cdf(self._kernel(slot), capped, self.table)
+            cdf, (_, capped, w) = self._read(slot), self.args[slot]
             self._outages[slot] = (1.0 if (cdf == 1.0).all() else float(cdf @ w)), bool(capped.all())
         return self._outages[slot]
 
@@ -316,7 +304,7 @@ def sop_asymptotic(params, scenario: str, sic: str, *, batch: CascadeBatch | Non
         value, _ = batch.outage(*batch.plan(scenario, sic, "asymptotic"))
         return _clamped(value, "asymptotic")
     # the argument and ceiling mask of the kernel's own plan, which this asymptote expands
-    _, _, capped, u = batch.plan(scenario, sic)[0]
+    u, capped, _ = batch.args[batch.plan(scenario, sic)[0]]
     if capped[0]:
         return SopEstimate(1.0, "asymptotic", flags=("saturated",))
     value, flags = _small_arg_asymptote(float(u[0]), batch.dc.params.n_active)

@@ -201,57 +201,57 @@ def _row(cfg: ScenarioConfig, sweep_var: str, cell: Cell) -> dict:
 def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> list[dict]:
     """The configured sweep's rows, one per cell of _run_cells and in its order.
     `workers` is accepted for compatibility and ignored: every run is serial."""
-    return [_row(cfg, cfg.sweep.variable, cell) for cell in _run_cells(cfg, cfg.sweep.values)]
+    return [_row(cfg, cfg.sweep.variable, cell) for cell in _run_cells(cfg, _realize(cfg, cfg.sweep.values))]
 
 
-def _run_cells(cfg: ScenarioConfig, values, probe=None) -> list[Cell]:
-    """One Cell per (value, scenario row, engine) of the config, value-major, then in
-    scenario and engine order, all exactly as configured; value None is the base
-    point.  Each (value, mode) point is realized once.  All Monte Carlo cells, of
-    any draw law, go to one estimate_sop_grid call, which groups them by law, so
-    estimates match individual estimate_sop calls bit for bit.  Per law (points
-    equal on model.LAW_FIELDS, so differing at most in M and P) one CascadeBatch
-    plans every closed-form cell, so one kdist_cdf call evaluates them, and each
-    (scenario, sic, engine) of the law is one sop or sop_asymptotic call.
-    probe(mode, point, batch), if given, is called with each feasible realized point
-    and its law's CascadeBatch before any cell is read: what it plans there shares
-    the law's kernel call."""
-    # rows: (value, scenario, sic, mode, point, law id); laws: law -> its id, cheaper to hash
-    # batches: law id -> its CascadeBatch
-    sweep, rows, laws, batches = cfg.sweep, [], {}, {}
+def _realize(cfg: ScenarioConfig, values) -> list[tuple]:
+    """One row (value, scenario, sic, mode, point, batch) per value and scenario row of
+    the config, value-major; value None is the base point.  Each (value, mode) point is
+    realized once; batch is the CascadeBatch of its law (model.LAW_FIELDS, all but M and
+    P), None where the point is infeasible or no engine is closed-form (its table unread)."""
+    closed_form, rows, batches = set(cfg.sweep.engines) != {"montecarlo"}, [], {}
     for value in values:
-        points = {}  # mode -> (point, law id), the id None where the point is infeasible
-        for scenario, sic, mode in sweep.scenarios:
+        points = {}  # mode -> (point, batch)
+        for scenario, sic, mode in cfg.sweep.scenarios:
             if mode not in points:
                 try:
                     point = realize_point(cfg, value, mode)
-                    law = laws.setdefault(tuple(getattr(point, name) for name in model.LAW_FIELDS), len(laws))
                 except BudgetInfeasibleError as exc:
                     # kept without its traceback, whose frame (this one) would hold it in a cycle
-                    point, law = exc.with_traceback(None), None
-                points[mode] = point, law
-                if probe is not None and law is not None:
-                    probe(mode, point, batches.get(law) or batches.setdefault(law, CascadeBatch(point)))
+                    points[mode] = exc.with_traceback(None), None
+                else:
+                    law = tuple(getattr(point, name) for name in model.LAW_FIELDS)
+                    if closed_form and law not in batches:
+                        batches[law] = CascadeBatch(point)
+                    points[mode] = point, batches.get(law)
             rows.append((None if value is None else float(value), scenario, sic, mode, *points[mode]))
+    return rows
 
-    cases = [(point, scenario, sic) for _, scenario, sic, _, point, law in rows if law is not None]
+
+def _run_cells(cfg: ScenarioConfig, rows: list[tuple]) -> list[Cell]:
+    """One Cell per row of _realize and engine of the config, in row and engine order.
+    All Monte Carlo cells go to one estimate_sop_grid call, which groups them by draw
+    law, so estimates match estimate_sop calls bit for bit.  Every closed-form cell is
+    planned into its row's batch before any is read: one kdist_cdf call per law serves
+    them and whatever a caller planned into the batch since _realize."""
+    sweep = cfg.sweep
+    feasible = [row for row in rows if not isinstance(row[4], BudgetInfeasibleError)]
+    cases = [(point, scenario, sic) for _, scenario, sic, _, point, _ in feasible]
     # no grid call without Monte Carlo cells: the traced benchmark counts grid calls
     mc = iter(estimate_sop_grid(cases, sweep.trials, sweep.seed)
               if cases and "montecarlo" in sweep.engines else ())
-    closed = {}  # by (law id, scenario, sic, engine): estimate
-    for _, scenario, sic, _, point, law in rows:
-        for engine in sweep.engines if law is not None else ():
-            if engine != "montecarlo" and (law, scenario, sic, engine) not in closed:
-                closed[law, scenario, sic, engine] = None
-                (batches.get(law) or batches.setdefault(law, CascadeBatch(point))).plan(scenario, sic, engine)
-    for law, scenario, sic, engine in closed:  # every cell of a law is planned before any is read
-        batch = batches[law]
+    closed = dict.fromkeys((batch, scenario, sic, engine) for _, scenario, sic, _, _, batch in feasible
+                           for engine in sweep.engines if engine != "montecarlo")
+    for batch, scenario, sic, engine in closed:
+        batch.plan(scenario, sic, engine)
+    for batch, scenario, sic, engine in closed:
         with contextlib.suppress(UnsupportedScenarioError):
-            closed[law, scenario, sic, engine] = (sop_asymptotic if engine == "asymptotic" else sop)(
+            closed[batch, scenario, sic, engine] = (sop_asymptotic if engine == "asymptotic" else sop)(
                 batch.dc.params, scenario, sic, batch=batch)
-    return [Cell(value, scenario, sic, mode, engine, point, None if law is None else
-                 next(mc) if engine == "montecarlo" else closed[law, scenario, sic, engine])
-            for value, scenario, sic, mode, point, law in rows for engine in sweep.engines]
+    return [Cell(value, scenario, sic, mode, engine, point,
+                 None if isinstance(point, BudgetInfeasibleError) else
+                 next(mc) if engine == "montecarlo" else closed[batch, scenario, sic, engine])
+            for value, scenario, sic, mode, point, batch in rows for engine in sweep.engines]
 
 
 def _print_table(rows: list[dict]):
@@ -268,7 +268,8 @@ def _cmd_table(args, engines=()) -> int:
     --out or --json, sweep writes CSV to stdout and the point commands a table."""
     cfg = _load(args, engines)
     point = "base" if engines else "sweep"
-    rows = [_row(cfg, "", cell) for cell in _run_cells(cfg, (None,))] if engines else run_sweep(cfg)
+    rows = ([_row(cfg, "", cell) for cell in _run_cells(cfg, _realize(cfg, (None,)))] if engines
+            else run_sweep(cfg))
     if args.json:
         _write_json("--json", args.json, {"meta": _meta(cfg, point), "rows": rows})
     if args.out or not (engines or args.json):
@@ -315,33 +316,19 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
     a zero-mean-gain receiver are skipped, and so are rows of several events, which
     are not scored (a config of only such rows realizes no point and draws nothing);
     their detail names their events' per-user rows and whether each is configured.
-    One analytic _run_cells call gives the closed forms and points, joined by key:
-    each check's closed-form CDF is a probe planned into its point's CascadeBatch,
-    so one kdist_cdf call per realized point evaluates its SOP cells and check
-    points alike.  One estimate_sop_grid call scores the executor's SOP cells and
-    every CDF probe, so each (draw law, seed, block) is drawn once.
+    Each check's closed-form CDF is a probe planned into its point's CascadeBatch
+    before _run_cells reads the SOP cells (joined to their checks by key), so one
+    kdist_cdf call per realized point serves both.  One estimate_sop_grid call scores
+    the SOP cells and every CDF probe, so each (draw law, seed, block) is drawn once.
     """
     singles = tuple(row for row in cfg.sweep.scenarios if len(model.SCENARIOS[row[0]]) == 1)
     users = {events[0]: name for name, events in model.SCENARIOS.items() if len(events) == 1}
-    probes = {}  # (mode, family, SIC read) -> (points, their CascadeBatch, its probe or None)
-
-    def plan_probes(mode, point, batch):
-        # one check per mode and (family, SIC read), of the kind of the first row to read it;
-        # psic for families the SIC mode does not enter
-        for scenario, sic, _ in (row for row in singles if row[2] == mode):
-            for kind, family in zip(("cdf", "pdf"), model.SCENARIOS[scenario][0]):
-                key = (family, model.SINR_FAMILIES[family].sic_for(sic))
-                if (mode, *key) not in probes:
-                    points = law_points(point, *key, _PROBS[kind])
-                    # an unreachable receiver or a zero power share (zero mean gain) puts every point at 0
-                    ok = np.isfinite(points).all() and 0.0 < points[0] < points[-1]
-                    probes[mode, *key] = points, batch, batch.probe(*key, points) if ok else None
-
-    cells = {(c.scenario, c.sic, c.mode): c for c in _run_cells(dataclasses.replace(
-        cfg, sweep=dataclasses.replace(cfg.sweep, scenarios=singles, engines=("analytic",))),
-        (None,), plan_probes)} if singles else {}
-    # jobs: (check index, the point or the probe points, the closed form)
-    checks, cases, jobs = [], [], []
+    # an empty scenario list is no config: one of only composed rows realizes nothing
+    closed_cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(
+        cfg.sweep, scenarios=singles, engines=("analytic",))) if singles else cfg
+    rows = _realize(closed_cfg, (None,)) if singles else []
+    # jobs: (check index, the point or the probe points, the probe's batch and slot or None)
+    checks, cases, jobs, realized, probed = [], [], [], iter(rows), set()
     for scenario, sic, mode in cfg.sweep.scenarios:
         base = {"check": "sop", "scenario": scenario, "sic": sic, "mode": mode}
         events = model.SCENARIOS[scenario]
@@ -352,35 +339,41 @@ def validate_point(cfg: ScenarioConfig, trials: int, seed: int) -> list[dict]:
                 for name in (users.get(event, "/".join(event[:2])) for event in events))
             checks.append({**base, "status": "skip", "detail": detail})
             continue
-        cell = cells[scenario, sic, mode]
-        if isinstance(cell.point, BudgetInfeasibleError):
-            checks.append({**base, "status": "skip", "detail": f"infeasible: {cell.point}"})
+        *_, point, batch = next(realized)
+        if isinstance(point, BudgetInfeasibleError):
+            checks.append({**base, "status": "skip", "detail": f"infeasible: {point}"})
             continue
-        jobs.append((len(checks), cell.point, cell.estimate))
-        cases.append((cell.point, scenario, sic))
+        jobs.append((len(checks), point, None, None))
+        cases.append((point, scenario, sic))
         checks.append(base)
+        # one check per mode and (family, SIC read), of the kind of the first row to read it;
+        # psic for families the SIC mode does not enter
         for kind, family in zip(("cdf", "pdf"), events[0]):
             key = (family, model.SINR_FAMILIES[family].sic_for(sic))
-            if (mode, *key) not in probes:  # checked by an earlier row
+            if (mode, *key) in probed:
                 continue
-            points, batch, probe = probes.pop((mode, *key))
+            probed.add((mode, *key))
             check = {"check": kind, "scenario": family, "sic": key[1], "mode": mode}
-            if probe is None:
+            points = law_points(point, *key, _PROBS[kind])
+            # an unreachable receiver or a zero power share (zero mean gain) puts every point at 0
+            if not (np.isfinite(points).all() and 0.0 < points[0] < points[-1]):
                 why = "degenerate SINR (zero mean gain)" if kind == "cdf" else "zero mean gain at the wiretap"
                 checks.append({**check, "status": "skip", "detail": why})
                 continue
-            jobs.append((len(checks), points, batch.cdf(probe)))
-            cases.append((cell.point, *key, points))
+            jobs.append((len(checks), points, batch, batch.probe(*key, points)))
+            cases.append((point, *key, points))
             checks.append(check)
 
-    for (i, at, ref), result in zip(jobs, estimate_sop_grid(cases, trials, seed)):
-        if checks[i]["check"] != "sop":
-            checks[i] = _distribution_check(checks[i], at, ref, result, trials)
+    cells = {(c.scenario, c.sic, c.mode): c.estimate for c in _run_cells(closed_cfg, rows)}
+    for (i, at, batch, slot), result in zip(jobs, estimate_sop_grid(cases, trials, seed)):
+        check = checks[i]
+        if slot is not None:
+            checks[i] = _distribution_check(check, at, batch.cdf(slot), result, trials)
             continue
-        a, m = ref.value, result.value
-        tol = sop_tolerance(a, m, result.stderr, checks[i]["mode"], checks[i]["sic"],
-                            scenario_rate(at, checks[i]["scenario"]))
-        checks[i] = _verdict(checks[i], abs(a - m), tol, f"analytic={a:.6g} mc={m:.6g} tol={tol:.3g}",
+        a, m = cells[check["scenario"], check["sic"], check["mode"]].value, result.value
+        tol = sop_tolerance(a, m, result.stderr, check["mode"], check["sic"],
+                            scenario_rate(at, check["scenario"]))
+        checks[i] = _verdict(check, abs(a - m), tol, f"analytic={a:.6g} mc={m:.6g} tol={tol:.3g}",
                              analytic=a, montecarlo=m)
     return checks
 

@@ -153,8 +153,6 @@ def sample_draw(
     """
     _checked_run(trials, seed)
     parts = list(_iter_blocks(params, trials, seed, shared_hbr))
-    if len(parts) == 1:
-        return parts[0]
     cat = {name: np.concatenate([getattr(p, name) for p in parts]) for name in _ARRAYS}
     return ChannelDraw(**cat)
 

@@ -16,6 +16,7 @@ rejected at the config boundary.
 
 import copy
 import csv
+import functools
 import io
 import json
 import math
@@ -548,6 +549,24 @@ def test_closed_form_sweep_makes_one_kernel_call_per_point(monkeypatch, tmp_path
     code, _ = run_to_file(tmp_path, ["sweep", "--preset", "fig2", "--engines", "a,asy"], "fig2.csv")
     assert code == cli.EXIT_OK
     assert 0 < len(calls) <= len(points), (len(calls), len(points))
+
+
+def test_monte_carlo_runs_build_no_closed_form_batch(monkeypatch):
+    # a CascadeBatch builds its quadrature table (order 64: an eigvalsh call), which a
+    # run without a closed-form engine never reads: a Monte Carlo sweep and simulate
+    # build neither, while a closed-form run builds both
+    batches, tables, init, real = [], [], an.CascadeBatch.__init__, an.gauss_laguerre
+    monkeypatch.setattr(an, "default_table", functools.cache(an.default_table.__wrapped__))
+    monkeypatch.setattr(an, "gauss_laguerre", lambda order: tables.append(order) or real(order))
+    monkeypatch.setattr(an.CascadeBatch, "__init__",
+                        lambda self, *args: batches.append(args) or init(self, *args))
+    cfg = load_preset("fig2")
+    rows = cli.run_sweep(replace(cfg, sweep=replace(cfg.sweep, engines=("montecarlo",), trials=2000)))
+    assert rows and all(r["engine"] == "montecarlo" and r["estimate"] is not None for r in rows)
+    assert cli.main(["simulate", "--preset", "fig2", "--trials", "2000"]) == cli.EXIT_OK
+    assert batches == tables == []
+    assert cli.main(["analytic", "--preset", "fig2"]) == cli.EXIT_OK
+    assert batches and tables == [an.DEFAULT_ORDER]
 
 
 # an active-surface element sweep holding Q: its four points differ only in M and P,
